@@ -23,7 +23,6 @@ from .deconv import (
     BandwidthPair,
     ConstantSigma,
     DiscreteSigma,
-    FitConvergenceError,
     FittedPrior,
     JointModel,
     NormalComponent,
@@ -38,11 +37,9 @@ from .deconv import (
     fit_prior,
     fit_prior_by_group,
     fit_weights,
-    kernel_marginal,
     kernel_marginals,
     oracle_clfdr,
     silverman_bandwidths,
-    simplex_project,
 )
 from .selection import (
     Group,

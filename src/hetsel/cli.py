@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .deconv import FitConvergenceError, clfdr_by_group, fit_prior_by_group
+from .deconv import clfdr_by_group, fit_prior_by_group
 from .model import zvalue_pvalue
 from .rvalue import (
     dd_alpha_evaluator,
@@ -75,7 +75,7 @@ class RunConfig:
     alpha: float = 0.1
     mu0: float | None = None
     k: int = 50
-    seed: int = 0
+    seed: int = 0  # simulate only: master seed of the replication streams
     reps: int = 10
     sigma_split: tuple = ()
     trim: tuple | None = None
@@ -182,7 +182,6 @@ def _envelope(kind: str, config: RunConfig, extra: dict | None = None) -> dict:
         "alpha": config.alpha,
         "mu0": config.mu0,
         "grid_size": config.k,
-        "seed": config.seed,
         "sigma_split": list(config.sigma_split),
         "trim": list(config.trim) if config.trim else None,
     }
@@ -275,7 +274,7 @@ def _cmd_select(config: RunConfig) -> int:
                 "bh": power(bh),
             },
             "fit": {
-                str(g): {"objective": f.objective, "iterations": f.iterations}
+                str(g): {"objective": f.objective, "kkt_gap": f.kkt_gap}
                 for g, f in fits.items()
             },
         },
@@ -384,7 +383,7 @@ def run(config: RunConfig) -> int:
     """
     try:
         return _COMMANDS[config.command](config)
-    except (ValueError, OSError, FitConvergenceError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         report = {
             "error": {
                 "type": type(exc).__name__,
@@ -408,7 +407,6 @@ def _add_shared(parser, *, need_mu0: bool, mu0_required: bool = True):
             help="reference level: the null region is mu <= mu0",
         )
     parser.add_argument("--grid-size", type=int, default=50, dest="k")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--sigma-split",
         type=str,
@@ -448,7 +446,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_rv.add_argument("--mu0", type=float, default=None)
     p_rv.add_argument("--grid-points", type=int, default=200)
     p_rv.add_argument("--grid-size", type=int, default=50, dest="k")
-    p_rv.add_argument("--seed", type=int, default=0)
     p_rv.add_argument("--sigma-split", type=str, default="")
     p_rv.add_argument("--trim", type=str, default="")
     p_rv.add_argument(

@@ -17,7 +17,7 @@ Two evaluation paths are provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -29,7 +29,6 @@ __all__ = [
     "PriorGrid",
     "BandwidthPair",
     "FittedPrior",
-    "FitConvergenceError",
     "PointMass",
     "UniformInterval",
     "NormalComponent",
@@ -40,9 +39,7 @@ __all__ = [
     "JointModel",
     "build_grid",
     "silverman_bandwidths",
-    "kernel_marginal",
     "kernel_marginals",
-    "simplex_project",
     "fit_weights",
     "clfdr_from_fit",
     "oracle_clfdr",
@@ -56,6 +53,9 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Floor applied to marginal densities before division so that Gaussian tail
 # underflow cannot produce 0/0; the resulting ratio is clamped to [0, 1].
 DENSITY_FLOOR = 1e-300
+
+_PRIOR_FIT_SCHEMA = "hetsel/prior-fit/v2"
+_TINY = np.finfo(float).tiny
 
 
 def _gauss(z, h):
@@ -75,19 +75,6 @@ def _interval_mass(z_lo, z_hi):
     lower = ndtr(z_hi) - ndtr(z_lo)
     out = np.where(z_lo > 0, upper, lower)
     return np.maximum(out, 0.0)
-
-
-class FitConvergenceError(RuntimeError):
-    """Raised when the simplex solver exhausts its iteration budget.
-
-    Carries the best iterate found (``fit``) and its projected-gradient
-    norm (``residual``) so callers can inspect or accept the partial result.
-    """
-
-    def __init__(self, message: str, fit: "FittedPrior", residual: float):
-        super().__init__(message)
-        self.fit = fit
-        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -130,15 +117,17 @@ class BandwidthPair:
 
 @dataclass(frozen=True, eq=False)
 class FittedPrior:
-    """Discretized prior estimate: grid nodes, simplex weights, fit diagnostics."""
+    """Discretized prior estimate: grid nodes, simplex weights, fit diagnostics.
+
+    ``kkt_gap`` measures how far the weights are from the simplex optimality
+    conditions; see ``fit_weights``.
+    """
 
     grid: PriorGrid
     weights: np.ndarray
     objective: float
-    iterations: int
+    kkt_gap: float
     bandwidths: BandwidthPair | None = None
-    pg_residual: float = float("nan")
-    objective_history: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -148,15 +137,18 @@ class FittedPrior:
             raise ValueError("weights must be nonnegative and sum to 1")
         if self.objective < 0:
             raise ValueError("objective must be nonnegative")
+        if not self.kkt_gap >= 0:
+            raise ValueError("kkt_gap must be nonnegative")
         object.__setattr__(self, "weights", w)
 
     def to_json_dict(self) -> dict:
         doc = {
-            "schema": "hetsel/prior-fit/v1",
+            "schema": _PRIOR_FIT_SCHEMA,
+            "grid": {"left": self.grid.left, "eta": self.grid.eta, "k": self.grid.k},
             "nodes": [float(v) for v in self.grid.nodes],
             "weights": [float(v) for v in self.weights],
             "objective": float(self.objective),
-            "iterations": int(self.iterations),
+            "kkt_gap": float(self.kkt_gap),
         }
         if self.bandwidths is not None:
             doc["bandwidths"] = {
@@ -167,15 +159,14 @@ class FittedPrior:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FittedPrior":
-        if doc.get("schema") != "hetsel/prior-fit/v1":
-            raise ValueError(f"unrecognized prior fit schema: {doc.get('schema')!r}")
-        nodes = np.asarray(doc["nodes"], dtype=float)
-        if nodes.size < 2:
-            raise ValueError("prior fit document needs at least 2 nodes")
-        eta = float(nodes[1] - nodes[0])
-        grid = PriorGrid(left=float(nodes[0]), eta=eta, k=int(nodes.size))
-        if not np.allclose(grid.nodes, nodes, rtol=0, atol=1e-9 * max(1.0, abs(eta))):
-            raise ValueError("prior fit nodes are not evenly spaced")
+        if doc.get("schema") != _PRIOR_FIT_SCHEMA:
+            raise ValueError(
+                f"unsupported prior fit schema {doc.get('schema')!r}; "
+                f"expected {_PRIOR_FIT_SCHEMA!r}"
+            )
+        grid = PriorGrid(**doc["grid"])
+        if not np.array_equal(grid.nodes, np.asarray(doc["nodes"], dtype=float)):
+            raise ValueError("prior fit nodes do not match the grid block")
         bw = None
         if "bandwidths" in doc:
             bw = BandwidthPair(doc["bandwidths"]["h_x"], doc["bandwidths"]["h_sigma"])
@@ -183,7 +174,7 @@ class FittedPrior:
             grid=grid,
             weights=np.asarray(doc["weights"], dtype=float),
             objective=float(doc["objective"]),
-            iterations=int(doc["iterations"]),
+            kkt_gap=float(doc["kkt_gap"]),
             bandwidths=bw,
         )
 
@@ -259,59 +250,59 @@ def kernel_marginals(x, sigma, bandwidths: BandwidthPair, chunk_size: int = 1024
     return out
 
 
-def kernel_marginal(i: int, x, sigma, bandwidths: BandwidthPair) -> float:
-    """Marginal density estimate for a single unit; see ``kernel_marginals``."""
-    xs = np.asarray(x, dtype=float)
-    sg = np.asarray(sigma, dtype=float)
-    sw = _gauss(sg[i] - sg, bandwidths.h_sigma)
-    sw /= sw.sum()
-    xk = _gauss(xs[i] - xs, bandwidths.h_x * sg)
-    return float(np.dot(sw, xk))
-
-
-def simplex_project(v) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort algorithm)."""
-    y = np.asarray(v, dtype=float)
-    u = np.sort(y)[::-1]
-    css = np.cumsum(u) - 1.0
-    ind = np.arange(1, y.size + 1)
-    cond = u - css / ind > 0
-    rho = ind[cond][-1]
-    theta = css[cond][-1] / rho
-    return np.maximum(y - theta, 0.0)
-
-
 def _design_matrix(grid: PriorGrid, x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return _gauss(x[:, None] - grid.nodes[None, :], sigma[:, None])
 
 
-def fit_weights(
-    grid: PriorGrid,
-    x,
-    sigma,
-    marginals,
-    *,
-    max_iter: int = 20000,
-    rel_tol: float = 1e-10,
-    pg_tol: float = 1e-6,
-    keep_history: bool = False,
-) -> FittedPrior:
+def _nnls(E: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Lawson-Hanson active-set solve of min ||E u - f|| subject to u >= 0.
+
+    Finite in exact arithmetic; the pass bound only stops floating-point
+    cycling.
+    """
+    n = E.shape[1]
+    u = np.zeros(n)
+    free = np.zeros(n, dtype=bool)
+    tol = 10.0 * np.finfo(float).eps * max(E.shape) * np.abs(E).sum(axis=0).max()
+    for _ in range(3 * E.shape[0]):
+        dual = E.T @ (f - E @ u)
+        dual[free] = -np.inf
+        j = int(np.argmax(dual))
+        if dual[j] <= tol:
+            break
+        free[j] = True
+        while True:
+            z = np.zeros(n)
+            z[free] = np.linalg.lstsq(E[:, free], f, rcond=None)[0]
+            if np.all(z[free] > 0):
+                break
+            # Step from u towards z until the first free variable hits zero.
+            blocking = np.flatnonzero(free & (z <= 0))
+            ratios = u[blocking] / np.maximum(u[blocking] - z[blocking], _TINY)
+            i = int(np.argmin(ratios))
+            u += ratios[i] * (z - u)
+            u[blocking[i]] = 0.0
+            free &= u > 0
+            u[~free] = 0.0
+        u = z
+    return u
+
+
+def fit_weights(grid: PriorGrid, x, sigma, marginals) -> FittedPrior:
     """Least-squares simplex weights matching the implied marginals.
 
-    Minimizes sum_i (f_i(x_i) - marginals_i)^2 over the probability simplex,
-    where f_i(x) = sum_j w_j phi_{sigma_i}(x - node_j). Solved by a monotone
-    accelerated projected-gradient method from uniform weights: Euclidean
-    simplex projections, a backtracking line search on the proximal upper
-    bound, Nesterov momentum with a function-value restart, and a safeguard
-    that never accepts an iterate worse than the incumbent, so the objective
-    sequence is non-increasing. Stops when the relative objective change
-    drops below ``rel_tol`` or the unit-step projected-gradient norm drops
-    below ``pg_tol``. The kernel design matrix is heavily rank-deficient, so
-    unaccelerated descent tends to exhaust the iteration budget; momentum
-    brings typical instances down to a few thousand iterations.
+    Minimizes ||A w - b||^2 over the probability simplex, where
+    A_ij = phi_{sigma_i}(x_i - node_j) and b holds the marginals. On the
+    simplex A w - b = C w with C = A - b 1', so the objective is w'Hw with
+    H = C'C. With R'R = H / s from the eigendecomposition of H, the NNLS
+    objective ||R u||^2 + (1'u - 1)^2 has minimum q / (1 + q) along each ray
+    u = t w, where q = w'Hw / s increases with w'Hw; hence the Lawson-Hanson
+    solution, normalized to sum one, is the exact simplex minimizer. s, the
+    largest eigenvalue of H, only balances the two terms.
 
-    Raises ``FitConvergenceError`` (carrying the best iterate) if the
-    iteration cap is reached first.
+    ``kkt_gap`` is the spread of the gradient g = 2Hw over the support plus
+    how far the smallest g off the support falls below the smallest g on
+    it, relative to max |g|; it is 0 at an exact optimum.
     """
     xs = np.asarray(x, dtype=float)
     sg = np.asarray(sigma, dtype=float)
@@ -321,89 +312,25 @@ def fit_weights(
     if np.any(b <= 0):
         raise ValueError("marginals must be strictly positive")
 
-    A = _design_matrix(grid, xs, sg)
-    # Normal-equation form: the objective is w'Gw - 2 c'w + const, so each
-    # iteration costs O(k^2) regardless of the number of observations.
-    G = A.T @ A
-    c = A.T @ b
-    const = float(b @ b)
+    C = _design_matrix(grid, xs, sg)
+    C -= b[:, None]
+    H = C.T @ C
+    lam, V = np.linalg.eigh(H)
+    R = np.sqrt(np.clip(lam, 0.0, None) / max(lam[-1], _TINY))[:, None] * V.T
+    target = np.zeros(grid.k + 1)
+    target[-1] = 1.0
+    u = _nnls(np.vstack([R, np.ones(grid.k)]), target)
+    w = u / u.sum()
 
-    def objective(w):
-        return max(float(w @ (G @ w) - 2.0 * (c @ w) + const), 0.0)
-
-    def pg_residual(w):
-        g = 2.0 * (G @ w - c)
-        return float(np.linalg.norm(w - simplex_project(w - g)))
-
-    w = np.full(grid.k, 1.0 / grid.k)
-    y = w.copy()
-    f_cur = objective(w)
-    history = [f_cur] if keep_history else None
-    step = 1.0
-    momentum = 1.0
-    pg_norm = pg_residual(w)
-    iterations = 0
-    converged = pg_norm < pg_tol
-
-    while not converged and iterations < max_iter:
-        gy = 2.0 * (G @ y - c)
-        f_y = objective(y)
-        while True:
-            z = simplex_project(y - step * gy)
-            d = z - y
-            f_z = objective(z)
-            if f_z <= f_y + float(gy @ d) + float(d @ d) / (2.0 * step) + 1e-18:
-                break
-            step *= 0.5
-            if step < 1e-20:
-                z, f_z = y, f_y
-                break
-        iterations += 1
-        restart = f_z > f_cur
-        if restart:
-            # Momentum overshot: keep the incumbent and restart the schedule.
-            momentum = 1.0
-            y = w.copy()
-        else:
-            w_new, f_new = z, f_z
-            momentum_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum))
-            y = w_new + (momentum / momentum_next) * (z - w_new) + (
-                (momentum - 1.0) / momentum_next
-            ) * (w_new - w)
-            momentum = momentum_next
-            rel_change = abs(f_cur - f_new) / max(f_cur, 1e-30)
-            w, f_cur = w_new, f_new
-            if history is not None:
-                history.append(f_cur)
-            pg_norm = pg_residual(w)
-            if pg_norm < pg_tol or rel_change < rel_tol:
-                converged = True
-        step *= 2.0
-
-    if not converged:
-        partial = FittedPrior(
-            grid=grid,
-            weights=simplex_project(w),
-            objective=f_cur,
-            iterations=iterations,
-            pg_residual=pg_norm,
-            objective_history=tuple(history) if history else None,
-        )
-        raise FitConvergenceError(
-            f"simplex fit did not converge within {max_iter} iterations "
-            f"(projected-gradient norm {pg_norm:.3e})",
-            fit=partial,
-            residual=pg_norm,
-        )
-
-    w = simplex_project(w)
+    g = 2.0 * (H @ w)
+    on = g[w > 0]
+    shortfall = max(on.min() - g[w == 0].min(initial=np.inf), 0.0)
+    kkt_gap = (np.ptp(on) + shortfall) / max(np.abs(g).max(), _TINY)
     return FittedPrior(
         grid=grid,
         weights=w,
-        objective=objective(w),
-        iterations=iterations,
-        pg_residual=pg_residual(w),
-        objective_history=tuple(history) if history else None,
+        objective=max(float(w @ H @ w), 0.0),
+        kkt_gap=float(kkt_gap),
     )
 
 
@@ -682,7 +609,6 @@ def fit_prior(
     k: int = 50,
     bandwidths: BandwidthPair | None = None,
     grid: PriorGrid | None = None,
-    keep_history: bool = False,
 ) -> FittedPrior:
     """Full deconvolution fit for one group of observations.
 
@@ -705,16 +631,7 @@ def fit_prior(
     if grid is None:
         grid = build_grid(xs, k)
     marginals = kernel_marginals(xs, sg, bandwidths)
-    fit = fit_weights(grid, xs, sg, marginals, keep_history=keep_history)
-    return FittedPrior(
-        grid=fit.grid,
-        weights=fit.weights,
-        objective=fit.objective,
-        iterations=fit.iterations,
-        bandwidths=bandwidths,
-        pg_residual=fit.pg_residual,
-        objective_history=fit.objective_history,
-    )
+    return replace(fit_weights(grid, xs, sg, marginals), bandwidths=bandwidths)
 
 
 def fit_prior_by_group(x, sigma, group_ids, *, k: int = 50) -> dict:

@@ -8,6 +8,8 @@ call the code paths they check.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from hetsel import (
@@ -128,3 +130,15 @@ def stepup_clfdr_reference(clfdrs, alpha):
         return [0] * m
     cut = c[k - 1]
     return [1 if v <= cut else 0 for v in clfdrs]
+
+
+def kernel_marginal(i, x, sigma, bandwidths):
+    """Kernel marginal estimate of one unit, the scalar oracle for
+    ``kernel_marginals``: sum_j w_ij phi_{h_x sigma_j}(x_i - x_j) with
+    w_ij proportional to phi_{h_sigma}(sigma_i - sigma_j)."""
+    def gauss(z, h):
+        return math.exp(-0.5 * (z / h) ** 2) / (math.sqrt(2.0 * math.pi) * h)
+
+    sw = [gauss(sigma[i] - s, bandwidths.h_sigma) for s in sigma]
+    xk = [gauss(x[i] - xj, bandwidths.h_x * s) for xj, s in zip(x, sigma)]
+    return sum(a * b for a, b in zip(sw, xk)) / sum(sw)

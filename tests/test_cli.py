@@ -143,6 +143,8 @@ class TestSelectCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["tool"]["version"] == __version__
         assert summary["config"]["alpha"] == 0.1
+        assert "seed" not in summary["config"]
+        assert set(summary["fit"]["0"]) == {"objective", "kkt_gap"}
         assert set(summary["n_selected"]) == {"dd", "clfdr_stepup", "bh"}
         assert set(summary["modified_power"]) == {"dd", "clfdr_stepup", "bh"}
         result = json.loads((out / "selection_result.json").read_text())
@@ -179,7 +181,9 @@ class TestOtherCommands:
         out = tmp_path / "fit"
         assert main(["deconv-fit", "--input", str(direct_csv), "--output", str(out)]) == 0
         doc = json.loads((out / "prior_fit.json").read_text())
+        assert "seed" not in doc["config"]
         fit = doc["fits"]["0"]
+        assert fit["schema"] == "hetsel/prior-fit/v2"
         assert len(fit["nodes"]) == len(fit["weights"]) == 50
         assert abs(sum(fit["weights"]) - 1.0) < 1e-9
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,24 +7,39 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from conftest import kernel_marginal
 from hetsel import (
     BandwidthPair,
-    FitConvergenceError,
+    CorrelatedTwoGroup,
     FittedPrior,
     PriorGrid,
+    SimDesign,
     TruePrior,
+    TwoComponent,
+    UniformIndep,
     build_grid,
     clfdr_from_fit,
     fit_prior,
     fit_prior_by_group,
     fit_weights,
-    kernel_marginal,
+    generate,
     kernel_marginals,
     oracle_clfdr,
     silverman_bandwidths,
-    simplex_project,
 )
 from hetsel.deconv import _design_matrix
+
+
+def assert_simplex_kkt(grid, x, sigma, marginals, w, rtol=1e-8):
+    """Optimality of w for min ||A w - b||^2 on the simplex, from scratch:
+    the gradient g = 2 A'(A w - b) is equal on the support of w and no
+    smaller off it, both to rtol relative to max |g|."""
+    A = _design_matrix(grid, x, sigma)
+    g = 2.0 * A.T @ (A @ w - marginals)
+    tol = rtol * np.abs(g).max()
+    on = w > 0
+    assert np.ptp(g[on]) <= tol
+    assert np.all(g[~on] >= g[on].max() - tol)
 
 
 class TestBuildGrid:
@@ -169,24 +185,45 @@ class TestFitWeights:
         assert np.all(fit.weights >= 0)
         assert abs(fit.weights.sum() - 1.0) <= 1e-9
 
-    def test_objective_history_monotone(self):
-        rng = np.random.default_rng(8)
-        xs = rng.normal(size=120)
-        sig = rng.uniform(0.5, 1.5, 120)
-        fit = fit_prior(xs, sig, k=25, keep_history=True)
-        hist = np.array(fit.objective_history)
-        assert np.all(np.diff(hist) <= 1e-15)
-
     def test_stationarity_on_well_conditioned_instance(self):
         grid = PriorGrid(left=-2.0, eta=2.0, k=3)
         rng = np.random.default_rng(9)
         xs = rng.normal(size=80)
         sig = np.ones(80)
         marg = kernel_marginals(xs, sig, BandwidthPair(0.5, 1.0))
-        # Disable the objective-stagnation exit so the run must reach the
-        # stationarity tolerance itself.
-        fit = fit_weights(grid, xs, sig, marg, rel_tol=0.0)
-        assert fit.pg_residual <= 1e-6
+        fit = fit_weights(grid, xs, sig, marg)
+        assert_simplex_kkt(grid, xs, sig, marg, fit.weights)
+        assert fit.kkt_gap <= 1e-8
+
+    @pytest.mark.parametrize(
+        "family, mu0",
+        [
+            (TwoComponent(sigma2=4.0, m=2000), 6.0),
+            (UniformIndep(sigma_max=3.0, m=2000), 0.0),
+            (CorrelatedTwoGroup(sigma=1.0, m=2000), 1.0),
+        ],
+    )
+    def test_kkt_on_simulation_designs(self, family, mu0):
+        rep = generate(SimDesign(family, mu0, 0.1, 1, 21), 0)
+        mask = rep.group_ids == rep.group_ids.max()
+        xs, sig = rep.x[mask], rep.sigma[mask]
+        fit = fit_prior(xs, sig)
+        marg = kernel_marginals(xs, sig, fit.bandwidths)
+        assert_simplex_kkt(fit.grid, xs, sig, marg, fit.weights)
+        assert fit.kkt_gap <= 1e-8
+
+    def test_fit_that_hit_the_old_iteration_cap(self):
+        # Correlated design, seed 51976702, replication 3, group 1: the
+        # former projected-gradient solver stopped at its iteration cap
+        # with objective 1.4540014838e-02 and aborted the whole study.
+        design = SimDesign(CorrelatedTwoGroup(1.0, 10000), 1.0, 0.1, 4, 51976702)
+        rep = generate(design, 3)
+        mask = rep.group_ids == 1
+        xs, sig = rep.x[mask], rep.sigma[mask]
+        fit = fit_prior(xs, sig)
+        assert fit.objective <= 1.4540014838e-02
+        marg = kernel_marginals(xs, sig, fit.bandwidths)
+        assert_simplex_kkt(fit.grid, xs, sig, marg, fit.weights)
 
     def test_bad_marginals(self):
         grid = PriorGrid(left=0.0, eta=1.0, k=3)
@@ -195,32 +232,11 @@ class TestFitWeights:
         with pytest.raises(ValueError):
             fit_weights(grid, [0.0, 1.0], [1.0, 1.0], [0.5])
 
-    def test_iteration_cap_raises_with_partial_fit(self):
-        rng = np.random.default_rng(10)
-        xs = rng.normal(size=500)
-        sig = rng.uniform(0.5, 3.0, 500)
-        bw = silverman_bandwidths(xs, sig)
-        grid = build_grid(xs, 40)
-        marg = kernel_marginals(xs, sig, bw)
-        with pytest.raises(FitConvergenceError) as err:
-            fit_weights(grid, xs, sig, marg, max_iter=3)
-        assert err.value.fit.iterations == 3
-        assert math.isfinite(err.value.residual)
-        assert abs(err.value.fit.weights.sum() - 1.0) <= 1e-9
-
-    def test_simplex_project(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            v = rng.normal(size=int(rng.integers(1, 12)), scale=3)
-            w = simplex_project(v)
-            assert np.all(w >= 0)
-            assert abs(w.sum() - 1.0) < 1e-12
-
 
 class TestClfdrFromFit:
     def _fit(self, nodes, weights):
         grid = PriorGrid(left=nodes[0], eta=nodes[1] - nodes[0], k=len(nodes))
-        return FittedPrior(grid=grid, weights=np.asarray(weights), objective=0.0, iterations=0)
+        return FittedPrior(grid=grid, weights=np.asarray(weights), objective=0.0, kkt_gap=0.0)
 
     def test_all_nodes_null(self):
         fit = self._fit([-3.0, -2.0, -1.0], [0.2, 0.5, 0.3])
@@ -236,7 +252,7 @@ class TestClfdrFromFit:
 
     def test_bounded_random(self):
         rng = np.random.default_rng(12)
-        fit = self._fit(np.linspace(-4, 4, 9).tolist(), simplex_project(rng.random(9)))
+        fit = self._fit(np.linspace(-4, 4, 9).tolist(), rng.dirichlet(np.ones(9)))
         vals = clfdr_from_fit(fit, rng.normal(size=100, scale=5), rng.uniform(0.3, 3, 100), mu0=0.4)
         assert np.all((vals >= 0) & (vals <= 1))
 
@@ -296,7 +312,7 @@ class TestOracleClfdr:
         weights = [0.1, 0.4, 0.3, 0.2]
         prior = TruePrior.point_masses(locs, weights)
         grid = PriorGrid(left=-1.5, eta=1.0, k=4)
-        fit = FittedPrior(grid=grid, weights=np.array(weights), objective=0.0, iterations=0)
+        fit = FittedPrior(grid=grid, weights=np.array(weights), objective=0.0, kkt_gap=0.0)
         rng = np.random.default_rng(13)
         xs = rng.normal(size=50, scale=2)
         sig = rng.uniform(0.4, 2.5, 50)
@@ -341,7 +357,12 @@ class TestFitPriorPipeline:
         sig = rng.uniform(0.5, 1.5, 100)
         fit = fit_prior(xs, sig, k=12)
         doc = fit.to_json_dict()
-        back = FittedPrior.from_json_dict(doc)
-        assert_allclose(back.weights, fit.weights)
-        assert_allclose(back.grid.nodes, fit.grid.nodes)
+        back = FittedPrior.from_json_dict(json.loads(json.dumps(doc)))
+        assert back.grid == fit.grid
+        np.testing.assert_array_equal(back.weights, fit.weights)
+        assert back.objective == fit.objective
+        assert back.kkt_gap == fit.kkt_gap
         assert back.bandwidths == fit.bandwidths
+        old = dict(doc, schema="hetsel/prior-fit/v1")
+        with pytest.raises(ValueError, match="hetsel/prior-fit/v1"):
+            FittedPrior.from_json_dict(old)
