@@ -10,9 +10,6 @@ __version__ = "0.1.0"
 
 from .model import (
     MetricsRecord,
-    Observation,
-    TestingProblem,
-    TruthLabels,
     etp,
     etp_star,
     fdp,
@@ -22,7 +19,6 @@ from .model import (
 from .deconv import (
     BandwidthPair,
     ConstantSigma,
-    DiscreteSigma,
     FittedPrior,
     JointModel,
     NormalComponent,
@@ -43,17 +39,13 @@ from .deconv import (
 )
 from .selection import (
     Group,
-    ScoredUnit,
     SelectionResult,
     ThresholdPair,
     TraceStep,
-    build_units,
     calibrate_thresholds,
-    classify_group,
     classify_groups,
     clfdr_stepup_threshold,
     oracle_thresholds,
-    score,
     score_arrays,
     select_bh,
     select_clfdr_stepup,

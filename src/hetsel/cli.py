@@ -35,7 +35,13 @@ from .rvalue import (
     rvalue_vary_alpha,
     rvalue_vary_mu0,
 )
-from .selection import build_units, select_bh, select_clfdr_stepup, select_dd
+from .selection import (
+    classify_groups,
+    score_arrays,
+    select_bh,
+    select_clfdr_stepup,
+    select_dd,
+)
 from .sim import (
     CorrelatedTwoGroup,
     SimDesign,
@@ -177,6 +183,11 @@ def _group_ids(sigma: np.ndarray, cuts) -> np.ndarray:
 
 
 def _envelope(kind: str, config: RunConfig, extra: dict | None = None) -> dict:
+    """Wraps a payload with the schema, the tool and the CLI configuration.
+
+    A ``config`` block in the payload is merged into the CLI block, its own
+    keys winning, so the command-line settings are never dropped.
+    """
     cfg = {
         "command": config.command,
         "alpha": config.alpha,
@@ -191,6 +202,8 @@ def _envelope(kind: str, config: RunConfig, extra: dict | None = None) -> dict:
         "config": cfg,
     }
     if extra:
+        extra = dict(extra)
+        cfg.update(extra.pop("config", {}))
         doc.update(extra)
     return doc
 
@@ -229,8 +242,9 @@ def _cmd_select(config: RunConfig) -> int:
     ids, x, sigma, groups = _prepare(config)
     fits = fit_prior_by_group(x, sigma, groups, k=config.k)
     clfdr = clfdr_by_group(fits, groups, x, sigma, config.mu0)
-    units = build_units(x, clfdr, config.mu0, config.alpha)
-    dd = select_dd(units, config.alpha, config.mu0)
+    dd = select_dd(x, clfdr, config.alpha, config.mu0)
+    _, s = score_arrays(x, clfdr, config.mu0, config.alpha)
+    label = classify_groups(x, clfdr, config.mu0, config.alpha)
     stepup = select_clfdr_stepup(clfdr, config.alpha)
     _, pvals = zvalue_pvalue(x, sigma, config.mu0)
     bh = select_bh(pvals, config.alpha)
@@ -241,15 +255,15 @@ def _cmd_select(config: RunConfig) -> int:
     ) as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "x", "sigma", "clfdr", "s", "group", "selected"])
-        for i, unit in enumerate(units):
+        for i in range(len(ids)):
             writer.writerow(
                 [
                     ids[i],
                     repr(float(x[i])),
                     repr(float(sigma[i])),
-                    repr(unit.clfdr),
-                    repr(unit.s),
-                    int(unit.group),
+                    repr(float(clfdr[i])),
+                    repr(float(s[i])),
+                    int(label[i]),
                     int(dd.decisions[i]),
                 ]
             )
@@ -300,7 +314,6 @@ def _cmd_rvalue(config: RunConfig) -> int:
             dd_alpha_evaluator(x, clfdr, config.mu0),
             default_alpha_grid(config.grid_points),
             sigma=sigma,
-            n_jobs=config.threads,
         )
     else:
         def clfdr_fn(mu0):
@@ -312,7 +325,6 @@ def _cmd_rvalue(config: RunConfig) -> int:
             dd_mu0_evaluator(x, clfdr_fn, config.alpha),
             default_mu0_grid(x, config.grid_points),
             sigma=sigma,
-            n_jobs=config.threads,
         )
     os.makedirs(config.output, exist_ok=True)
     table.write_csv(os.path.join(config.output, "rvalues.csv"))
@@ -448,10 +460,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_rv.add_argument("--grid-size", type=int, default=50, dest="k")
     p_rv.add_argument("--sigma-split", type=str, default="")
     p_rv.add_argument("--trim", type=str, default="")
-    p_rv.add_argument(
-        "--threads", type=int, default=os.cpu_count() or 1,
-        help="parallel grid replays (results are order-merged)",
-    )
 
     p_sim = sub.add_parser("simulate", help="run a replication study")
     p_sim.add_argument("--output", required=True)

@@ -35,7 +35,6 @@ __all__ = [
     "TruePrior",
     "ConstantSigma",
     "UniformSigma",
-    "DiscreteSigma",
     "JointModel",
     "build_grid",
     "silverman_bandwidths",
@@ -210,6 +209,9 @@ def silverman_bandwidths(xs, sigmas) -> BandwidthPair:
 
     Applied to the observations and to the standard deviations separately.
     The sample standard deviation uses the unbiased (ddof=1) convention.
+    When all sigmas coincide the sigma-direction kernel weights are uniform
+    whatever the bandwidth, so the placeholder h_sigma = 1.0 is returned
+    instead of failing the zero-spread check.
     """
     x = np.asarray(xs, dtype=float)
     s = np.asarray(sigmas, dtype=float)
@@ -218,9 +220,9 @@ def silverman_bandwidths(xs, sigmas) -> BandwidthPair:
     m = x.size
     if m < 2:
         raise ValueError("need at least 2 observations for bandwidth selection")
-    return BandwidthPair(
-        h_x=_rule_of_thumb(x, m, "xs"), h_sigma=_rule_of_thumb(s, m, "sigmas")
-    )
+    h_x = _rule_of_thumb(x, m, "xs")
+    h_sigma = 1.0 if np.ptp(s) == 0 else _rule_of_thumb(s, m, "sigmas")
+    return BandwidthPair(h_x=h_x, h_sigma=h_sigma)
 
 
 def kernel_marginals(x, sigma, bandwidths: BandwidthPair, chunk_size: int = 1024):
@@ -518,26 +520,6 @@ class UniformSigma:
 
 
 @dataclass(frozen=True)
-class DiscreteSigma:
-    values: tuple
-    weights: tuple
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        ws = tuple(float(w) for w in self.weights)
-        if len(vals) != len(ws) or not vals:
-            raise ValueError("values and weights must align and be nonempty")
-        if any(v <= 0 for v in vals) or abs(sum(ws) - 1.0) > 1e-9:
-            raise ValueError("sigmas must be positive, weights sum to 1")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "weights", ws)
-
-    def sample(self, rng, n):
-        idx = rng.choice(len(self.values), size=n, p=np.asarray(self.weights))
-        return np.asarray(self.values, dtype=float)[idx]
-
-
-@dataclass(frozen=True)
 class JointModel:
     """Sampleable joint law of (sigma, mu): a mixture of sigma-groups.
 
@@ -602,34 +584,12 @@ class JointModel:
 # ---------------------------------------------------------------------------
 
 
-def fit_prior(
-    x,
-    sigma,
-    *,
-    k: int = 50,
-    bandwidths: BandwidthPair | None = None,
-    grid: PriorGrid | None = None,
-) -> FittedPrior:
-    """Full deconvolution fit for one group of observations.
-
-    When all sigmas in the group coincide the sigma-direction kernel weights
-    are uniform whatever the bandwidth, so a placeholder h_sigma = 1.0 is
-    substituted rather than failing the zero-spread check.
-    """
+def fit_prior(x, sigma, *, k: int = 50) -> FittedPrior:
+    """Full deconvolution fit for one group of observations."""
     xs = np.asarray(x, dtype=float)
     sg = np.asarray(sigma, dtype=float)
-    if bandwidths is None:
-        m = xs.size
-        if m < 2:
-            raise ValueError("need at least 2 observations to fit a prior")
-        h_x = _rule_of_thumb(xs, m, "xs")
-        if np.ptp(sg) == 0:
-            h_sigma = 1.0
-        else:
-            h_sigma = _rule_of_thumb(sg, m, "sigmas")
-        bandwidths = BandwidthPair(h_x=h_x, h_sigma=h_sigma)
-    if grid is None:
-        grid = build_grid(xs, k)
+    bandwidths = silverman_bandwidths(xs, sg)
+    grid = build_grid(xs, k)
     marginals = kernel_marginals(xs, sg, bandwidths)
     return replace(fit_weights(grid, xs, sg, marginals), bandwidths=bandwidths)
 

@@ -13,9 +13,6 @@ import numpy as np
 from scipy.special import ndtr
 
 __all__ = [
-    "Observation",
-    "TestingProblem",
-    "TruthLabels",
     "MetricsRecord",
     "normal_cdf",
     "fdp",
@@ -48,66 +45,6 @@ def _as_binary(a, name):
     if not np.all(np.isin(vals, (0, 1))):
         raise ValueError(f"{name} entries must be 0 or 1")
     return arr.astype(np.int8)
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One study unit: observed effect ``x`` with known standard deviation."""
-
-    id: object
-    x: float
-    sigma: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.x):
-            raise ValueError(f"observation {self.id!r}: x must be finite")
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(
-                f"observation {self.id!r}: sigma must be positive and finite"
-            )
-
-
-@dataclass(frozen=True)
-class TestingProblem:
-    """Reference level and target error rate for one analysis.
-
-    ``mu0`` is the cutoff of the indifference region {mu <= mu0}; ``alpha``
-    is the nominal FDR level in (0, 1).
-    """
-
-    mu0: float
-    alpha: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.mu0):
-            raise ValueError("mu0 must be finite")
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class TruthLabels:
-    """Ground-truth indicators theta_i = 1{mu_i > mu0}, plus optional effects."""
-
-    theta: np.ndarray
-    mu_true: np.ndarray | None = None
-
-    def __post_init__(self):
-        theta = _as_binary(self.theta, "theta")
-        object.__setattr__(self, "theta", theta)
-        if self.mu_true is not None:
-            mu = np.asarray(self.mu_true, dtype=float)
-            if mu.shape != theta.shape:
-                raise ValueError("mu_true and theta must have the same length")
-            object.__setattr__(self, "mu_true", mu)
-
-    @classmethod
-    def from_effects(cls, mu_true, mu0: float) -> "TruthLabels":
-        mu = np.asarray(mu_true, dtype=float)
-        return cls(theta=(mu > mu0).astype(np.int8), mu_true=mu)
-
-    def __len__(self) -> int:
-        return int(self.theta.shape[0])
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .selection import build_units, score_arrays, select_dd
+from .selection import select_dd
 
 __all__ = [
     "RValueEntry",
@@ -138,25 +137,19 @@ def _validate_grid(grid, definition):
     return g, resolution
 
 
-def _scan(ids, x, evaluate, grid, sentinel, n_jobs=1):
+def _scan(ids, evaluate, grid, sentinel):
     """First-selection scan: records the first grid point selecting each unit.
 
     The grid is ordered from most to least demanding, so the first selection
     realizes the extremum even for non-nested procedures (each point is
-    evaluated regardless of earlier selections). Replays at distinct grid
-    points are independent and may run on a thread pool; results are merged
-    in grid order, so the outcome does not depend on ``n_jobs``.
+    evaluated regardless of earlier selections).
     """
     m = len(ids)
     r = np.full(m, sentinel, dtype=float)
     s_at = np.full(m, -np.inf)
-    points = [float(p) for p in grid]
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            outputs = list(pool.map(evaluate, points))
-    else:
-        outputs = [evaluate(p) for p in points]
-    for point, out in zip(points, outputs):
+    for point in grid:
+        point = float(point)
+        out = evaluate(point)
         sel, s = out if isinstance(out, tuple) else (out, None)
         sel = np.asarray(sel, dtype=bool)
         if sel.shape != (m,):
@@ -204,7 +197,7 @@ def _build_table(ids, x, sigma, r, s_at, definition, resolution, n_grid):
     )
 
 
-def rvalue_vary_alpha(ids, x, evaluate, alpha_grid, sigma=None, n_jobs=1) -> RValueTable:
+def rvalue_vary_alpha(ids, x, evaluate, alpha_grid, sigma=None) -> RValueTable:
     """R-values as the smallest grid alpha at which each unit is selected.
 
     ``evaluate(alpha)`` must return a boolean selection vector, optionally
@@ -212,19 +205,26 @@ def rvalue_vary_alpha(ids, x, evaluate, alpha_grid, sigma=None, n_jobs=1) -> RVa
     selected get r = +inf and no rank.
     """
     grid, resolution = _validate_grid(alpha_grid, VARY_ALPHA)
-    r, s_at = _scan(ids, x, evaluate, grid, math.inf, n_jobs=n_jobs)
+    r, s_at = _scan(ids, evaluate, grid, math.inf)
     return _build_table(ids, x, sigma, r, s_at, VARY_ALPHA, resolution, grid.size)
 
 
-def rvalue_vary_mu0(ids, x, evaluate, mu0_grid, sigma=None, n_jobs=1) -> RValueTable:
+def rvalue_vary_mu0(ids, x, evaluate, mu0_grid, sigma=None) -> RValueTable:
     """R-values as the largest grid mu0 at which each unit is selected.
 
     The grid must descend, conventionally from above max(x) to below
     min(x). Units never selected get r = -inf and no rank.
     """
     grid, resolution = _validate_grid(mu0_grid, VARY_MU0)
-    r, s_at = _scan(ids, x, evaluate, grid, -math.inf, n_jobs=n_jobs)
+    r, s_at = _scan(ids, evaluate, grid, -math.inf)
     return _build_table(ids, x, sigma, r, s_at, VARY_MU0, resolution, grid.size)
+
+
+def _replay_dd(x, clfdr, alpha: float, mu0: float):
+    # One scoring pass: the tie-break scores s = tanh(t) come from the
+    # curve select_dd already built.
+    res = select_dd(x, clfdr, alpha, mu0)
+    return res.decisions.astype(bool), np.tanh(res._curve.t)
 
 
 def dd_alpha_evaluator(x, clfdr, mu0: float):
@@ -233,10 +233,7 @@ def dd_alpha_evaluator(x, clfdr, mu0: float):
     cl = np.asarray(clfdr, dtype=float)
 
     def evaluate(alpha: float):
-        units = build_units(xs, cl, mu0, alpha)
-        res = select_dd(units, alpha, mu0)
-        _, s = score_arrays(xs, cl, mu0, alpha)
-        return res.decisions.astype(bool), s
+        return _replay_dd(xs, cl, alpha, mu0)
 
     return evaluate
 
@@ -246,10 +243,6 @@ def dd_mu0_evaluator(x, clfdr_fn, alpha: float):
     xs = np.asarray(x, dtype=float)
 
     def evaluate(mu0: float):
-        cl = np.asarray(clfdr_fn(mu0), dtype=float)
-        units = build_units(xs, cl, mu0, alpha)
-        res = select_dd(units, alpha, mu0)
-        _, s = score_arrays(xs, cl, mu0, alpha)
-        return res.decisions.astype(bool), s
+        return _replay_dd(xs, np.asarray(clfdr_fn(mu0), dtype=float), alpha, mu0)
 
     return evaluate

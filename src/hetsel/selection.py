@@ -4,30 +4,29 @@ Units are partitioned four ways by the signs of (x - mu0) and (clfdr -
 alpha). Group 0 units gain both power and error budget and are always
 selected; group 3 units lose both and never are. Groups 1 and 2 trade one
 currency for the other, ranked by the value-to-cost score
-t = (x - mu0) / (clfdr - alpha), reported through the bounded transform
-s = tanh(t). The step-wise procedure alternates between spending budget on
-group 1 (descending s) and buying budget from group 2 (ascending s),
-stopping when the realized modified power starts to fall.
+t = (x - mu0) / (clfdr - alpha). The step-wise procedure alternates between
+spending budget on group 1 (descending t) and buying budget from group 2
+(ascending t), stopping when the realized modified power starts to fall.
+Scores are compared on the t scale only; the bounded transform s = tanh(t)
+is kept for reporting, because distinct t values collide in s long before
+tanh saturates to exactly 1.0.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
 __all__ = [
     "Group",
-    "ScoredUnit",
     "ThresholdPair",
     "TraceStep",
     "SelectionResult",
-    "classify_group",
     "classify_groups",
-    "score",
     "score_arrays",
-    "build_units",
     "select_dd",
     "select_clfdr_stepup",
     "clfdr_stepup_threshold",
@@ -37,10 +36,6 @@ __all__ = [
     "select_oracle",
 ]
 
-# Slack allowed on the selected-set budget sum(clfdr - alpha) <= 0.
-CAPACITY_TOL = 1e-9
-
-
 class Group(IntEnum):
     G0 = 0  # x >= mu0 and clfdr <= alpha: free gain, always selected
     G1 = 1  # x >= mu0 and clfdr > alpha: power gain, budget cost
@@ -49,51 +44,31 @@ class Group(IntEnum):
 
 
 @dataclass(frozen=True)
-class ScoredUnit:
-    """One unit with its score and group label, aligned by ``index``."""
-
-    index: int
-    x: float
-    clfdr: float
-    t: float
-    s: float
-    group: Group
-
-
-@dataclass(frozen=True)
 class ThresholdPair:
-    """Cutoffs (c1, c2) on the bounded score s for groups 1 and 2.
+    """Cutoffs (t1, t2) on the value-to-cost score t for groups 1 and 2.
 
-    ``t1`` and ``t2`` are the same cutoffs on the unbounded value-to-cost
-    scale. They matter because tanh saturates to exactly 1.0 in double
-    precision once t exceeds about 19: beyond that point s carries no
-    information and comparisons must fall back to t. When not supplied they
-    are derived from (c1, c2).
+    +inf / -inf encode "select none" of group 1 / group 2, and -inf / +inf
+    "select all". ``c1`` and ``c2`` are the same cutoffs on the bounded
+    scale s = tanh(t), for reporting only.
     """
 
-    c1: float
-    c2: float
-    t1: float | None = None
-    t2: float | None = None
+    t1: float
+    t2: float
 
     def __post_init__(self):
-        for name, v in (("c1", self.c1), ("c2", self.c2)):
-            if not -1.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [-1, 1]")
-        if self.t1 is None:
-            object.__setattr__(self, "t1", _atanh_ext(self.c1))
-        if self.t2 is None:
-            object.__setattr__(self, "t2", _atanh_ext(self.c2))
-        if np.sign(self.t1) * np.sign(self.c1) < 0 or np.sign(self.t2) * np.sign(self.c2) < 0:
-            raise ValueError("t cutoffs must be sign-consistent with (c1, c2)")
+        for name, v in (("t1", self.t1), ("t2", self.t2)):
+            if math.isnan(v):
+                raise ValueError(f"{name} must not be NaN")
 
+    # np.tanh, as in score_arrays, so a cutoff and a unit's reported s
+    # agree bit for bit (math.tanh can differ in the last place).
+    @property
+    def c1(self) -> float:
+        return float(np.tanh(self.t1))
 
-def _atanh_ext(c: float) -> float:
-    if c >= 1.0:
-        return math.inf
-    if c <= -1.0:
-        return -math.inf
-    return math.atanh(c)
+    @property
+    def c2(self) -> float:
+        return float(np.tanh(self.t2))
 
 
 @dataclass(frozen=True)
@@ -108,12 +83,21 @@ class TraceStep:
 
 @dataclass(eq=False)
 class SelectionResult:
-    """Decisions plus realized modified power, final budget and audit trail."""
+    """Decisions plus realized modified power, final budget and audit trail.
+
+    The step-wise rule keeps its prefix curve; ``trace`` is replayed from it
+    on first access, so callers that only need the decisions pay nothing
+    for the audit trail.
+    """
 
     decisions: np.ndarray
     etp_star_realized: float | None
     capacity_final: float | None
-    trace: list = field(default_factory=list)
+    _curve: "_Curve | None" = field(default=None, repr=False)
+
+    @cached_property
+    def trace(self) -> list:
+        return [] if self._curve is None else _trace(self._curve)
 
     @property
     def selected_indices(self) -> np.ndarray:
@@ -158,18 +142,12 @@ def _check_ratio(values, name):
     return v
 
 
-def classify_group(x: float, clfdr: float, mu0: float, alpha: float) -> Group:
-    """Group label from the signs of (x - mu0, clfdr - alpha).
+def classify_groups(x, clfdr, mu0: float, alpha: float) -> np.ndarray:
+    """Group labels from the signs of (x - mu0, clfdr - alpha).
 
     Both boundaries are closed towards groups 0 and 2: x = mu0 counts as a
     gain and clfdr = alpha as free budget.
     """
-    if x - mu0 >= 0:
-        return Group.G0 if clfdr - alpha <= 0 else Group.G1
-    return Group.G2 if clfdr - alpha <= 0 else Group.G3
-
-
-def classify_groups(x, clfdr, mu0: float, alpha: float) -> np.ndarray:
     xs = np.asarray(x, dtype=float)
     cl = np.asarray(clfdr, dtype=float)
     gain = xs - mu0 >= 0
@@ -181,25 +159,12 @@ def classify_groups(x, clfdr, mu0: float, alpha: float) -> np.ndarray:
     ).astype(np.int8)
 
 
-def score(x: float, clfdr: float, mu0: float, alpha: float):
+def score_arrays(x, clfdr, mu0: float, alpha: float):
     """Value-to-cost ratio t and its bounded transform s = tanh(t).
 
-    When clfdr equals alpha exactly, t is +inf for x > mu0, -inf for
+    Where clfdr equals alpha exactly, t is +inf for x > mu0, -inf for
     x < mu0 and 0 at x = mu0; tanh maps the infinities to +-1.
     """
-    if not 0.0 <= clfdr <= 1.0:
-        raise ValueError("clfdr must lie in [0, 1]")
-    num = x - mu0
-    den = clfdr - alpha
-    if den == 0.0:
-        t = math.inf if num > 0 else (-math.inf if num < 0 else 0.0)
-    else:
-        t = num / den
-    return t, math.tanh(t)
-
-
-def score_arrays(x, clfdr, mu0: float, alpha: float):
-    """Vectorized ``score``; returns (t, s) arrays."""
     xs = np.asarray(x, dtype=float)
     cl = _check_ratio(clfdr, "clfdr")
     num = xs - mu0
@@ -210,39 +175,6 @@ def score_arrays(x, clfdr, mu0: float, alpha: float):
     return t, np.tanh(t)
 
 
-def build_units(x, clfdr, mu0: float, alpha: float, indices=None) -> list:
-    """Scores and labels every unit; indices default to positions 0..m-1."""
-    _check_alpha(alpha)
-    xs = np.asarray(x, dtype=float)
-    t, s = score_arrays(xs, clfdr, mu0, alpha)
-    groups = classify_groups(xs, clfdr, mu0, alpha)
-    cl = np.asarray(clfdr, dtype=float)
-    if indices is None:
-        indices = range(xs.size)
-    return [
-        ScoredUnit(
-            index=idx,
-            x=float(xs[i]),
-            clfdr=float(cl[i]),
-            t=float(t[i]),
-            s=float(s[i]),
-            group=Group(int(groups[i])),
-        )
-        for i, idx in enumerate(indices)
-    ]
-
-
-def _unit_arrays(units, mu0: float, alpha: float):
-    x = np.array([u.x for u in units], dtype=float)
-    cl = np.array([u.clfdr for u in units], dtype=float)
-    grp = np.array([int(u.group) for u in units], dtype=np.int8)
-    expect = classify_groups(x, cl, mu0, alpha)
-    if not np.array_equal(grp, expect):
-        raise ValueError("units were scored for a different (mu0, alpha)")
-    t, _ = score_arrays(x, cl, mu0, alpha)
-    return x, cl, t, grp
-
-
 def _ordered(indices, t, x, descending_t: bool):
     # Ties in the score break towards larger x (the quantity the power
     # metric rewards), then towards earlier input position.
@@ -251,108 +183,170 @@ def _ordered(indices, t, x, descending_t: bool):
     return indices[order]
 
 
-def select_dd(units, alpha: float, mu0: float) -> SelectionResult:
+@dataclass(frozen=True, eq=False)
+class _Curve:
+    """The one-dimensional selection curve of one instance.
+
+    Index b counts group-2 purchases in ascending t. ``cap_b[b]`` is the
+    budget after them and ``a_of_b[b]`` the longest group-1 prefix, in
+    descending t, that budget affords; ``etp_b[b]`` is the modified power
+    of that selection, and ``cost1`` the group-1 budget prefix sums with a
+    leading zero. The rule stops at ``b_star`` for ``stop``.
+    """
+
+    x: np.ndarray
+    clfdr: np.ndarray
+    t: np.ndarray
+    alpha: float
+    mu0: float
+    g0: np.ndarray
+    g1: np.ndarray
+    g2: np.ndarray
+    cost1: np.ndarray
+    cap_b: np.ndarray
+    a_of_b: np.ndarray
+    etp_b: np.ndarray
+    b_star: int
+    stop: str
+
+    @property
+    def a_star(self) -> int:
+        return int(self.a_of_b[self.b_star])
+
+
+def _curve(x, clfdr, alpha: float, mu0: float) -> _Curve:
+    """Scores and groups the units, then searches the curve for its stop.
+
+    The search stops at the first b where group 1 is used up (checked
+    first) or where buying the next group-2 unit would strictly lower the
+    modified power, whichever comes first; otherwise at b = n2.
+    """
+    _check_alpha(alpha)
+    xs = np.asarray(x, dtype=float)
+    cl = _check_ratio(clfdr, "clfdr")
+    if xs.shape != cl.shape or xs.ndim != 1:
+        raise ValueError("x and clfdr must be one-dimensional and of equal length")
+    t, _ = score_arrays(xs, cl, mu0, alpha)
+    grp = classify_groups(xs, cl, mu0, alpha)
+
+    g0 = np.flatnonzero(grp == Group.G0)
+    g1 = _ordered(np.flatnonzero(grp == Group.G1), t, xs, descending_t=True)
+    g2 = _ordered(np.flatnonzero(grp == Group.G2), t, xs, descending_t=False)
+    n1, n2 = g1.size, g2.size
+
+    cap0 = float(np.sum(alpha - cl[g0]))
+    etp0 = float(np.sum(xs[g0] - mu0))
+    # cost1 strictly increases (clfdr > alpha on group 1), so a prefix
+    # search finds the longest affordable group-1 prefix.
+    cost1 = np.concatenate(([0.0], np.cumsum(cl[g1] - alpha)))
+    power1 = np.concatenate(([0.0], np.cumsum(xs[g1] - mu0)))
+    gain2 = np.concatenate(([0.0], np.cumsum(alpha - cl[g2])))
+    loss2 = np.concatenate(([0.0], np.cumsum(xs[g2] - mu0)))
+
+    cap_b = cap0 + gain2
+    a_of_b = np.searchsorted(cost1[1:], cap_b, side="right")
+    etp_b = etp0 + loss2 + power1[a_of_b]
+
+    used_up = np.flatnonzero(a_of_b == n1)
+    declines = np.flatnonzero(etp_b[1:] < etp_b[:-1])
+    b_used_up = int(used_up[0]) if used_up.size else n2 + 1
+    b_decline = int(declines[0]) if declines.size else n2
+    if b_used_up <= min(b_decline, n2):
+        b_star, stop = b_used_up, "group1_exhausted"
+    elif b_decline < n2:
+        b_star, stop = b_decline, "power_decline"
+    else:
+        b_star, stop = n2, "group2_exhausted"
+    return _Curve(
+        xs, cl, t, alpha, mu0, g0, g1, g2, cost1, cap_b, a_of_b, etp_b, b_star, stop
+    )
+
+
+def _trace(c: _Curve) -> list:
+    """Replays the step-wise rule along its curve as audit records.
+
+    Running sums accumulate unit by unit in the order the rule visits the
+    units; the stored checkpoints are the curve's own values at each b.
+    """
+    x, cl, alpha, mu0 = c.x, c.clfdr, c.alpha, c.mu0
+    trace: list[TraceStep] = []
+    if x.size == 0:
+        return trace
+    running_etp = 0.0
+    running_cap = 0.0
+
+    def checkpoint(kind: str, b: int):
+        a = int(c.a_of_b[b])
+        capacity = float(c.cap_b[b]) - float(c.cost1[a])
+        trace.append(TraceStep(kind, None, float(c.etp_b[b]), capacity))
+
+    for i in c.g0:
+        running_etp += x[i] - mu0
+        running_cap += alpha - cl[i]
+        trace.append(TraceStep("seed_group0", int(i), running_etp, running_cap))
+
+    def refill(b: int):
+        nonlocal running_etp, running_cap
+        a_from = int(c.a_of_b[b - 1]) if b else 0
+        for i in c.g1[a_from : int(c.a_of_b[b])]:
+            running_etp += x[i] - mu0
+            running_cap -= cl[i] - alpha
+            trace.append(TraceStep("add_group1", int(i), running_etp, running_cap))
+        checkpoint("store_etp", b)
+
+    def buy(b: int):
+        nonlocal running_etp, running_cap
+        nxt = int(c.g2[b - 1])
+        running_etp += x[nxt] - mu0
+        running_cap += alpha - cl[nxt]
+        trace.append(TraceStep("add_group2", nxt, running_etp, running_cap))
+        refill(b)
+
+    refill(0)
+    for b in range(1, c.b_star + 1):
+        buy(b)
+    if c.stop == "power_decline":
+        # The losing purchase and its refill stay in the trace, followed by
+        # their rollback; the previous state is the one returned.
+        b = c.b_star + 1
+        buy(b)
+        for i in c.g1[c.a_star : int(c.a_of_b[b])][::-1]:
+            running_etp -= x[i] - mu0
+            running_cap += cl[i] - alpha
+            trace.append(TraceStep("rollback_group1", int(i), running_etp, running_cap))
+        nxt = int(c.g2[b - 1])
+        running_etp -= x[nxt] - mu0
+        running_cap -= alpha - cl[nxt]
+        trace.append(TraceStep("rollback_group2", nxt, running_etp, running_cap))
+    checkpoint(f"stop_{c.stop}", c.b_star)
+    return trace
+
+
+def _result(decisions, x, clfdr, alpha: float, mu0: float, curve=None) -> SelectionResult:
+    sel = np.flatnonzero(decisions)
+    etp_real = float(np.sum(x[sel] - mu0)) if sel.size else 0.0
+    cap = float(-np.sum(clfdr[sel] - alpha)) if sel.size else 0.0
+    return SelectionResult(decisions, etp_real, cap, curve)
+
+
+def select_dd(x, clfdr, alpha: float, mu0: float) -> SelectionResult:
     """Step-wise prioritized selection with a full audit trail.
 
     Seeds the selection with every group-0 unit, then alternates between
-    two moves: fill group 1 in descending s while the cumulative budget
+    two moves: fill group 1 in descending t while the cumulative budget
     sum(clfdr - alpha) over new additions fits within the current capacity,
-    and buy one group-2 unit (ascending s) to enlarge the capacity. After
+    and buy one group-2 unit (ascending t) to enlarge the capacity. After
     each refill the realized modified power is compared with the previous
     value; on the first strict decline the last group-2 purchase and its
     refill are rolled back and the previous state is returned. Exhausting
     group 2 triggers one final refill; exhausting group 1 returns directly.
     """
-    _check_alpha(alpha)
-    m = len(units)
-    decisions = np.zeros(m, dtype=np.int8)
-    if m == 0:
-        return SelectionResult(decisions, 0.0, 0.0, [])
-    x, cl, t, grp = _unit_arrays(units, mu0, alpha)
-
-    g0 = np.flatnonzero(grp == Group.G0)
-    g1 = _ordered(np.flatnonzero(grp == Group.G1), t, x, descending_t=True)
-    g2 = _ordered(np.flatnonzero(grp == Group.G2), t, x, descending_t=False)
-    n1, n2 = g1.size, g2.size
-
-    cost1 = np.cumsum(cl[g1] - alpha)  # strictly increasing: clfdr > alpha on g1
-    power1 = np.cumsum(x[g1] - mu0)
-    gain2 = np.cumsum(alpha - cl[g2])
-    loss2 = np.cumsum(x[g2] - mu0)
-
-    cap_base0 = float(np.sum(alpha - cl[g0]))
-    etp_g0 = float(np.sum(x[g0] - mu0))
-
-    def afford(cap: float) -> int:
-        return int(np.searchsorted(cost1, cap, side="right"))
-
-    def state(b: int):
-        """Capacity base, affordable group-1 prefix and power at b group-2 buys."""
-        cap = cap_base0 + (float(gain2[b - 1]) if b else 0.0)
-        a = afford(cap)
-        power = etp_g0 + (float(loss2[b - 1]) if b else 0.0)
-        power += float(power1[a - 1]) if a else 0.0
-        capacity = cap - (float(cost1[a - 1]) if a else 0.0)
-        return a, power, capacity
-
-    trace: list[TraceStep] = []
-    running_etp = 0.0
-    running_cap = 0.0
-    for i in g0:
-        running_etp += x[i] - mu0
-        running_cap += alpha - cl[i]
-        trace.append(TraceStep("seed_group0", int(i), running_etp, running_cap))
-
-    def record_refill(a_from: int, a_to: int):
-        nonlocal running_etp, running_cap
-        for i in g1[a_from:a_to]:
-            running_etp += x[i] - mu0
-            running_cap -= cl[i] - alpha
-            trace.append(TraceStep("add_group1", int(i), running_etp, running_cap))
-
-    b = 0
-    a_cur, etp_cur, cap_cur = state(0)
-    record_refill(0, a_cur)
-    trace.append(TraceStep("store_etp", None, etp_cur, cap_cur))
-
-    while True:
-        if a_cur == n1:
-            trace.append(TraceStep("stop_group1_exhausted", None, etp_cur, cap_cur))
-            break
-        if b == n2:
-            trace.append(TraceStep("stop_group2_exhausted", None, etp_cur, cap_cur))
-            break
-        nxt = int(g2[b])
-        running_etp += x[nxt] - mu0
-        running_cap += alpha - cl[nxt]
-        trace.append(TraceStep("add_group2", nxt, running_etp, running_cap))
-        a_new, etp_new, cap_new = state(b + 1)
-        record_refill(a_cur, a_new)
-        trace.append(TraceStep("store_etp", None, etp_new, cap_new))
-        if etp_new < etp_cur:
-            # Roll back the losing purchase: rebuild from group 0 plus the
-            # first b group-2 units, refilled from group 1. With prefix
-            # refills this is exactly the previous state; both states stay
-            # in the trace.
-            for i in g1[a_cur:a_new][::-1]:
-                running_etp -= x[i] - mu0
-                running_cap += cl[i] - alpha
-                trace.append(TraceStep("rollback_group1", int(i), running_etp, running_cap))
-            running_etp -= x[nxt] - mu0
-            running_cap -= alpha - cl[nxt]
-            trace.append(TraceStep("rollback_group2", nxt, running_etp, running_cap))
-            trace.append(TraceStep("stop_power_decline", None, etp_cur, cap_cur))
-            break
-        b += 1
-        a_cur, etp_cur, cap_cur = a_new, etp_new, cap_new
-
-    decisions[g0] = 1
-    decisions[g2[:b]] = 1
-    decisions[g1[:a_cur]] = 1
-    sel = np.flatnonzero(decisions)
-    etp_real = float(np.sum(x[sel] - mu0)) if sel.size else 0.0
-    cap_final = float(-np.sum(cl[sel] - alpha)) if sel.size else 0.0
-    return SelectionResult(decisions, etp_real, cap_final, trace)
+    c = _curve(x, clfdr, alpha, mu0)
+    decisions = np.zeros(c.x.size, dtype=np.int8)
+    decisions[c.g0] = 1
+    decisions[c.g2[: c.b_star]] = 1
+    decisions[c.g1[: c.a_star]] = 1
+    return _result(decisions, c.x, c.clfdr, alpha, mu0, c)
 
 
 def select_clfdr_stepup(clfdrs, alpha: float) -> SelectionResult:
@@ -370,7 +364,7 @@ def select_clfdr_stepup(clfdrs, alpha: float) -> SelectionResult:
         decisions[cl <= threshold] = 1
     sel = np.flatnonzero(decisions)
     cap = float(-np.sum(cl[sel] - alpha)) if sel.size else 0.0
-    return SelectionResult(decisions, None, cap, [])
+    return SelectionResult(decisions, None, cap)
 
 
 def clfdr_stepup_threshold(clfdrs, alpha: float) -> float:
@@ -398,57 +392,34 @@ def select_bh(pvalues, alpha: float) -> SelectionResult:
         ok = np.flatnonzero(srt <= np.arange(1, m + 1) * alpha / m)
         if ok.size:
             decisions[p <= srt[ok[-1]]] = 1
-    return SelectionResult(decisions, None, None, [])
+    return SelectionResult(decisions, None, None)
 
 
 def calibrate_thresholds(x, clfdr, alpha: float, mu0: float) -> ThresholdPair:
-    """Empirical score cutoffs maximizing power along the one-dimensional curve.
+    """Empirical score cutoffs at the stop of the step-wise curve search.
 
-    For b = 0, 1, ... group-2 purchases (ascending s), the group-1 cutoff is
-    set to the smallest value whose selection keeps the empirical budget
-    sum(clfdr - alpha) <= 0; the search stops at the first strict decline of
-    the realized modified power. Candidate cutoffs are the observed scores
-    themselves plus the sentinels: +1 / -1 encode "select none" for groups 1
-    and 2, -1 / +1 "select all". An input with empty groups 1 and 2 yields
-    the degenerate pair (+1, -1), meaning group 0 only.
+    The group-1 cutoff is the first excluded group-1 score and the group-2
+    cutoff the first excluded group-2 score, so the fixed-cutoff rule
+    reproduces the step-wise selection on these data. Infinite sentinels
+    encode "select none" (+inf for group 1, -inf for group 2) and "select
+    all" (the opposite signs). An input with empty groups 1 and 2 yields
+    (+inf, -inf), meaning group 0 only.
     """
-    _check_alpha(alpha)
-    xs = np.asarray(x, dtype=float)
-    cl = _check_ratio(clfdr, "clfdr")
-    t, _ = score_arrays(xs, cl, mu0, alpha)
-    grp = classify_groups(xs, cl, mu0, alpha)
-
-    g0 = np.flatnonzero(grp == Group.G0)
-    g1 = _ordered(np.flatnonzero(grp == Group.G1), t, xs, descending_t=True)
-    g2 = _ordered(np.flatnonzero(grp == Group.G2), t, xs, descending_t=False)
-    n1, n2 = g1.size, g2.size
-
-    cap0 = float(np.sum(alpha - cl[g0]))
-    etp0 = float(np.sum(xs[g0] - mu0))
-    cost1 = np.cumsum(cl[g1] - alpha)
-    power1 = np.concatenate(([0.0], np.cumsum(xs[g1] - mu0)))
-    gain2 = np.concatenate(([0.0], np.cumsum(alpha - cl[g2])))
-    loss2 = np.concatenate(([0.0], np.cumsum(xs[g2] - mu0)))
-
-    a_of_b = np.searchsorted(cost1, cap0 + gain2, side="right")
-    etp_b = etp0 + loss2 + power1[a_of_b]
-    declines = np.flatnonzero(np.diff(etp_b) < 0)
-    b_star = int(declines[0]) if declines.size else n2
-    a_star = int(a_of_b[b_star])
-
+    c = _curve(x, clfdr, alpha, mu0)
+    a_star, b_star = c.a_star, c.b_star
     if a_star == 0:
         t1 = math.inf
-    elif a_star == n1:
+    elif a_star == c.g1.size:
         t1 = -math.inf
     else:
-        t1 = float(t[g1[a_star]])  # first excluded group-1 score
+        t1 = float(c.t[c.g1[a_star]])
     if b_star == 0:
         t2 = -math.inf
-    elif b_star == n2:
+    elif b_star == c.g2.size:
         t2 = math.inf
     else:
-        t2 = float(t[g2[b_star]])  # first excluded group-2 score
-    return ThresholdPair(c1=float(np.tanh(t1)), c2=float(np.tanh(t2)), t1=t1, t2=t2)
+        t2 = float(c.t[c.g2[b_star]])
+    return ThresholdPair(t1, t2)
 
 
 def oracle_thresholds(
@@ -473,23 +444,20 @@ def oracle_thresholds(
     return calibrate_thresholds(x, cl, alpha, mu0)
 
 
-def select_oracle(units, thresholds: ThresholdPair, alpha: float, mu0: float) -> SelectionResult:
-    """Fixed-cutoff rule: all of group 0, group 1 with s > c1, group 2 with s < c2.
+def select_oracle(x, clfdr, thresholds: ThresholdPair, alpha: float, mu0: float) -> SelectionResult:
+    """Fixed-cutoff rule: all of group 0, group 1 with t > t1, group 2 with t < t2.
 
     Both comparisons are strict, so a unit whose score equals the cutoff is
-    not selected. Where s sits at exact float saturation (|s| = 1.0) and
-    coincides with the cutoff, the comparison is resolved on the unbounded
-    t scale, which is what the saturated s would order in exact arithmetic.
+    not selected.
     """
     _check_alpha(alpha)
-    x, cl, t, grp = _unit_arrays(units, mu0, alpha)
-    s = np.tanh(t)
-    saturated = np.abs(s) == 1.0
-    pick1 = (s > thresholds.c1) | (saturated & (s == thresholds.c1) & (t > thresholds.t1))
-    pick2 = (s < thresholds.c2) | (saturated & (s == thresholds.c2) & (t < thresholds.t2))
-    sel = (grp == Group.G0) | ((grp == Group.G1) & pick1) | ((grp == Group.G2) & pick2)
-    decisions = sel.astype(np.int8)
-    idx = np.flatnonzero(decisions)
-    etp_real = float(np.sum(x[idx] - mu0)) if idx.size else 0.0
-    cap = float(-np.sum(cl[idx] - alpha)) if idx.size else 0.0
-    return SelectionResult(decisions, etp_real, cap, [])
+    xs = np.asarray(x, dtype=float)
+    t, _ = score_arrays(xs, clfdr, mu0, alpha)
+    cl = np.asarray(clfdr, dtype=float)
+    grp = classify_groups(xs, cl, mu0, alpha)
+    sel = (
+        (grp == Group.G0)
+        | ((grp == Group.G1) & (t > thresholds.t1))
+        | ((grp == Group.G2) & (t < thresholds.t2))
+    )
+    return _result(sel.astype(np.int8), xs, cl, alpha, mu0)

@@ -36,7 +36,6 @@ from .deconv import (
 from .model import MetricsRecord, etp, etp_star, fdp, zvalue_pvalue
 from .selection import (
     ThresholdPair,
-    build_units,
     oracle_thresholds,
     select_bh,
     select_clfdr_stepup,
@@ -269,17 +268,8 @@ def _run_one_rep(design: SimDesign, rep_index: int, thresholds: ThresholdPair, k
     clfdr_hat = clfdr_by_group(fits, rep.group_ids, rep.x, rep.sigma, design.mu0)
     clfdr_true = model.clfdr(rep.x, rep.sigma, rep.group_ids, design.mu0)
 
-    dd = select_dd(
-        build_units(rep.x, clfdr_hat, design.mu0, design.alpha),
-        design.alpha,
-        design.mu0,
-    )
-    orc = select_oracle(
-        build_units(rep.x, clfdr_true, design.mu0, design.alpha),
-        thresholds,
-        design.alpha,
-        design.mu0,
-    )
+    dd = select_dd(rep.x, clfdr_hat, design.alpha, design.mu0)
+    orc = select_oracle(rep.x, clfdr_true, thresholds, design.alpha, design.mu0)
     stepup = select_clfdr_stepup(clfdr_true, design.alpha)
     _, pvals = zvalue_pvalue(rep.x, rep.sigma, design.mu0)
     bh = select_bh(pvals, design.alpha)

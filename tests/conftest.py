@@ -14,6 +14,7 @@ import numpy as np
 
 from hetsel import (
     ConstantSigma,
+    Group,
     JointModel,
     NormalComponent,
     PointMass,
@@ -65,6 +66,26 @@ def coherent_instance(rng, m, mu0=0.0, family=None):
     x, sigma, mu, group = model.sample(rng, m)
     clfdr = model.clfdr(x, sigma, group, mu0)
     return x, sigma, clfdr, model
+
+
+def classify_group(x, clfdr, mu0, alpha):
+    """Scalar oracle of ``classify_groups``: the group label of one unit."""
+    if x - mu0 >= 0:
+        return Group.G0 if clfdr - alpha <= 0 else Group.G1
+    return Group.G2 if clfdr - alpha <= 0 else Group.G3
+
+
+def score(x, clfdr, mu0, alpha):
+    """Scalar oracle of ``score_arrays``: (t, tanh(t)) of one unit."""
+    if not 0.0 <= clfdr <= 1.0:
+        raise ValueError("clfdr must lie in [0, 1]")
+    num = x - mu0
+    den = clfdr - alpha
+    if den == 0.0:
+        t = math.inf if num > 0 else (-math.inf if num < 0 else 0.0)
+    else:
+        t = num / den
+    return t, math.tanh(t)
 
 
 def enumerate_prefix_best(x, clfdr, alpha, mu0, tol=1e-12):

@@ -24,7 +24,6 @@ from hetsel import (
     TwoComponent,
     UniformIndep,
     UniformSigma,
-    build_units,
     calibrate_thresholds,
     clfdr_from_fit,
     clfdr_stepup_threshold,
@@ -200,7 +199,7 @@ def test_criterion_6_stepwise_matches_enumeration():
         m = int(rng.integers(3, 13))
         alpha = float(rng.uniform(0.05, 0.4))
         x, sigma, clfdr, _ = coherent_instance(rng, m)
-        res = select_dd(build_units(x, clfdr, 0.0, alpha), alpha, 0.0)
+        res = select_dd(x, clfdr, alpha, 0.0)
         best = enumerate_prefix_best(x, clfdr, alpha, 0.0)
         worst = max(worst, best - res.etp_star_realized)
         count += 1
@@ -263,11 +262,10 @@ def test_criterion_7_agreeability():
         dd_sel, or_sel = [], []
         for a in agrid:
             a = float(a)
-            units = build_units(x, cl, mu0_base, a)
-            dd_sel.append(select_dd(units, a, mu0_base).decisions.astype(bool))
+            dd_sel.append(select_dd(x, cl, a, mu0_base).decisions.astype(bool))
             pair = calibrate_thresholds(x_mc, cl_mc, a, mu0_base)
             or_sel.append(
-                select_oracle(units, pair, a, mu0_base).decisions.astype(bool)
+                select_oracle(x, cl, pair, a, mu0_base).decisions.astype(bool)
             )
         total_viol += _agreeability_violations(x, dd_sel, dom_fixed, agrid, True)
         total_viol += _agreeability_violations(x, or_sel, dom_fixed, agrid, True)
@@ -283,12 +281,13 @@ def test_criterion_7_agreeability():
         dd_sel, or_sel = [], []
         for i, v in enumerate(mgrid):
             v = float(v)
-            units = build_units(x, cl_path[i], v, alpha0)
-            dd_sel.append(select_dd(units, alpha0, v).decisions.astype(bool))
+            dd_sel.append(select_dd(x, cl_path[i], alpha0, v).decisions.astype(bool))
             pair = calibrate_thresholds(
                 x_mc, model.clfdr(x_mc, s_mc, g_mc, v), alpha0, v
             )
-            or_sel.append(select_oracle(units, pair, alpha0, v).decisions.astype(bool))
+            or_sel.append(
+                select_oracle(x, cl_path[i], pair, alpha0, v).decisions.astype(bool)
+            )
         total_viol += _agreeability_violations(x, dd_sel, dom_path, mgrid, False)
         total_viol += _agreeability_violations(x, or_sel, dom_path, mgrid, False)
     _report(

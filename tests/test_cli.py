@@ -251,6 +251,26 @@ class TestOtherCommands:
         assert tidy[0] == "design,method,metric,rep,value"
         assert len(tidy) == 1 + 4 * 4 * 2
 
+    def test_simulate_config_keeps_cli_block(self, tmp_path):
+        args = [
+            "simulate",
+            "--design", "uniform",
+            "--sigma-max", "3",
+            "--m", "200",
+            "--reps", "1",
+            "--seed", "7",
+            "--oracle-nmc", "100000",
+            "--threads", "1",
+            "--output", str(tmp_path / "s"),
+        ]
+        assert main(args) == 0
+        config = json.loads((tmp_path / "s" / "report.json").read_text())["config"]
+        assert config["command"] == "simulate"
+        assert config["master_seed"] == 7
+        assert config["mu0"] == 0.0  # the design default, not the unset flag
+        assert "sigma_split" in config and "trim" in config
+        assert "threads" not in config
+
     def test_simulate_missing_design_flag(self, tmp_path):
         code = main(
             [

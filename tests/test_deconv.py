@@ -94,9 +94,13 @@ class TestSilvermanBandwidths:
         assert_allclose(bw.h_sigma, reference(sig), rtol=0, atol=1e-12)
 
     def test_zero_spread_rejected(self):
+        # Constant sigma gets the documented placeholder bandwidth; constant
+        # x has no rule-of-thumb bandwidth and is rejected.
         xs = np.arange(10.0)
-        with pytest.raises(ValueError):
-            silverman_bandwidths(xs, np.full(10, 2.0))
+        bw = silverman_bandwidths(xs, np.full(10, 2.0))
+        assert bw.h_sigma == 1.0
+        with pytest.raises(ValueError, match="zero spread in xs"):
+            silverman_bandwidths(np.full(10, 2.0), np.linspace(1.0, 2.0, 10))
 
     def test_m_too_small(self):
         with pytest.raises(ValueError):

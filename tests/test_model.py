@@ -3,15 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import norm
 
-from hetsel import (
-    MetricsRecord,
-    Observation,
-    TruthLabels,
-    etp_star,
-    fdp,
-    zvalue_pvalue,
-)
-from hetsel import TestingProblem as Problem
+from hetsel import MetricsRecord, etp_star, fdp, zvalue_pvalue
 
 
 class TestFdp:
@@ -102,25 +94,6 @@ class TestZvaluePvalue:
 
 
 class TestTypes:
-    def test_observation_validation(self):
-        Observation("a", 1.0, 0.5)
-        with pytest.raises(ValueError):
-            Observation("a", np.inf, 0.5)
-        with pytest.raises(ValueError):
-            Observation("a", 1.0, 0.0)
-
-    def test_testing_problem_validation(self):
-        Problem(0.0, 0.1)
-        with pytest.raises(ValueError):
-            Problem(0.0, 1.0)
-        with pytest.raises(ValueError):
-            Problem(np.nan, 0.1)
-
-    def test_truth_labels_from_effects(self):
-        labels = TruthLabels.from_effects([1.0, -2.0, 3.0], mu0=0.0)
-        assert labels.theta.tolist() == [1, 0, 1]
-        assert len(labels) == 3
-
     def test_metrics_record_invariants(self):
         MetricsRecord(fdp=0.1, etp=2, etp_star=1.5, n_selected=3)
         with pytest.raises(ValueError):

@@ -52,28 +52,6 @@ class TestVaryAlpha:
         assert table.entries[1].r == math.inf
         assert math.isnan(table.entries[1].r_prime)
 
-    def test_parallel_scan_matches_serial(self):
-        x, sigma = _instance(8, 80)
-        cl = oracle_clfdr(TWO_INTERVAL, x, sigma, 0.0)
-        ev = dd_alpha_evaluator(x, cl, 0.0)
-        grid = default_alpha_grid(30)
-        serial = rvalue_vary_alpha(range(80), x, ev, grid, n_jobs=1)
-        threaded = rvalue_vary_alpha(range(80), x, ev, grid, n_jobs=2)
-        # The instance must exercise both paths: ranked units and units
-        # never selected, whose r_prime is NaN.
-        r_prime = np.array([e.r_prime for e in serial.entries])
-        assert np.isfinite(r_prime).any() and np.isnan(r_prime).any()
-        # Exact comparison of every per-unit field the scan derives, in entry
-        # order. assert_array_equal requires NaN in the same positions and
-        # equality everywhere else; plain list == would reject two distinct
-        # NaN objects.
-        for field in ("id", "r", "r_prime", "tied"):
-            np.testing.assert_array_equal(
-                np.array([getattr(e, field) for e in threaded.entries]),
-                np.array([getattr(e, field) for e in serial.entries]),
-                err_msg=field,
-            )
-
     def test_refinement_never_increases_r(self):
         x, sigma = _instance(5, 150)
         cl = oracle_clfdr(TWO_INTERVAL, x, sigma, 0.0)

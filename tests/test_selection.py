@@ -4,17 +4,22 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import coherent_instance, stepup_bh_reference, stepup_clfdr_reference
+from conftest import (
+    classify_group,
+    coherent_instance,
+    enumerate_prefix_best,
+    score,
+    stepup_bh_reference,
+    stepup_clfdr_reference,
+)
 from hetsel import (
     Group,
     ThresholdPair,
-    build_units,
     calibrate_thresholds,
-    classify_group,
     classify_groups,
     clfdr_stepup_threshold,
     oracle_thresholds,
-    score,
+    score_arrays,
     select_bh,
     select_clfdr_stepup,
     select_dd,
@@ -25,11 +30,11 @@ from hetsel.sim import UniformIndep, joint_model
 
 class TestClassify:
     def test_group_examples(self):
-        assert classify_group(1.0, 0.05, 0.0, 0.1) is Group.G0
-        assert classify_group(-1.0, 0.3, 0.0, 0.1) is Group.G3
-        assert classify_group(0.0, 0.1, 0.0, 0.1) is Group.G0  # closed boundaries
-        assert classify_group(2.0, 0.4, 0.0, 0.1) is Group.G1
-        assert classify_group(-2.0, 0.02, 0.0, 0.1) is Group.G2
+        x = [1.0, -1.0, 0.0, 2.0, -2.0]
+        cl = [0.05, 0.3, 0.1, 0.4, 0.02]
+        # The third unit sits on both boundaries, which are closed.
+        expect = [Group.G0, Group.G3, Group.G0, Group.G1, Group.G2]
+        assert classify_groups(x, cl, 0.0, 0.1).tolist() == expect
 
     def test_vector_agrees_with_scalar(self):
         rng = np.random.default_rng(0)
@@ -42,30 +47,41 @@ class TestClassify:
 
 class TestScore:
     def test_hand_value(self):
-        t, s = score(1.0, 0.6, 0.0, 0.1)
-        assert_allclose(t, 2.0)
-        assert_allclose(s, math.tanh(2.0), rtol=0, atol=1e-15)
+        t, s = score_arrays([1.0], [0.6], 0.0, 0.1)
+        assert_allclose(t[0], 2.0)
+        assert_allclose(s[0], math.tanh(2.0), rtol=0, atol=1e-15)
 
     def test_zero_numerator(self):
-        assert score(0.5, 0.3, 0.5, 0.1) == (0.0, 0.0)
+        t, s = score_arrays([0.5], [0.3], 0.5, 0.1)
+        assert (t[0], s[0]) == (0.0, 0.0)
 
     def test_boundary_infinite(self):
-        t, s = score(1.0, 0.1, 0.0, 0.1)
-        assert t == math.inf and s == 1.0
-        t, s = score(-1.0, 0.1, 0.0, 0.1)
-        assert t == -math.inf and s == -1.0
+        t, s = score_arrays([1.0, -1.0], [0.1, 0.1], 0.0, 0.1)
+        assert t.tolist() == [math.inf, -math.inf]
+        assert s.tolist() == [1.0, -1.0]
 
     def test_invalid_clfdr(self):
         with pytest.raises(ValueError):
+            score_arrays([1.0], [1.5], 0.0, 0.1)
+        with pytest.raises(ValueError):
             score(1.0, 1.5, 0.0, 0.1)
+
+    def test_vector_agrees_with_scalar(self):
+        rng = np.random.default_rng(11)
+        x = np.round(rng.normal(size=200), 1)
+        cl = np.round(rng.random(200), 1)  # hits clfdr == alpha exactly
+        t, s = score_arrays(x, cl, 0.2, 0.3)
+        for i in range(200):
+            t_ref, s_ref = score(x[i], cl[i], 0.2, 0.3)
+            assert t[i] == t_ref
+            assert_allclose(s[i], s_ref, rtol=0, atol=1e-15)
 
 
 class TestSelectDD:
     def test_hand_trace(self):
         # A enters as group 0; B is unaffordable until D's purchase raises
         # the capacity; then B and C both fit.
-        units = build_units([2.0, 3.0, 0.5, -1.0], [0.05, 0.2, 0.12, 0.02], 0.0, 0.1)
-        res = select_dd(units, 0.1, 0.0)
+        res = select_dd([2.0, 3.0, 0.5, -1.0], [0.05, 0.2, 0.12, 0.02], 0.1, 0.0)
         assert sorted(res.selected_indices.tolist()) == [0, 1, 2, 3]
         assert_allclose(res.etp_star_realized, 4.5)
         kinds = [st.kind for st in res.trace]
@@ -74,18 +90,16 @@ class TestSelectDD:
         assert kinds.count("add_group1") == 2
 
     def test_only_group0_selects_all(self):
-        units = build_units([1.0, 2.0, 3.0], [0.01, 0.02, 0.05], 0.0, 0.1)
-        res = select_dd(units, 0.1, 0.0)
+        res = select_dd([1.0, 2.0, 3.0], [0.01, 0.02, 0.05], 0.1, 0.0)
         assert res.n_selected == 3
 
     def test_all_group3_selects_none(self):
-        units = build_units([-1.0, -2.0], [0.5, 0.9], 0.0, 0.1)
-        res = select_dd(units, 0.1, 0.0)
+        res = select_dd([-1.0, -2.0], [0.5, 0.9], 0.1, 0.0)
         assert res.n_selected == 0
         assert res.etp_star_realized == 0.0
 
     def test_empty_input(self):
-        res = select_dd([], 0.1, 0.0)
+        res = select_dd([], [], 0.1, 0.0)
         assert res.n_selected == 0
 
     def test_group_membership_rules(self):
@@ -93,8 +107,7 @@ class TestSelectDD:
         for _ in range(30):
             x, sigma, cl, _ = coherent_instance(rng, int(rng.integers(5, 60)))
             alpha = float(rng.uniform(0.05, 0.4))
-            units = build_units(x, cl, 0.0, alpha)
-            res = select_dd(units, alpha, 0.0)
+            res = select_dd(x, cl, alpha, 0.0)
             groups = classify_groups(x, cl, 0.0, alpha)
             sel = res.decisions.astype(bool)
             assert np.all(sel[groups == Group.G0])
@@ -105,7 +118,7 @@ class TestSelectDD:
         for _ in range(30):
             x, sigma, cl, _ = coherent_instance(rng, int(rng.integers(5, 80)))
             alpha = float(rng.uniform(0.05, 0.4))
-            res = select_dd(build_units(x, cl, 0.0, alpha), alpha, 0.0)
+            res = select_dd(x, cl, alpha, 0.0)
             assert res.capacity_final >= -1e-9
             for st in res.trace:
                 if st.kind in ("store_etp", "stop_power_decline"):
@@ -116,13 +129,14 @@ class TestSelectDD:
         for _ in range(30):
             x, sigma, cl, _ = coherent_instance(rng, int(rng.integers(5, 80)), family="group2-rich")
             alpha = float(rng.uniform(0.1, 0.4))
-            units = build_units(x, cl, 0.0, alpha)
-            res = select_dd(units, alpha, 0.0)
+            res = select_dd(x, cl, alpha, 0.0)
             sel = set(res.selected_indices.tolist())
+            t, _ = score_arrays(x, cl, 0.0, alpha)
+            groups = classify_groups(x, cl, 0.0, alpha)
             for grp, descending in ((Group.G1, True), (Group.G2, False)):
-                members = [u for u in units if u.group is grp]
-                members.sort(key=lambda u: (-u.t if descending else u.t, -u.x, u.index))
-                chosen = [u.index in sel for u in members]
+                members = np.flatnonzero(groups == grp).tolist()
+                members.sort(key=lambda i: (-t[i] if descending else t[i], -x[i], i))
+                chosen = [i in sel for i in members]
                 if any(chosen):
                     last = max(i for i, c in enumerate(chosen) if c)
                     assert all(chosen[: last + 1])
@@ -132,7 +146,7 @@ class TestSelectDD:
         for _ in range(30):
             x, sigma, cl, _ = coherent_instance(rng, int(rng.integers(5, 80)), family="group2-rich")
             alpha = float(rng.uniform(0.1, 0.4))
-            res = select_dd(build_units(x, cl, 0.0, alpha), alpha, 0.0)
+            res = select_dd(x, cl, alpha, 0.0)
             picked = set()
             for st in res.trace:
                 if st.kind in ("seed_group0", "add_group1", "add_group2"):
@@ -141,12 +155,6 @@ class TestSelectDD:
                     picked.remove(st.unit)
             assert picked == set(res.selected_indices.tolist())
 
-    def test_inconsistent_units_rejected(self):
-        # clfdr 0.15 sits between the two levels, so the group flips.
-        units = build_units([1.0, -1.0], [0.15, 0.5], 0.0, 0.1)
-        with pytest.raises(ValueError):
-            select_dd(units, 0.2, 0.0)
-
     def test_not_nested_in_alpha(self):
         # A unit can leave the selection when the level is relaxed: at the
         # lower level the expensive high-x unit is bought first; at the
@@ -154,8 +162,8 @@ class TestSelectDD:
         # capacity before it is reached.
         x = [1.0] * 9 + [10.0] + [1.24] * 10
         cl = [0.01] * 9 + [0.9] + [0.2] * 10
-        lo = select_dd(build_units(x, cl, 0.0, 0.10), 0.10, 0.0)
-        hi = select_dd(build_units(x, cl, 0.0, 0.12), 0.12, 0.0)
+        lo = select_dd(x, cl, 0.10, 0.0)
+        hi = select_dd(x, cl, 0.12, 0.0)
         assert bool(lo.decisions[9]) and not bool(hi.decisions[9])
 
 
@@ -233,6 +241,7 @@ class TestThresholds:
     def test_degenerate_pair_without_groups_1_and_2(self):
         # Only group 0 and group 3 present.
         pair = calibrate_thresholds([1.0, -1.0], [0.05, 0.9], 0.1, 0.0)
+        assert (pair.t1, pair.t2) == (math.inf, -math.inf)
         assert (pair.c1, pair.c2) == (1.0, -1.0)
 
     def test_two_dimensional_cross_check(self):
@@ -243,10 +252,7 @@ class TestThresholds:
             x, sigma, cl, _ = coherent_instance(rng, 100, family="group2-rich")
             alpha = 0.25
             pair = calibrate_thresholds(x, cl, alpha, 0.0)
-            units = build_units(x, cl, 0.0, alpha)
-            chosen = select_oracle(units, pair, alpha, 0.0)
-            from conftest import enumerate_prefix_best
-
+            chosen = select_oracle(x, cl, pair, alpha, 0.0)
             best = enumerate_prefix_best(x, cl, alpha, 0.0)
             assert chosen.etp_star_realized >= best - 1e-9
 
@@ -264,35 +270,47 @@ class TestThresholds:
 
     def test_pair_validation(self):
         with pytest.raises(ValueError):
-            ThresholdPair(c1=1.5, c2=0.0)
+            ThresholdPair(t1=math.nan, t2=0.0)
+        with pytest.raises(ValueError):
+            ThresholdPair(t1=0.0, t2=math.nan)
+        pair = ThresholdPair(t1=1.5, t2=-math.inf)
+        assert (pair.c1, pair.c2) == (float(np.tanh(1.5)), -1.0)
 
 
 class TestSelectOracle:
     def test_strict_inequality_at_cutoff(self):
-        units = build_units([1.0], [0.6], 0.0, 0.1)
-        pair = ThresholdPair(c1=units[0].s, c2=-1.0)
-        res = select_oracle(units, pair, 0.1, 0.0)
+        t, _ = score_arrays([1.0], [0.6], 0.0, 0.1)
+        pair = ThresholdPair(t1=float(t[0]), t2=-math.inf)
+        res = select_oracle([1.0], [0.6], pair, 0.1, 0.0)
         assert res.n_selected == 0
 
     def test_extreme_thresholds_group0_only(self):
         x = [2.0, 1.0, -0.5, -2.0]
         cl = [0.05, 0.5, 0.05, 0.9]
-        units = build_units(x, cl, 0.0, 0.1)
-        res = select_oracle(units, ThresholdPair(1.0, -1.0), 0.1, 0.0)
+        res = select_oracle(x, cl, ThresholdPair(math.inf, -math.inf), 0.1, 0.0)
         assert res.selected_indices.tolist() == [0]
 
     def test_permissive_thresholds(self):
         x = [2.0, 1.0, -0.5, -2.0]
         cl = [0.05, 0.5, 0.05, 0.9]
-        units = build_units(x, cl, 0.0, 0.1)
-        res = select_oracle(units, ThresholdPair(-1.0, 1.0), 0.1, 0.0)
+        res = select_oracle(x, cl, ThresholdPair(-math.inf, math.inf), 0.1, 0.0)
         assert res.selected_indices.tolist() == [0, 1, 2]
 
     def test_saturated_scores_resolved_on_t_scale(self):
         # Scores tanh-saturate at t around 19; the pair must still separate
         # units by their value-to-cost ratio.
-        units = build_units([30.0, 25.0], [0.2, 0.2], 0.0, 0.1)
-        assert units[0].s == units[1].s == 1.0
-        pair = ThresholdPair(c1=1.0, c2=-1.0, t1=280.0, t2=-math.inf)
-        res = select_oracle(units, pair, 0.1, 0.0)
+        x, cl = [30.0, 25.0], [0.2, 0.2]
+        _, s = score_arrays(x, cl, 0.0, 0.1)
+        assert s.tolist() == [1.0, 1.0]
+        pair = ThresholdPair(t1=280.0, t2=-math.inf)
+        res = select_oracle(x, cl, pair, 0.1, 0.0)
         assert res.decisions.tolist() == [1, 0]
+
+    def test_tanh_collision_below_saturation(self):
+        # t = 18.967 lies above the cutoff 18.895, but both map to the same
+        # s = 0.9999999999999999 < 1.0, so a comparison on s drops the unit.
+        t, s = score_arrays([1.8967], [0.2], 0.0, 0.1)
+        pair = ThresholdPair(t1=18.895, t2=-math.inf)
+        assert t[0] > pair.t1 and s[0] == pair.c1 == 0.9999999999999999
+        res = select_oracle([1.8967], [0.2], pair, 0.1, 0.0)
+        assert res.decisions.tolist() == [1]
