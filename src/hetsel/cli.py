@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .deconv import clfdr_by_group, fit_prior_by_group
+from .deconv import _clfdr_table, clfdr_by_group, fit_prior_by_group
 from .model import zvalue_pvalue
 from .rvalue import (
     dd_alpha_evaluator,
@@ -35,13 +35,7 @@ from .rvalue import (
     rvalue_vary_alpha,
     rvalue_vary_mu0,
 )
-from .selection import (
-    classify_groups,
-    score_arrays,
-    select_bh,
-    select_clfdr_stepup,
-    select_dd,
-)
+from .selection import Group, select_bh, select_clfdr_stepup, select_dd
 from .sim import (
     CorrelatedTwoGroup,
     SimDesign,
@@ -243,8 +237,12 @@ def _cmd_select(config: RunConfig) -> int:
     fits = fit_prior_by_group(x, sigma, groups, k=config.k)
     clfdr = clfdr_by_group(fits, groups, x, sigma, config.mu0)
     dd = select_dd(x, clfdr, config.alpha, config.mu0)
-    _, s = score_arrays(x, clfdr, config.mu0, config.alpha)
-    label = classify_groups(x, clfdr, config.mu0, config.alpha)
+    curve = dd._curve
+    s = np.tanh(curve.t)
+    label = np.full(len(ids), Group.G3, dtype=np.int8)
+    label[curve.g0] = Group.G0
+    label[curve.g1] = Group.G1
+    label[curve.g2] = Group.G2
     stepup = select_clfdr_stepup(clfdr, config.alpha)
     _, pvals = zvalue_pvalue(x, sigma, config.mu0)
     bh = select_bh(pvals, config.alpha)
@@ -316,13 +314,10 @@ def _cmd_rvalue(config: RunConfig) -> int:
             sigma=sigma,
         )
     else:
-        def clfdr_fn(mu0):
-            return clfdr_by_group(fits, groups, x, sigma, mu0)
-
         table = rvalue_vary_mu0(
             ids,
             x,
-            dd_mu0_evaluator(x, clfdr_fn, config.alpha),
+            dd_mu0_evaluator(x, _clfdr_table(fits, groups, x, sigma), config.alpha),
             default_mu0_grid(x, config.grid_points),
             sigma=sigma,
         )

@@ -21,9 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
-from scipy.special import ndtr
-
-from .model import normal_cdf
+from scipy.special import expit, log_ndtr
 
 __all__ = [
     "PriorGrid",
@@ -49,31 +47,41 @@ __all__ = [
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-# Floor applied to marginal densities before division so that Gaussian tail
-# underflow cannot produce 0/0; the resulting ratio is clamped to [0, 1].
-DENSITY_FLOOR = 1e-300
+# Pairs per kernel_marginals block: 2**18 doubles, 2 MB per temporary,
+# small enough to stay in cache instead of streaming through memory.
+_KERNEL_BLOCK_PAIRS = 2 ** 18
 
 _PRIOR_FIT_SCHEMA = "hetsel/prior-fit/v2"
 _TINY = np.finfo(float).tiny
 
 
 def _gauss(z, h):
-    """Gaussian kernel with scale h: exp(-z^2 / (2 h^2)) / (sqrt(2 pi) h)."""
-    return np.exp(-0.5 * np.square(z / h)) / (_SQRT_2PI * h)
+    """Gaussian kernel with scale h: exp(-z^2 / (2 h^2)) / (sqrt(2 pi) h).
 
-
-def _interval_mass(z_lo, z_hi):
-    """P(z_lo <= Z <= z_hi) for standard normal Z, stable in the far tails.
-
-    When both endpoints sit in the upper tail the difference of CDFs loses
-    all precision; the survival-function form is used there instead.
+    Works in place on z, a float array the caller has just made, so the
+    kernel blocks allocate no further temporaries.
     """
-    z_lo = np.asarray(z_lo, dtype=float)
-    z_hi = np.asarray(z_hi, dtype=float)
-    upper = ndtr(-z_lo) - ndtr(-z_hi)
-    lower = ndtr(z_hi) - ndtr(z_lo)
-    out = np.where(z_lo > 0, upper, lower)
-    return np.maximum(out, 0.0)
+    z /= h
+    np.square(z, out=z)
+    z *= -0.5
+    np.exp(z, out=z)
+    z /= _SQRT_2PI * h
+    return z
+
+
+def _log_interval_mass(z_lo, z_hi):
+    """log P(z_lo <= Z <= z_hi) for standard normal Z, z_lo <= z_hi.
+
+    An interval right of zero is mirrored to the left, where both log CDFs
+    keep full relative precision, so the difference is accurate in either
+    tail and underflows only in the log.
+    """
+    right = z_lo > 0
+    lo = np.where(right, -z_hi, z_lo)
+    hi = np.where(right, -z_lo, z_hi)
+    log_hi = log_ndtr(hi)
+    with np.errstate(divide="ignore"):
+        return log_hi + np.log(-np.expm1(log_ndtr(lo) - log_hi))
 
 
 @dataclass(frozen=True)
@@ -197,10 +205,10 @@ def build_grid(xs, k: int = 50) -> PriorGrid:
 
 def _rule_of_thumb(values: np.ndarray, m: int, name: str) -> float:
     sd = float(np.std(values, ddof=1))
-    iqr = float(np.quantile(values, 0.75) - np.quantile(values, 0.25))
-    spread = min(sd, iqr)
-    if spread <= 0:
+    if sd <= 0:
         raise ValueError(f"zero spread in {name}: rule-of-thumb bandwidth vanishes")
+    iqr = float(np.quantile(values, 0.75) - np.quantile(values, 0.25))
+    spread = min(sd, iqr) if iqr > 0 else sd
     return 0.9 * spread / (1.34 * m ** 0.2)
 
 
@@ -209,6 +217,8 @@ def silverman_bandwidths(xs, sigmas) -> BandwidthPair:
 
     Applied to the observations and to the standard deviations separately.
     The sample standard deviation uses the unbiased (ddof=1) convention.
+    When ties make the IQR zero, sd alone sets the spread; only zero sd
+    (all values equal) is rejected.
     When all sigmas coincide the sigma-direction kernel weights are uniform
     whatever the bandwidth, so the placeholder h_sigma = 1.0 is returned
     instead of failing the zero-spread check.
@@ -225,7 +235,7 @@ def silverman_bandwidths(xs, sigmas) -> BandwidthPair:
     return BandwidthPair(h_x=h_x, h_sigma=h_sigma)
 
 
-def kernel_marginals(x, sigma, bandwidths: BandwidthPair, chunk_size: int = 1024):
+def kernel_marginals(x, sigma, bandwidths: BandwidthPair):
     """Weighted variable-bandwidth kernel estimate of each unit's marginal.
 
     For unit i the estimate is
@@ -233,6 +243,9 @@ def kernel_marginals(x, sigma, bandwidths: BandwidthPair, chunk_size: int = 1024
     where w_ij normalizes phi_{h_sigma}(sigma_i - sigma_j) over j, so units
     with similar sigma dominate, and the x-kernel widens with sigma_j. The
     sum includes j = i, hence the result is strictly positive.
+
+    Rows are evaluated in blocks of about ``_KERNEL_BLOCK_PAIRS`` pairs, so
+    each temporary stays near 2 MB whatever m is.
     """
     xs = np.asarray(x, dtype=float)
     sg = np.asarray(sigma, dtype=float)
@@ -243,8 +256,11 @@ def kernel_marginals(x, sigma, bandwidths: BandwidthPair, chunk_size: int = 1024
         raise ValueError("need at least one observation")
     hx_j = bandwidths.h_x * sg
     out = np.empty(m, dtype=float)
-    for start in range(0, m, chunk_size):
-        stop = min(start + chunk_size, m)
+    # At least 8 rows: einsum sums a block of one row in another order,
+    # and the marginals would then depend on the block size.
+    rows = max(8, _KERNEL_BLOCK_PAIRS // m)
+    for start in range(0, m, rows):
+        stop = min(start + rows, m)
         sw = _gauss(sg[start:stop, None] - sg[None, :], bandwidths.h_sigma)
         sw /= sw.sum(axis=1, keepdims=True)
         xk = _gauss(xs[start:stop, None] - xs[None, :], hx_j[None, :])
@@ -336,21 +352,51 @@ def fit_weights(grid: PriorGrid, x, sigma, marginals) -> FittedPrior:
     )
 
 
+def _clfdr_table(fits: dict, group_ids, x, sigma):
+    """Builds once the map mu0 -> clfdr of fixed units under fitted priors.
+
+    Each unit is scored under the fit of its group. For each fit the
+    running log-sum-exp across the ascending nodes,
+        L_ij = log sum_{l <= j} w_l exp(-((x_i - node_l) / sigma_i)^2 / 2),
+    is taken once; the unit factor 1 / (sqrt(2 pi) sigma_i) cancels in the
+    ratio. Then clfdr(mu0) = exp(L_ij - L_i,k-1), with j the last node
+    <= mu0 (closed inequality), so a new mu0 costs one row lookup and the
+    ratio keeps its value where both densities underflow. The prefix never
+    decreases, hence every value lies in [0, 1].
+    """
+    xs = np.asarray(x, dtype=float)
+    sg = np.asarray(sigma, dtype=float)
+    gids = np.asarray(group_ids)
+    tables = []
+    for g, fit in fits.items():
+        idx = np.flatnonzero(gids == g)
+        nodes = fit.grid.nodes
+        with np.errstate(divide="ignore"):
+            log_w = np.log(fit.weights)
+        z = (xs[idx][None, :] - nodes[:, None]) / sg[idx][None, :]
+        L = np.logaddexp.accumulate(log_w[:, None] - 0.5 * np.square(z), axis=0)
+        tables.append((idx, nodes, np.exp(L - L[-1])))
+
+    def clfdr(mu0: float) -> np.ndarray:
+        out = np.empty(xs.shape, dtype=float)
+        for idx, nodes, table in tables:
+            j = int(np.searchsorted(nodes, mu0, side="right")) - 1
+            out[idx] = table[j] if j >= 0 else 0.0
+        return out
+
+    return clfdr
+
+
 def clfdr_from_fit(fit: FittedPrior, x, sigma, mu0: float):
     """Conditional local FDR under a fitted prior: f0(x) / f(x) in [0, 1].
 
     f sums weighted Gaussian densities over all grid nodes; f0 over the nodes
-    with node <= mu0 (closed inequality). The denominator is floored at
-    ``DENSITY_FLOOR`` and the ratio clamped to [0, 1].
+    with node <= mu0 (closed inequality). Evaluated in log space.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     sg = np.atleast_1d(np.asarray(sigma, dtype=float))
     xs, sg = np.broadcast_arrays(xs, sg)
-    dens = _gauss(xs[:, None] - fit.grid.nodes[None, :], sg[:, None])
-    full = dens @ fit.weights
-    null_mask = fit.grid.nodes <= mu0
-    null = dens[:, null_mask] @ fit.weights[null_mask]
-    out = np.clip(null / np.maximum(full, DENSITY_FLOOR), 0.0, 1.0)
+    out = _clfdr_table({0: fit}, np.zeros(xs.size, dtype=int), xs, sg)(mu0)
     if np.ndim(x) == 0 and np.ndim(sigma) == 0:
         return float(out[0])
     return out
@@ -438,33 +484,47 @@ class TruePrior:
         return out
 
 
-def _component_densities(comp, w: float, x, sigma, mu0: float):
-    """(full, null) marginal contributions of one weighted prior component."""
+def _component_log_masses(comp, w: float, x, sigma, mu0: float):
+    """(null, non-null) log marginal contributions of one weighted component.
+
+    The null part integrates the component over mu <= mu0 and the non-null
+    part over mu > mu0; a part the component does not reach is -inf.
+    """
+    with np.errstate(divide="ignore"):
+        log_w = np.log(w)
+    none = np.full(x.shape, -np.inf)
     if isinstance(comp, PointMass):
-        dens = w * _gauss(x - comp.loc, sigma)
-        null = dens if comp.loc <= mu0 else np.zeros_like(dens)
-        return dens, null
+        z = (x - comp.loc) / sigma
+        dens = log_w - 0.5 * np.square(z) - np.log(_SQRT_2PI * sigma)
+        return (dens, none) if comp.loc <= mu0 else (none, dens)
     if isinstance(comp, UniformInterval):
-        width = comp.high - comp.low
-        z_hi = (x - comp.low) / sigma
-        z_lo = (x - comp.high) / sigma
-        dens = w * _interval_mass(z_lo, z_hi) / width
-        if mu0 <= comp.low:
-            null = np.zeros_like(dens)
-        else:
-            top = min(comp.high, mu0)
-            null = w * _interval_mass((x - top) / sigma, z_hi) / width
-        return dens, null
-    # Normal component: convolution is normal; the null mass adds a CDF
-    # factor evaluated at the posterior distribution of the effect.
+        log_scale = log_w - math.log(comp.high - comp.low)
+
+        def piece(low, high):
+            if not high > low:
+                return none
+            return log_scale + _log_interval_mass((x - high) / sigma, (x - low) / sigma)
+
+        return (
+            piece(comp.low, min(comp.high, mu0)),
+            piece(max(comp.low, mu0), comp.high),
+        )
+    # Normal component: the convolution is normal, and the posterior of the
+    # effect is normal, so each part adds the log of one normal tail. The
+    # smaller tail comes from log_ndtr, the larger from its complement.
     total_var = sigma ** 2 + comp.sd ** 2
-    dens = w * np.exp(-0.5 * (x - comp.mean) ** 2 / total_var) / (
-        _SQRT_2PI * np.sqrt(total_var)
+    dens = (
+        log_w
+        - 0.5 * (x - comp.mean) ** 2 / total_var
+        - 0.5 * np.log(2.0 * math.pi * total_var)
     )
     post_mean = comp.mean + (comp.sd ** 2 / total_var) * (x - comp.mean)
     post_sd = sigma * comp.sd / np.sqrt(total_var)
-    null = dens * normal_cdf((mu0 - post_mean) / post_sd)
-    return dens, null
+    z = (mu0 - post_mean) / post_sd
+    small = log_ndtr(-np.abs(z))
+    large = np.log1p(-np.exp(small))
+    below = z < 0
+    return dens + np.where(below, small, large), dens + np.where(below, large, small)
 
 
 def oracle_clfdr(prior: TruePrior, x, sigma, mu0: float):
@@ -472,18 +532,21 @@ def oracle_clfdr(prior: TruePrior, x, sigma, mu0: float):
 
     Point masses reduce to finite sums, uniform components to differences of
     normal CDFs, normal components to Gaussian convolution identities with a
-    CDF truncation term; no generic quadrature is involved. Result in [0, 1].
+    CDF truncation term; no generic quadrature is involved. The null and
+    non-null marginals are summed in log space and combined as
+    expit(log f0 - log f1), so the result lies in [0, 1] and keeps its
+    value where both densities underflow.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     sg = np.atleast_1d(np.asarray(sigma, dtype=float))
     xs, sg = np.broadcast_arrays(xs, sg)
-    full = np.zeros(xs.shape, dtype=float)
-    null = np.zeros(xs.shape, dtype=float)
+    log_null = np.full(xs.shape, -np.inf)
+    log_alt = np.full(xs.shape, -np.inf)
     for w, comp in zip(prior.weights, prior.components):
-        d, d0 = _component_densities(comp, w, xs, sg, mu0)
-        full += d
-        null += d0
-    out = np.clip(null / np.maximum(full, DENSITY_FLOOR), 0.0, 1.0)
+        d0, d1 = _component_log_masses(comp, w, xs, sg, mu0)
+        log_null = np.logaddexp(log_null, d0)
+        log_alt = np.logaddexp(log_alt, d1)
+    out = expit(log_null - log_alt)
     if np.ndim(x) == 0 and np.ndim(sigma) == 0:
         return float(out[0])
     return out
@@ -599,7 +662,8 @@ def fit_prior_by_group(x, sigma, group_ids, *, k: int = 50) -> dict:
 
     Fitting per group restores the independence between sigma and the
     effect prior that the estimator relies on when the two are correlated
-    across groups.
+    across groups. A group that cannot be fit (too few units, constant x)
+    raises ValueError naming the group, its size and its sigma range.
     """
     xs = np.asarray(x, dtype=float)
     sg = np.asarray(sigma, dtype=float)
@@ -607,20 +671,18 @@ def fit_prior_by_group(x, sigma, group_ids, *, k: int = 50) -> dict:
     fits = {}
     for g in np.unique(gids):
         mask = gids == g
-        fits[g.item() if hasattr(g, "item") else g] = fit_prior(
-            xs[mask], sg[mask], k=k
-        )
+        key = g.item() if hasattr(g, "item") else g
+        try:
+            fits[key] = fit_prior(xs[mask], sg[mask], k=k)
+        except ValueError as exc:
+            lo, hi = float(sg[mask].min()), float(sg[mask].max())
+            raise ValueError(
+                f"fit group {key!r} ({int(mask.sum())} units, sigma in "
+                f"[{lo!r}, {hi!r}]): {exc}"
+            ) from exc
     return fits
 
 
 def clfdr_by_group(fits: dict, group_ids, x, sigma, mu0: float) -> np.ndarray:
     """Evaluates each unit's conditional local FDR under its group's fit."""
-    xs = np.asarray(x, dtype=float)
-    sg = np.asarray(sigma, dtype=float)
-    gids = np.asarray(group_ids)
-    out = np.empty(xs.shape, dtype=float)
-    for g, fit in fits.items():
-        mask = gids == g
-        if mask.any():
-            out[mask] = clfdr_from_fit(fit, xs[mask], sg[mask], mu0)
-    return out
+    return _clfdr_table(fits, group_ids, x, sigma)(mu0)

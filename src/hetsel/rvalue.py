@@ -43,7 +43,9 @@ class RValueEntry:
     ``r`` is +inf (vary-alpha) or -inf (vary-mu0) for units never selected
     on the grid; those units carry no rank (``r_prime`` is NaN). ``tied``
     flags units sharing their r-value with another unit, where the rank
-    order fell back to the tie-break (larger score s, then input position).
+    order fell back to the tie-break: larger score t at the grid point of
+    first selection, then input position. Ties are broken on t, not on
+    s = tanh(t), whose values collide long before t does.
     """
 
     id: object
@@ -146,23 +148,23 @@ def _scan(ids, evaluate, grid, sentinel):
     """
     m = len(ids)
     r = np.full(m, sentinel, dtype=float)
-    s_at = np.full(m, -np.inf)
+    t_at = np.full(m, -np.inf)
     for point in grid:
         point = float(point)
         out = evaluate(point)
-        sel, s = out if isinstance(out, tuple) else (out, None)
+        sel, t = out if isinstance(out, tuple) else (out, None)
         sel = np.asarray(sel, dtype=bool)
         if sel.shape != (m,):
             raise ValueError("procedure returned a selection of the wrong length")
         newly = sel & ~np.isfinite(r)
         if newly.any():
             r[newly] = point
-            if s is not None:
-                s_at[newly] = np.asarray(s, dtype=float)[newly]
-    return r, s_at
+            if t is not None:
+                t_at[newly] = np.asarray(t, dtype=float)[newly]
+    return r, t_at
 
 
-def _build_table(ids, x, sigma, r, s_at, definition, resolution, n_grid):
+def _build_table(ids, x, sigma, r, t_at, definition, resolution, n_grid):
     xs = np.asarray(x, dtype=float)
     m = len(ids)
     ranked = np.flatnonzero(np.isfinite(r))
@@ -170,9 +172,9 @@ def _build_table(ids, x, sigma, r, s_at, definition, resolution, n_grid):
     if ranked.size:
         # Importance order: ascending r for vary-alpha (selected at a smaller
         # level first), descending r for vary-mu0 (still selected at a higher
-        # reference level). Ties break to larger score s, then input order.
+        # reference level). Ties break to larger score t, then input order.
         primary = r[ranked] if definition == VARY_ALPHA else -r[ranked]
-        order = np.lexsort((ranked, -s_at[ranked], primary))
+        order = np.lexsort((ranked, -t_at[ranked], primary))
         r_prime[ranked[order]] = np.arange(1, ranked.size + 1) / m
     finite_r = r[np.isfinite(r)]
     uniq, counts = np.unique(finite_r, return_counts=True)
@@ -201,12 +203,12 @@ def rvalue_vary_alpha(ids, x, evaluate, alpha_grid, sigma=None) -> RValueTable:
     """R-values as the smallest grid alpha at which each unit is selected.
 
     ``evaluate(alpha)`` must return a boolean selection vector, optionally
-    paired with the per-unit scores s used for rank tie-breaks. Units never
+    paired with the per-unit scores t used for rank tie-breaks. Units never
     selected get r = +inf and no rank.
     """
     grid, resolution = _validate_grid(alpha_grid, VARY_ALPHA)
-    r, s_at = _scan(ids, evaluate, grid, math.inf)
-    return _build_table(ids, x, sigma, r, s_at, VARY_ALPHA, resolution, grid.size)
+    r, t_at = _scan(ids, evaluate, grid, math.inf)
+    return _build_table(ids, x, sigma, r, t_at, VARY_ALPHA, resolution, grid.size)
 
 
 def rvalue_vary_mu0(ids, x, evaluate, mu0_grid, sigma=None) -> RValueTable:
@@ -216,15 +218,15 @@ def rvalue_vary_mu0(ids, x, evaluate, mu0_grid, sigma=None) -> RValueTable:
     min(x). Units never selected get r = -inf and no rank.
     """
     grid, resolution = _validate_grid(mu0_grid, VARY_MU0)
-    r, s_at = _scan(ids, evaluate, grid, -math.inf)
-    return _build_table(ids, x, sigma, r, s_at, VARY_MU0, resolution, grid.size)
+    r, t_at = _scan(ids, evaluate, grid, -math.inf)
+    return _build_table(ids, x, sigma, r, t_at, VARY_MU0, resolution, grid.size)
 
 
 def _replay_dd(x, clfdr, alpha: float, mu0: float):
-    # One scoring pass: the tie-break scores s = tanh(t) come from the
-    # curve select_dd already built.
+    # One scoring pass: the tie-break scores t come from the curve
+    # select_dd already built.
     res = select_dd(x, clfdr, alpha, mu0)
-    return res.decisions.astype(bool), np.tanh(res._curve.t)
+    return res.decisions.astype(bool), res._curve.t
 
 
 def dd_alpha_evaluator(x, clfdr, mu0: float):

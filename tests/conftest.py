@@ -163,3 +163,14 @@ def kernel_marginal(i, x, sigma, bandwidths):
     sw = [gauss(sigma[i] - s, bandwidths.h_sigma) for s in sigma]
     xk = [gauss(x[i] - xj, bandwidths.h_x * s) for xj, s in zip(x, sigma)]
     return sum(a * b for a, b in zip(sw, xk)) / sum(sw)
+
+
+def clfdr_linear(fit, x, sigma, mu0):
+    """Linear-space reference for ``clfdr_from_fit``: the ratio of the null
+    and full weighted node densities, summed as densities. Valid in the bulk
+    only; both sums underflow to 0 far outside the grid."""
+    xs, sg = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(sigma, dtype=float))
+    z = (xs[:, None] - fit.grid.nodes[None, :]) / sg[:, None]
+    dens = np.exp(-0.5 * z ** 2) / (math.sqrt(2.0 * math.pi) * sg[:, None])
+    null_mask = fit.grid.nodes <= mu0
+    return (dens[:, null_mask] @ fit.weights[null_mask]) / (dens @ fit.weights)

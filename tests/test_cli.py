@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hetsel import __version__
+from hetsel import __version__, classify_groups, score_arrays
 from hetsel.cli import (
     IngestRecord,
     ayp_standard_error,
@@ -153,6 +153,16 @@ class TestSelectCommand:
             r.id for r, flag in zip(original, _selected_flags(out / "selection.csv")) if flag
         }
         assert set(result["selected_ids"]) == csv_selected
+        # The s and group columns are those of a fresh scoring of the
+        # written clfdr column.
+        with open(out / "selection.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        x = np.array([float(r["x"]) for r in rows])
+        clfdr = np.array([float(r["clfdr"]) for r in rows])
+        _, s = score_arrays(x, clfdr, 0.0, 0.1)
+        assert [r["s"] for r in rows] == [repr(float(v)) for v in s]
+        labels = classify_groups(x, clfdr, 0.0, 0.1)
+        assert [r["group"] for r in rows] == [str(int(v)) for v in labels]
 
     def test_missing_mu0_is_usage_error(self, direct_csv, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -168,6 +178,23 @@ class TestSelectCommand:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ValueError"
+
+
+    def test_unfittable_sigma_group_is_named(self, direct_csv, tmp_path, capsys):
+        sigma = sorted(r.sigma for r in read_records(direct_csv))
+        cut = (sigma[-2] + sigma[-1]) / 2
+        code = main(
+            [
+                "select",
+                "--input", str(direct_csv),
+                "--output", str(tmp_path / "o"),
+                "--mu0", "0",
+                "--sigma-split", repr(cut),
+            ]
+        )
+        assert code == 1
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert message.startswith(f"fit group 1 (1 units, sigma in [{sigma[-1]!r}, ")
 
 
 def _selected_flags(path):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from conftest import kernel_marginal
+from conftest import INSTANCE_FAMILIES, clfdr_linear, kernel_marginal
 from hetsel import (
     BandwidthPair,
     CorrelatedTwoGroup,
@@ -106,6 +107,11 @@ class TestSilvermanBandwidths:
         with pytest.raises(ValueError):
             silverman_bandwidths([1.0], [1.0])
 
+    def test_zero_iqr_falls_back_to_sd(self):
+        xs = np.array([0.5] * 30 + [-1.0, 2.0])
+        bw = silverman_bandwidths(xs, np.linspace(1.0, 2.0, 32))
+        assert_allclose(bw.h_x, 0.9 * np.std(xs, ddof=1) / (1.34 * 32 ** 0.2), rtol=1e-15)
+
 
 class TestKernelMarginals:
     def test_single_point_self_kernel(self):
@@ -135,14 +141,28 @@ class TestKernelMarginals:
         assert_allclose(got, (self_term + 2 * side_term) / 3)
 
     def test_matches_vectorized(self):
+        # m = 700 splits into row blocks of unequal size.
         rng = np.random.default_rng(4)
-        xs = rng.normal(size=25)
-        sig = rng.uniform(0.5, 2.0, 25)
+        xs = rng.normal(size=700)
+        sig = rng.uniform(0.5, 2.0, 700)
         bw = BandwidthPair(h_x=0.3, h_sigma=0.2)
-        full = kernel_marginals(xs, sig, bw, chunk_size=7)
-        each = [kernel_marginal(i, xs, sig, bw) for i in range(25)]
+        full = kernel_marginals(xs, sig, bw)
+        each = [kernel_marginal(i, xs, sig, bw) for i in range(700)]
         assert_allclose(full, each, rtol=1e-12)
         assert np.all(full > 0)
+
+    def test_peak_memory_stays_small(self):
+        # The temporaries are cache-sized row blocks, not m x m or 1024 x m.
+        rng = np.random.default_rng(8)
+        xs = rng.normal(size=5000)
+        sig = rng.uniform(0.5, 3.0, 5000)
+        tracemalloc.start()
+        try:
+            kernel_marginals(xs, sig, BandwidthPair(h_x=0.3, h_sigma=0.2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
 
 class TestFitWeights:
@@ -260,6 +280,39 @@ class TestClfdrFromFit:
         vals = clfdr_from_fit(fit, rng.normal(size=100, scale=5), rng.uniform(0.3, 3, 100), mu0=0.4)
         assert np.all((vals >= 0) & (vals <= 1))
 
+    def test_matches_linear_space_in_bulk(self):
+        model = INSTANCE_FAMILIES["two-interval"]
+        x, sigma, _, _ = model.sample(np.random.default_rng(18), 3000)
+        fit = fit_prior(x, sigma)
+        for mu0 in (-2.5, -1.0, 0.0, 0.7, 1.9):
+            assert_allclose(
+                clfdr_from_fit(fit, x, sigma, mu0),
+                clfdr_linear(fit, x, sigma, mu0),
+                rtol=0,
+                atol=1e-14,
+            )
+
+    def test_far_left_outlier_is_null(self):
+        # Both densities underflow at x = -40, sigma = 0.5; the ratio of the
+        # two underflowed sums read 0, making the outlier free budget.
+        rng = np.random.default_rng(19)
+        fit = self._fit(np.linspace(-4.0, 2.6, 50).tolist(), rng.dirichlet(np.ones(50)))
+        assert clfdr_from_fit(fit, -40.0, 0.5, mu0=0.0) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tails(self, seed):
+        # Far left the null nodes dominate, far right the non-null ones. With
+        # node spacing >= 0.2 and sigma <= 3, the other side weighs less
+        # than exp(-60) at |x| = 1e3 sigma.
+        rng = np.random.default_rng(20 + seed)
+        eta = rng.uniform(0.2, 1.0)
+        nodes = (rng.uniform(-5, 5) + eta * np.arange(rng.integers(2, 60))).tolist()
+        fit = self._fit(nodes, rng.dirichlet(np.ones(len(nodes))))
+        mu0 = float(rng.uniform(nodes[0], nodes[-1]))
+        sigma = rng.uniform(0.1, 3.0, 20)
+        assert_allclose(clfdr_from_fit(fit, -1e3 * sigma, sigma, mu0), 1.0, rtol=0, atol=1e-10)
+        assert_allclose(clfdr_from_fit(fit, 1e3 * sigma, sigma, mu0), 0.0, rtol=0, atol=1e-10)
+
 
 class TestOracleClfdr:
     def test_point_mass_symmetry(self):
@@ -338,6 +391,21 @@ class TestOracleClfdr:
         vals = oracle_clfdr(prior, rng.normal(size=200, scale=4), rng.uniform(0.3, 3, 200), 0.1)
         assert np.all((vals >= 0) & (vals <= 1))
 
+    def test_point_masses_far_left_outlier(self):
+        # Both densities underflow at x = -60; the ratio of the sums read 0.
+        prior = TruePrior.point_masses([-1.0, 1.0], [0.5, 0.5])
+        assert oracle_clfdr(prior, -60.0, 1.0, 0.0) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("family", sorted(INSTANCE_FAMILIES))
+    def test_tails(self, family):
+        # Every family has null and non-null mass at mu0 = 0.
+        sigma = np.random.default_rng(22).uniform(0.1, 5.0, 20)
+        for prior in INSTANCE_FAMILIES[family].priors:
+            left = oracle_clfdr(prior, -1e3 * sigma, sigma, 0.0)
+            right = oracle_clfdr(prior, 1e3 * sigma, sigma, 0.0)
+            assert_allclose(left, 1.0, rtol=0, atol=1e-10)
+            assert_allclose(right, 0.0, rtol=0, atol=1e-10)
+
 
 class TestFitPriorPipeline:
     def test_constant_sigma_group_is_fit(self):
@@ -346,6 +414,18 @@ class TestFitPriorPipeline:
         fit = fit_prior(xs, np.ones(100))
         assert fit.bandwidths is not None
         assert fit.bandwidths.h_sigma == 1.0
+
+    def test_tied_observations_fit(self):
+        xs = np.array([0.5] * 30 + [-1.0, 2.0])
+        fit = fit_prior(xs, np.linspace(1.0, 2.0, 32))
+        assert abs(fit.weights.sum() - 1.0) <= 1e-9
+
+    def test_unfittable_group_is_named(self):
+        xs = np.arange(6.0)
+        sig = np.array([1.0, 1.1, 1.2, 1.3, 1.4, 2.5])
+        groups = np.array([0, 0, 0, 0, 0, 1])
+        with pytest.raises(ValueError, match=r"fit group 1 \(1 units, sigma in \[2\.5, 2\.5\]\)"):
+            fit_prior_by_group(xs, sig, groups, k=5)
 
     def test_grouped_fit(self):
         rng = np.random.default_rng(16)

@@ -108,6 +108,36 @@ class TestVaryMu0:
         r_fine = np.array([e.r for e in rvalue_vary_mu0(range(120), x, ev, fine).entries])
         assert np.all(r_fine >= r_coarse - 1e-15)
 
+    def test_row_shuffle_only_permutes_the_table(self):
+        # Ties in r break on t, then input position; t ties do not occur on
+        # continuous data, so the ranks must not depend on the row order.
+        # Tie-breaks on s = tanh(t) collide once |t| passes about 19.
+        x, sigma = _instance(7, 1000)
+        perm = np.random.default_rng(8).permutation(1000)
+
+        def table(order):
+            xs, sg = x[order], sigma[order]
+
+            def clfdr_fn(mu0):
+                return oracle_clfdr(TWO_INTERVAL, xs, sg, mu0)
+
+            return rvalue_vary_mu0(
+                order.tolist(),
+                xs,
+                dd_mu0_evaluator(xs, clfdr_fn, 0.1),
+                default_mu0_grid(x, 100),
+                sigma=sg,
+            )
+
+        base = table(np.arange(1000))
+        shuffled = table(perm)
+        assert [e.id for e in shuffled.entries] == perm.tolist()
+        assert sum(e.tied for e in base.entries) > 100
+        np.testing.assert_array_equal(
+            [(e.r, e.r_prime, e.tied) for e in shuffled.entries],
+            [(base.entries[i].r, base.entries[i].r_prime, base.entries[i].tied) for i in perm],
+        )
+
     def test_descending_grid_required(self):
         with pytest.raises(ValueError):
             rvalue_vary_mu0([0], [1.0], lambda m: np.array([True]), [0.0, 1.0])
