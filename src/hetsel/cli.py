@@ -232,6 +232,12 @@ def _cmd_deconv_fit(config: RunConfig) -> int:
     return 0
 
 
+def _fit_summary(fit) -> dict:
+    """How one group's prior was fit: quality, bandwidths and grid."""
+    doc = fit.to_json_dict()
+    return {key: doc[key] for key in ("objective", "kkt_gap", "bandwidths", "grid")}
+
+
 def _cmd_select(config: RunConfig) -> int:
     ids, x, sigma, groups = _prepare(config)
     fits = fit_prior_by_group(x, sigma, groups, k=config.k)
@@ -285,10 +291,7 @@ def _cmd_select(config: RunConfig) -> int:
                 "clfdr_stepup": power(stepup),
                 "bh": power(bh),
             },
-            "fit": {
-                str(g): {"objective": f.objective, "kkt_gap": f.kkt_gap}
-                for g, f in fits.items()
-            },
+            "fit": {str(g): _fit_summary(f) for g, f in fits.items()},
         },
     )
     _write_json(os.path.join(config.output, "summary.json"), summary)

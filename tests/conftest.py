@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from hetsel import (
+    BandwidthPair,
     ConstantSigma,
     Group,
     JointModel,
@@ -22,6 +23,7 @@ from hetsel import (
     UniformInterval,
     UniformSigma,
 )
+from hetsel.deconv import _KERNEL_BLOCK_PAIRS, _gauss
 
 INSTANCE_FAMILIES = {
     "two-interval": JointModel.independent(
@@ -153,9 +155,44 @@ def stepup_clfdr_reference(clfdrs, alpha):
     return [1 if v <= cut else 0 for v in clfdrs]
 
 
+def kernel_marginals_exact(x, sigma, bandwidths: BandwidthPair):
+    """Weighted variable-bandwidth kernel estimate of each unit's marginal.
+
+    For unit i the estimate is
+        sum_j  w_ij * phi_{h_x sigma_j}(x_i - x_j),
+    where w_ij normalizes phi_{h_sigma}(sigma_i - sigma_j) over j, so units
+    with similar sigma dominate, and the x-kernel widens with sigma_j. The
+    sum includes j = i, hence the result is strictly positive.
+
+    Rows are evaluated in blocks of about ``_KERNEL_BLOCK_PAIRS`` pairs, so
+    each temporary stays near 2 MB whatever m is.
+
+    The exact pairwise reference for the binned ``kernel_marginals``.
+    """
+    xs = np.asarray(x, dtype=float)
+    sg = np.asarray(sigma, dtype=float)
+    if xs.shape != sg.shape or xs.ndim != 1:
+        raise ValueError("x and sigma must be 1-d arrays of equal length")
+    m = xs.size
+    if m < 1:
+        raise ValueError("need at least one observation")
+    hx_j = bandwidths.h_x * sg
+    out = np.empty(m, dtype=float)
+    # At least 8 rows: einsum sums a block of one row in another order,
+    # and the marginals would then depend on the block size.
+    rows = max(8, _KERNEL_BLOCK_PAIRS // m)
+    for start in range(0, m, rows):
+        stop = min(start + rows, m)
+        sw = _gauss(sg[start:stop, None] - sg[None, :], bandwidths.h_sigma)
+        sw /= sw.sum(axis=1, keepdims=True)
+        xk = _gauss(xs[start:stop, None] - xs[None, :], hx_j[None, :])
+        out[start:stop] = np.einsum("ij,ij->i", sw, xk)
+    return out
+
+
 def kernel_marginal(i, x, sigma, bandwidths):
     """Kernel marginal estimate of one unit, the scalar oracle for
-    ``kernel_marginals``: sum_j w_ij phi_{h_x sigma_j}(x_i - x_j) with
+    ``kernel_marginals_exact``: sum_j w_ij phi_{h_x sigma_j}(x_i - x_j) with
     w_ij proportional to phi_{h_sigma}(sigma_i - sigma_j)."""
     def gauss(z, h):
         return math.exp(-0.5 * (z / h) ** 2) / (math.sqrt(2.0 * math.pi) * h)

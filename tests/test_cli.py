@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hetsel import __version__, classify_groups, score_arrays
+from hetsel import __version__, classify_groups, fit_prior, score_arrays
 from hetsel.cli import (
     IngestRecord,
     ayp_standard_error,
@@ -144,7 +144,7 @@ class TestSelectCommand:
         assert summary["tool"]["version"] == __version__
         assert summary["config"]["alpha"] == 0.1
         assert "seed" not in summary["config"]
-        assert set(summary["fit"]["0"]) == {"objective", "kkt_gap"}
+        assert set(summary["fit"]["0"]) == {"objective", "kkt_gap", "bandwidths", "grid"}
         assert set(summary["n_selected"]) == {"dd", "clfdr_stepup", "bh"}
         assert set(summary["modified_power"]) == {"dd", "clfdr_stepup", "bh"}
         result = json.loads((out / "selection_result.json").read_text())
@@ -163,6 +163,28 @@ class TestSelectCommand:
         assert [r["s"] for r in rows] == [repr(float(v)) for v in s]
         labels = classify_groups(x, clfdr, 0.0, 0.1)
         assert [r["group"] for r in rows] == [str(int(v)) for v in labels]
+
+    def test_deterministic(self, direct_csv, tmp_path):
+        args = ["select", "--input", str(direct_csv), "--alpha", "0.1", "--mu0", "0"]
+        assert main(args + ["--output", str(tmp_path / "a")]) == 0
+        assert main(args + ["--output", str(tmp_path / "b")]) == 0
+        for name in ("selection.csv", "summary.json", "selection_result.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_fit_block_matches_fit_prior(self, direct_csv, tmp_path):
+        out = tmp_path / "out"
+        assert main(
+            ["select", "--input", str(direct_csv), "--output", str(out), "--mu0", "0"]
+        ) == 0
+        block = json.loads((out / "summary.json").read_text())["fit"]["0"]
+        records = read_records(direct_csv)
+        fit = fit_prior([r.x for r in records], [r.sigma for r in records])
+        assert block == {
+            "objective": fit.objective,
+            "kkt_gap": fit.kkt_gap,
+            "bandwidths": {"h_x": fit.bandwidths.h_x, "h_sigma": fit.bandwidths.h_sigma},
+            "grid": {"left": fit.grid.left, "eta": fit.grid.eta, "k": fit.grid.k},
+        }
 
     def test_missing_mu0_is_usage_error(self, direct_csv, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,12 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from conftest import INSTANCE_FAMILIES, clfdr_linear, kernel_marginal
+from conftest import (
+    INSTANCE_FAMILIES,
+    clfdr_linear,
+    kernel_marginal,
+    kernel_marginals_exact,
+)
 from hetsel import (
     BandwidthPair,
     CorrelatedTwoGroup,
@@ -41,6 +47,60 @@ def assert_simplex_kkt(grid, x, sigma, marginals, w, rtol=1e-8):
     on = w > 0
     assert np.ptp(g[on]) <= tol
     assert np.all(g[~on] >= g[on].max() - tol)
+
+
+# Largest relative error of the binned kernel_marginals against the exact
+# pairwise sum that the tests accept.
+KERNEL_RTOL = 1e-3
+
+
+def _benchmark_like(m, seed):
+    """The benchmark's design: mu from 0.8 U(-3, -1) + 0.2 U(1, 2),
+    sigma ~ U(0.5, 3), x = mu + sigma N(0, 1)."""
+    x, sigma, _, _ = INSTANCE_FAMILIES["two-interval"].sample(np.random.default_rng(seed), m)
+    return x, sigma
+
+
+def _with_bandwidths(x, sigma):
+    return x, sigma, silverman_bandwidths(x, sigma)
+
+
+def _simulation_case(family, mu0, pooled):
+    rep = generate(SimDesign(family, mu0, 0.1, 1, 21), 0)
+    mask = np.ones(rep.x.size, dtype=bool) if pooled else rep.group_ids == 1
+    return _with_bandwidths(rep.x[mask], rep.sigma[mask])
+
+
+def _heavy_tailed():
+    rng = np.random.default_rng(12)
+    sigma = rng.uniform(0.5, 3.0, 5000)
+    return _with_bandwidths(rng.uniform(-3.0, 2.0, 5000) + sigma * rng.standard_t(3, 5000), sigma)
+
+
+def _tied_x():
+    x, sigma = _benchmark_like(2000, seed=13)
+    x[:30] = x[30]
+    return _with_bandwidths(x, sigma)
+
+
+def _few(m):
+    x = np.array([0.4, -1.1, 2.3])[:m]
+    sigma = np.array([1.5, 0.6, 2.7])[:m]
+    return x, sigma, BandwidthPair(h_x=0.3, h_sigma=0.2)
+
+
+KERNEL_CASES = {
+    "benchmark-uniform-sigma": lambda: _with_bandwidths(*_benchmark_like(10_000, seed=1)),
+    "two-component-pooled": lambda: _simulation_case(TwoComponent(4.0, 5000), 6.0, True),
+    "two-component-group": lambda: _simulation_case(TwoComponent(4.0, 5000), 6.0, False),
+    "correlated-pooled": lambda: _simulation_case(CorrelatedTwoGroup(1.0, 5000), 1.0, True),
+    "correlated-group": lambda: _simulation_case(CorrelatedTwoGroup(1.0, 5000), 1.0, False),
+    "t3-heavy-tails": _heavy_tailed,
+    "30-tied-x": _tied_x,
+    "m1": lambda: _few(1),
+    "m2": lambda: _few(2),
+    "m3": lambda: _few(3),
+}
 
 
 class TestBuildGrid:
@@ -124,12 +184,12 @@ class TestKernelMarginals:
         xs = rng.normal(size=40)
         sig = np.full(40, 1.3)
         bw = BandwidthPair(h_x=0.4, h_sigma=0.9)
-        got = kernel_marginals(xs, sig, bw)
         h = 0.4 * 1.3
         expected = np.array(
             [np.mean(norm.pdf(x0, loc=xs, scale=h)) for x0 in xs]
         )
-        assert_allclose(got, expected, rtol=1e-12)
+        assert_allclose(kernel_marginals_exact(xs, sig, bw), expected, rtol=1e-12)
+        assert_allclose(kernel_marginals(xs, sig, bw), expected, rtol=KERNEL_RTOL)
 
     def test_symmetric_pair_contributes_equally(self):
         bw = BandwidthPair(h_x=0.5, h_sigma=0.8)
@@ -146,13 +206,48 @@ class TestKernelMarginals:
         xs = rng.normal(size=700)
         sig = rng.uniform(0.5, 2.0, 700)
         bw = BandwidthPair(h_x=0.3, h_sigma=0.2)
-        full = kernel_marginals(xs, sig, bw)
+        full = kernel_marginals_exact(xs, sig, bw)
         each = [kernel_marginal(i, xs, sig, bw) for i in range(700)]
         assert_allclose(full, each, rtol=1e-12)
         assert np.all(full > 0)
 
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_binned_matches_exact(self, case):
+        xs, sig, bw = KERNEL_CASES[case]()
+        got = kernel_marginals(xs, sig, bw)
+        assert np.all(got > 0)
+        assert_allclose(got, kernel_marginals_exact(xs, sig, bw), rtol=KERNEL_RTOL, atol=0)
+
+    @pytest.mark.parametrize("where, value", [("x", 1e6), ("x", 1e18), ("sigma", 1e3)])
+    def test_far_outlier_costs_no_range(self, where, value):
+        # One unit at x = 1e6 or sigma = 1e3: a grid spanning the range
+        # would need about 1e10 cells, the binned grids do not. At
+        # x = 1e18 one x node spacing is below the unit's float spacing.
+        xs, sig = _benchmark_like(10_000, seed=11)
+        (xs if where == "x" else sig)[17] = value
+        bw = silverman_bandwidths(xs, sig)
+        start = time.perf_counter()
+        got = kernel_marginals(xs, sig, bw)
+        assert time.perf_counter() - start < 1.0
+        tracemalloc.start()
+        try:
+            kernel_marginals(xs, sig, bw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+        assert np.all(got > 0)
+        assert_allclose(got, kernel_marginals_exact(xs, sig, bw), rtol=KERNEL_RTOL, atol=0)
+
+    @pytest.mark.parametrize(
+        "x, sigma", [([0.0, np.nan], [1.0, 1.0]), ([0.0, 1.0], [1.0, np.inf]), ([0.0, 1.0], [1.0, 0.0])]
+    )
+    def test_rejects_non_finite_input(self, x, sigma):
+        with pytest.raises(ValueError, match="finite"):
+            kernel_marginals(np.array(x), np.array(sigma), BandwidthPair(h_x=0.3, h_sigma=0.2))
+
     def test_peak_memory_stays_small(self):
-        # The temporaries are cache-sized row blocks, not m x m or 1024 x m.
+        # The temporaries are cache-sized blocks, not m x m or 1024 x m.
         rng = np.random.default_rng(8)
         xs = rng.normal(size=5000)
         sig = rng.uniform(0.5, 3.0, 5000)
