@@ -13,7 +13,6 @@ from .model import (
     etp,
     etp_star,
     fdp,
-    normal_cdf,
     zvalue_pvalue,
 )
 from .deconv import (

@@ -259,18 +259,17 @@ def _cmd_select(config: RunConfig) -> int:
     ) as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "x", "sigma", "clfdr", "s", "group", "selected"])
-        for i in range(len(ids)):
-            writer.writerow(
-                [
-                    ids[i],
-                    repr(float(x[i])),
-                    repr(float(sigma[i])),
-                    repr(float(clfdr[i])),
-                    repr(float(s[i])),
-                    int(label[i]),
-                    int(dd.decisions[i]),
-                ]
+        writer.writerows(
+            zip(
+                ids,
+                map(repr, x.tolist()),
+                map(repr, sigma.tolist()),
+                map(repr, clfdr.tolist()),
+                map(repr, s.tolist()),
+                label.tolist(),
+                dd.decisions.tolist(),
             )
+        )
 
     def power(result):
         sel = result.selected_indices

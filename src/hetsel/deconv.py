@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
-from scipy.special import expit, log_ndtr
 
 __all__ = [
     "PriorGrid",
@@ -85,6 +84,10 @@ def _log_interval_mass(z_lo, z_hi):
     keep full relative precision, so the difference is accurate in either
     tail and underflows only in the log.
     """
+    # scipy is imported only by the known-prior oracle, so the estimator's
+    # commands (select, rvalue, deconv-fit) start without loading it.
+    from scipy.special import log_ndtr
+
     right = z_lo > 0
     lo = np.where(right, -z_hi, z_lo)
     hi = np.where(right, -z_lo, z_hi)
@@ -618,6 +621,8 @@ def _component_log_masses(comp, w: float, x, sigma, mu0: float):
     The null part integrates the component over mu <= mu0 and the non-null
     part over mu > mu0; a part the component does not reach is -inf.
     """
+    from scipy.special import log_ndtr  # oracle only: see _log_interval_mass
+
     with np.errstate(divide="ignore"):
         log_w = np.log(w)
     none = np.full(x.shape, -np.inf)
@@ -665,6 +670,8 @@ def oracle_clfdr(prior: TruePrior, x, sigma, mu0: float):
     expit(log f0 - log f1), so the result lies in [0, 1] and keeps its
     value where both densities underflow.
     """
+    from scipy.special import expit  # oracle only: see _log_interval_mass
+
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     sg = np.atleast_1d(np.asarray(sigma, dtype=float))
     xs, sg = np.broadcast_arrays(xs, sg)

@@ -7,14 +7,13 @@ aligned with the units. Everything here is a pure function of its inputs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 __all__ = [
     "MetricsRecord",
-    "normal_cdf",
     "fdp",
     "etp",
     "etp_star",
@@ -25,16 +24,7 @@ __all__ = [
 # against tail underflow for very large z.
 _P_FLOOR = 1e-300
 _P_CEIL = 1.0 - 1e-16
-
-
-def normal_cdf(z):
-    """Standard normal CDF.
-
-    Uses scipy's erfc-based ``ndtr``, whose absolute error is below 1e-14.
-    Small absolute errors matter here because p-values feed step-up
-    thresholds downstream.
-    """
-    return ndtr(z)
+_SQRT_HALF = math.sqrt(0.5)
 
 
 def _as_binary(a, name):
@@ -105,16 +95,19 @@ def etp_star(decisions, x, mu0: float) -> float:
 def zvalue_pvalue(x, sigma, mu0: float):
     """One-sided z- and p-values for testing mu <= mu0 against mu > mu0.
 
-    z = (x - mu0) / sigma and p = 1 - Phi(z), evaluated as Phi(-z) to stay
-    accurate in the upper tail. Accepts scalars or arrays; p is clamped into
-    (0, 1). Raises ValueError for nonpositive sigma.
+    z = (x - mu0) / sigma and p = 1 - Phi(z), evaluated as
+    erfc(z / sqrt 2) / 2, which keeps full relative precision in the upper
+    tail. Accepts scalars or arrays; p is clamped into (0, 1). Raises
+    ValueError for nonpositive sigma.
     """
     xs = np.asarray(x, dtype=float)
     sg = np.asarray(sigma, dtype=float)
     if np.any(sg <= 0) or not np.all(np.isfinite(sg)):
         raise ValueError("sigma must be positive and finite")
     z = (xs - mu0) / sg
-    p = np.clip(ndtr(-z), _P_FLOOR, _P_CEIL)
+    w = np.ravel(z * _SQRT_HALF)
+    p = 0.5 * np.fromiter(map(math.erfc, w.tolist()), float, count=w.size)
+    p = np.clip(p.reshape(np.shape(z)), _P_FLOOR, _P_CEIL)
     if np.ndim(x) == 0 and np.ndim(sigma) == 0:
         return float(z), float(p)
     return z, p

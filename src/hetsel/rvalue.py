@@ -124,19 +124,19 @@ def default_mu0_grid(x, n: int = 200, pad: float | None = None) -> np.ndarray:
 
 def _validate_grid(grid, definition):
     g = np.asarray(grid, dtype=float)
-    if g.size == 0:
-        raise ValueError("grid must be nonempty")
+    if g.size < 2:
+        raise ValueError(
+            f"{definition} grid needs at least 2 points to have a resolution, got {g.size}"
+        )
     d = np.diff(g)
     if definition == VARY_ALPHA:
         if np.any(g <= 0) or np.any(g >= 1):
             raise ValueError("alpha grid must lie in (0, 1)")
-        if g.size > 1 and not np.all(d > 0):
+        if not np.all(d > 0):
             raise ValueError("alpha grid must be strictly ascending")
-    else:
-        if g.size > 1 and not np.all(d < 0):
-            raise ValueError("mu0 grid must be strictly descending")
-    resolution = float(np.max(np.abs(d))) if g.size > 1 else float("nan")
-    return g, resolution
+    elif not np.all(d < 0):
+        raise ValueError("mu0 grid must be strictly descending")
+    return g, float(np.max(np.abs(d)))
 
 
 def _scan(ids, evaluate, grid, sentinel):

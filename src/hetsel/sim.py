@@ -154,7 +154,7 @@ def _calib_seed(master_seed: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((master_seed, _CALIB_STREAM))
 
 
-def _correlated_priors(sigma_bar: float):
+def _correlated_priors():
     lo = TruePrior.normal_mixture([(0.9, -0.5, 0.25), (0.1, 1.5, 0.25)])
     hi = TruePrior.normal_mixture([(0.9, -0.5, 0.25), (0.1, 3.0, 0.25)])
     return lo, hi
@@ -176,7 +176,7 @@ def joint_model(family: Family) -> JointModel:
             [(1.0 - family.pi1, -3.0, -1.0), (family.pi1, 1.0, 2.0)]
         )
         return JointModel.independent(prior, UniformSigma(0.5, family.sigma_max))
-    lo, hi = _correlated_priors(family.sigma)
+    lo, hi = _correlated_priors()
     return JointModel(
         (0.5, 0.5),
         (ConstantSigma(0.25 * family.sigma), ConstantSigma(1.25 * family.sigma)),
@@ -226,7 +226,7 @@ def generate(design: SimDesign, rep: int) -> Replicate:
     else:
         group_ids = (rng.random(fam.m) < 0.5).astype(int)
         sigma = np.where(group_ids == 0, 0.25 * fam.sigma, 1.25 * fam.sigma)
-        lo, hi = _correlated_priors(fam.sigma)
+        lo, hi = _correlated_priors()
         mu = np.empty(fam.m)
         for g, prior in ((0, lo), (1, hi)):
             mask = group_ids == g

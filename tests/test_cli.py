@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -330,3 +333,54 @@ class TestOtherCommands:
             ]
         )
         assert code == 1  # runtime validation: sigma2 required
+
+    def test_rvalue_one_point_grid_is_rejected(self, direct_csv, tmp_path, capsys):
+        out = tmp_path / "rv"
+        code = main(
+            [
+                "rvalue",
+                "--input", str(direct_csv),
+                "--output", str(out),
+                "--definition", "mu0",
+                "--alpha", "0.1",
+                "--grid-points", "1",
+            ]
+        )
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValueError"
+        assert err["message"] == "mu0 grid needs at least 2 points to have a resolution, got 1"
+        assert not (out / "rvalues.json").exists()
+
+
+_SCIPY_FREE_SCRIPT = """
+import json, sys
+from hetsel.cli import main
+data, out = sys.argv[1], sys.argv[2]
+runs = [
+    ["select", "--input", data, "--output", out + "/sel", "--mu0", "0"],
+    ["rvalue", "--input", data, "--output", out + "/rv", "--definition", "mu0",
+     "--alpha", "0.1", "--grid-points", "20"],
+    ["deconv-fit", "--input", data, "--output", out + "/fit"],
+]
+codes = [main(argv) for argv in runs]
+before = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+codes.append(main(["simulate", "--design", "uniform", "--sigma-max", "3", "--m", "200",
+                   "--reps", "1", "--seed", "3", "--oracle-nmc", "100000", "--threads", "1",
+                   "--output", out + "/sim"]))
+print(json.dumps({"codes": codes, "scipy": before, "scipy_after": "scipy" in sys.modules}))
+"""
+
+
+def test_estimator_commands_do_not_load_scipy(direct_csv, tmp_path):
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_SCRIPT, str(direct_csv), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["codes"] == [0, 0, 0, 0]
+    assert report["scipy"] == []
+    # simulate still works: its known-prior oracle loads scipy on first use.
+    assert report["scipy_after"]

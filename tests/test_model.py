@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from hetsel import MetricsRecord, etp_star, fdp, zvalue_pvalue
@@ -85,6 +86,29 @@ class TestZvaluePvalue:
         z, p = zvalue_pvalue(np.array([0.0, 1.0]), np.array([1.0, 2.0]), 0.0)
         assert z.shape == p.shape == (2,)
         assert np.all((p > 0) & (p < 1))
+
+    def test_matches_scipy_ndtr_in_both_tails(self):
+        z = np.linspace(-37.0, 37.0, 20001)
+        _, p = zvalue_pvalue(z, 1.0, 0.0)
+        ref = np.clip(ndtr(-z), 1e-300, 1.0 - 1e-16)
+        assert_allclose(p, ref, rtol=1e-13, atol=0)
+
+    def test_clamped_at_forty(self):
+        assert zvalue_pvalue(40.0, 1.0, 0.0) == (40.0, 1e-300)
+        assert zvalue_pvalue(-40.0, 1.0, 0.0) == (-40.0, 1.0 - 1e-16)
+
+    def test_scalar_form(self):
+        z, p = zvalue_pvalue(3.0, 2.0, 1.0)
+        assert type(z) is float and type(p) is float
+        assert z == 1.0
+        assert p == zvalue_pvalue(np.array([3.0]), 2.0, 1.0)[1][0]
+
+    def test_strictly_decreasing_in_z(self):
+        # Strict where p is not clamped and 1 - p is resolvable near 1.
+        _, p = zvalue_pvalue(np.arange(-7.0, 37.0, 1e-3), 1.0, 0.0)
+        assert np.all(np.diff(p) < 0)
+        _, p = zvalue_pvalue(np.linspace(-40.0, 40.0, 8001), 1.0, 0.0)
+        assert np.all(np.diff(p) <= 0)
 
     def test_bad_sigma(self):
         with pytest.raises(ValueError):

@@ -69,6 +69,10 @@ class TestVaryAlpha:
             rvalue_vary_alpha([0], [1.0], lambda a: np.array([True]), [0.3, 0.1])
         with pytest.raises(ValueError):
             rvalue_vary_alpha([0], [1.0], lambda a: np.array([True]), [0.0, 0.5])
+        with pytest.raises(ValueError, match="at least 2 points"):
+            rvalue_vary_alpha([0], [1.0], lambda a: np.array([True]), [0.1])
+        with pytest.raises(ValueError, match="at least 2 points"):
+            rvalue_vary_mu0([0], [1.0], lambda m: np.array([True]), [0.5])
 
 
 class TestVaryMu0:
