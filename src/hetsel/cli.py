@@ -86,7 +86,6 @@ class RunConfig:
     sigma_max: float | None = None
     sigma: float | None = None
     m: int | None = None
-    threads: int = 1
     oracle_n_mc: int = 10 ** 6
 
 
@@ -356,9 +355,7 @@ def _cmd_simulate(config: RunConfig) -> int:
         reps=config.reps,
         master_seed=config.seed,
     )
-    report = run_replications(
-        design, k=config.k, oracle_n_mc=config.oracle_n_mc, n_jobs=config.threads
-    )
+    report = run_replications(design, k=config.k, oracle_n_mc=config.oracle_n_mc)
     os.makedirs(config.output, exist_ok=True)
     _write_json(
         os.path.join(config.output, "report.json"),
@@ -476,10 +473,6 @@ def make_parser() -> argparse.ArgumentParser:
         "--oracle-nmc", type=int, default=10 ** 6, dest="oracle_n_mc",
         help="Monte Carlo draws for the oracle cutoff calibration",
     )
-    p_sim.add_argument(
-        "--threads", type=int, default=os.cpu_count() or 1,
-        help="parallel replication workers",
-    )
     return parser
 
 
@@ -491,11 +484,18 @@ def _parse_pair(text: str, flag: str):
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    mu0 = getattr(args, "mu0", None)
+    if mu0 is not None and not math.isfinite(mu0):
+        raise ValueError(f"--mu0 must be finite, got {mu0}")
     sigma_split = ()
     if getattr(args, "sigma_split", ""):
         sigma_split = tuple(
             float(v) for v in args.sigma_split.split(",") if v.strip()
         )
+        if not all(math.isfinite(v) for v in sigma_split):
+            raise ValueError(
+                f"--sigma-split cuts must be finite, got {args.sigma_split}"
+            )
     trim = None
     if getattr(args, "trim", ""):
         trim = _parse_pair(args.trim, "--trim")
@@ -504,7 +504,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         input=getattr(args, "input", None),
         output=args.output,
         alpha=getattr(args, "alpha", 0.1),
-        mu0=getattr(args, "mu0", None),
+        mu0=mu0,
         k=getattr(args, "k", 50),
         seed=getattr(args, "seed", 0),
         reps=getattr(args, "reps", 10),
@@ -517,7 +517,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         sigma_max=getattr(args, "sigma_max", None),
         sigma=getattr(args, "sigma", None),
         m=getattr(args, "m", None),
-        threads=getattr(args, "threads", 1),
         oracle_n_mc=getattr(args, "oracle_n_mc", 10 ** 6),
     )
 

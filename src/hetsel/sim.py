@@ -2,9 +2,10 @@
 
 Three generative designs are provided:
 
-* ``TwoComponent``: two deterministic halves with normal effect priors
-  centered at 5 and 7 (sd 0.5); the first half has sigma = 1, the second
-  sigma = sigma2. Reference level defaults to 6.
+* ``TwoComponent``: two random halves (each unit joins either group with
+  probability 0.5) with normal effect priors centered at 5 and 7 (sd 0.5);
+  the first group has sigma = 1, the second sigma = sigma2. Reference level
+  defaults to 6.
 * ``UniformIndep``: effects from a two-interval uniform mixture
   (weight 1 - pi1 on (-3, -1), pi1 on (1, 2)) independent of
   sigma ~ U(0.5, sigma_max). Reference level defaults to 0.
@@ -12,14 +13,16 @@ Three generative designs are provided:
   and the effect mixture depends on the sigma group, so larger effects ride
   on noisier units. Reference level defaults to 1.
 
-Each replication draws from an isolated, replayable stream; four methods
-run on every replicate: the data-driven step-wise procedure (DD), the
-fixed-cutoff rule with exact scores (OR), the clfdr step-up baseline on
-exact scores, and Benjamini-Hochberg on p-values.
+Each design's law is stated once, in ``joint_model``: replicates are drawn
+from it and the oracle cutoffs are calibrated on it. Each replication draws
+from an isolated, replayable stream; four methods run on every replicate:
+the data-driven step-wise procedure (DD), the fixed-cutoff rule with exact
+scores (OR), the clfdr step-up baseline on exact scores, and
+Benjamini-Hochberg on p-values.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -74,8 +77,8 @@ class TwoComponent:
     def __post_init__(self):
         if self.sigma2 <= 0:
             raise ValueError("sigma2 must be positive")
-        if self.m < 4 or self.m % 2:
-            raise ValueError("m must be an even count of at least 4")
+        if self.m < 4:
+            raise ValueError("m must be at least 4")
 
 
 @dataclass(frozen=True)
@@ -119,6 +122,8 @@ class SimDesign:
     master_seed: int
 
     def __post_init__(self):
+        if not math.isfinite(self.mu0):
+            raise ValueError("mu0 must be finite")
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
         if not (0 < self.alpha < 1):
@@ -135,33 +140,24 @@ class SimDesign:
 
 @dataclass(frozen=True, eq=False)
 class Replicate:
-    """One generated dataset with its truth and per-group priors."""
+    """One generated dataset with its truth; ``group_ids`` index the
+    groups of ``joint_model(design.family)``."""
 
     x: np.ndarray
     sigma: np.ndarray
     mu: np.ndarray
     theta: np.ndarray
     group_ids: np.ndarray
-    priors: tuple
     seed_key: tuple
-
-
-def _rep_seed(master_seed: int, rep: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence((master_seed, _REP_STREAM, rep))
 
 
 def _calib_seed(master_seed: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((master_seed, _CALIB_STREAM))
 
 
-def _correlated_priors():
-    lo = TruePrior.normal_mixture([(0.9, -0.5, 0.25), (0.1, 1.5, 0.25)])
-    hi = TruePrior.normal_mixture([(0.9, -0.5, 0.25), (0.1, 3.0, 0.25)])
-    return lo, hi
-
-
 def joint_model(family: Family) -> JointModel:
-    """The population law matching ``generate``, for oracle calibration."""
+    """The design's population law: ``generate`` draws from it and the
+    oracle calibration runs on it."""
     if isinstance(family, TwoComponent):
         return JointModel(
             (0.5, 0.5),
@@ -176,73 +172,35 @@ def joint_model(family: Family) -> JointModel:
             [(1.0 - family.pi1, -3.0, -1.0), (family.pi1, 1.0, 2.0)]
         )
         return JointModel.independent(prior, UniformSigma(0.5, family.sigma_max))
-    lo, hi = _correlated_priors()
     return JointModel(
         (0.5, 0.5),
         (ConstantSigma(0.25 * family.sigma), ConstantSigma(1.25 * family.sigma)),
-        (lo, hi),
+        (
+            TruePrior.normal_mixture([(0.9, -0.5, 0.25), (0.1, 1.5, 0.25)]),
+            TruePrior.normal_mixture([(0.9, -0.5, 0.25), (0.1, 3.0, 0.25)]),
+        ),
     )
 
 
 def generate(design: SimDesign, rep: int) -> Replicate:
-    """Draws one replicate from its isolated stream (master_seed, rep).
+    """Draws one replicate of the design's law from its isolated stream
+    (master_seed, 0, rep).
 
     Truth labels are derived from the drawn effects at the design's mu0,
     so theta_i = 1{mu_i > mu0} holds exactly in every design.
     """
     if not 0 <= rep < design.reps:
         raise ValueError(f"rep must lie in [0, {design.reps})")
-    seed = _rep_seed(design.master_seed, rep)
-    rng = np.random.default_rng(seed)
-    fam = design.family
-
-    if isinstance(fam, TwoComponent):
-        half = fam.m // 2
-        mu = np.concatenate(
-            [
-                5.0 + 0.5 * rng.standard_normal(half),
-                7.0 + 0.5 * rng.standard_normal(half),
-            ]
-        )
-        sigma = np.concatenate([np.ones(half), np.full(half, fam.sigma2)])
-        group_ids = np.repeat([0, 1], half)
-        priors = (
-            TruePrior.normal_mixture([(1.0, 5.0, 0.5)]),
-            TruePrior.normal_mixture([(1.0, 7.0, 0.5)]),
-        )
-    elif isinstance(fam, UniformIndep):
-        labels = rng.random(fam.m) < fam.pi1
-        mu = np.empty(fam.m)
-        n0 = int((~labels).sum())
-        mu[~labels] = rng.uniform(-3.0, -1.0, n0)
-        mu[labels] = rng.uniform(1.0, 2.0, fam.m - n0)
-        sigma = rng.uniform(0.5, fam.sigma_max, fam.m)
-        group_ids = np.zeros(fam.m, dtype=int)
-        priors = (
-            TruePrior.uniform_mixture(
-                [(1.0 - fam.pi1, -3.0, -1.0), (fam.pi1, 1.0, 2.0)]
-            ),
-        )
-    else:
-        group_ids = (rng.random(fam.m) < 0.5).astype(int)
-        sigma = np.where(group_ids == 0, 0.25 * fam.sigma, 1.25 * fam.sigma)
-        lo, hi = _correlated_priors()
-        mu = np.empty(fam.m)
-        for g, prior in ((0, lo), (1, hi)):
-            mask = group_ids == g
-            mu[mask] = prior.sample(rng, int(mask.sum()))
-        priors = (lo, hi)
-
-    x = mu + sigma * rng.standard_normal(mu.size)
-    theta = (mu > design.mu0).astype(np.int8)
+    seed_key = (design.master_seed, _REP_STREAM, rep)
+    rng = np.random.default_rng(np.random.SeedSequence(seed_key))
+    x, sigma, mu, group_ids = joint_model(design.family).sample(rng, design.family.m)
     return Replicate(
         x=x,
         sigma=sigma,
         mu=mu,
-        theta=theta,
+        theta=(mu > design.mu0).astype(np.int8),
         group_ids=group_ids,
-        priors=priors,
-        seed_key=(design.master_seed, _REP_STREAM, rep),
+        seed_key=seed_key,
     )
 
 
@@ -257,14 +215,23 @@ def _metrics(decisions, rep: Replicate, mu0: float) -> tuple:
     return rec, false
 
 
-def _run_one_rep(design: SimDesign, rep_index: int, thresholds: ThresholdPair, k: int):
+def _run_one_rep(
+    design: SimDesign,
+    rep_index: int,
+    model: JointModel,
+    thresholds: ThresholdPair,
+    k: int,
+):
+    """Runs the four methods on one replicate; returns its seed key, the
+    per-method (record, false selections) and the clfdr MSE of the fit."""
     rep = generate(design, rep_index)
-    model = joint_model(design.family)
-
     try:
         fits = fit_prior_by_group(rep.x, rep.sigma, rep.group_ids, k=k)
     except Exception as exc:
-        raise RuntimeError(f"deconvolution failed in replication {rep_index}") from exc
+        raise RuntimeError(
+            f"deconvolution failed in replication {rep_index} "
+            f"(seed key {rep.seed_key}): {exc}"
+        ) from exc
     clfdr_hat = clfdr_by_group(fits, rep.group_ids, rep.x, rep.sigma, design.mu0)
     clfdr_true = model.clfdr(rep.x, rep.sigma, rep.group_ids, design.mu0)
 
@@ -276,9 +243,9 @@ def _run_one_rep(design: SimDesign, rep_index: int, thresholds: ThresholdPair, k
 
     out = {}
     for name, result in (("DD", dd), ("OR", orc), ("Clfdr", stepup), ("BH", bh)):
-        rec, false = _metrics(result.decisions, rep, design.mu0)
-        out[name] = (rec, false)
-    return rep_index, rep.seed_key, out
+        out[name] = _metrics(result.decisions, rep, design.mu0)
+    clfdr_mse = float(np.mean((clfdr_hat - clfdr_true) ** 2))
+    return rep.seed_key, out, clfdr_mse
 
 
 @dataclass(frozen=True)
@@ -327,6 +294,7 @@ class ReplicationReport:
     per_rep: dict
     summary: dict
     seed_ledger: tuple
+    clfdr_mse: tuple
     thresholds: ThresholdPair
 
     def to_json_dict(self) -> dict:
@@ -340,6 +308,7 @@ class ReplicationReport:
                 m: [r.as_dict() for r in recs] for m, recs in self.per_rep.items()
             },
             "seed_ledger": [list(k) for k in self.seed_ledger],
+            "clfdr_mse": list(self.clfdr_mse),
         }
 
     def tidy_rows(self):
@@ -365,13 +334,12 @@ def run_replications(
     *,
     k: int = 50,
     oracle_n_mc: int = 10 ** 6,
-    n_jobs: int = 1,
 ) -> ReplicationReport:
-    """Runs every replication and aggregates the four methods' metrics.
+    """Runs every replication in order and aggregates the four methods'
+    metrics.
 
     The oracle cutoffs are calibrated once per design from their own stream
-    and shared across replications. Replications are independent and may run
-    in parallel; records are always aggregated in replication order.
+    and shared across replications.
     """
     model = joint_model(design.family)
     thresholds = oracle_thresholds(
@@ -382,27 +350,15 @@ def run_replications(
         seed=_calib_seed(design.master_seed),
     )
 
-    results = [None] * design.reps
-    if n_jobs > 1 and design.reps > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            futures = [
-                pool.submit(_run_one_rep, design, r, thresholds, k)
-                for r in range(design.reps)
-            ]
-            for fut in futures:
-                rep_index, seed_key, recs = fut.result()
-                results[rep_index] = (seed_key, recs)
-    else:
-        for r in range(design.reps):
-            rep_index, seed_key, recs = _run_one_rep(design, r, thresholds, k)
-            results[rep_index] = (seed_key, recs)
-
     per_rep = {m: [] for m in METHODS}
     falses = {m: 0 for m in METHODS}
     selected = {m: 0 for m in METHODS}
     seed_ledger = []
-    for seed_key, recs in results:
+    clfdr_mse = []
+    for r in range(design.reps):
+        seed_key, recs, mse = _run_one_rep(design, r, model, thresholds, k)
         seed_ledger.append(seed_key)
+        clfdr_mse.append(mse)
         for m in METHODS:
             rec, false = recs[m]
             per_rep[m].append(rec)
@@ -441,5 +397,6 @@ def run_replications(
         per_rep=per_rep,
         summary=summary,
         seed_ledger=tuple(seed_ledger),
+        clfdr_mse=tuple(clfdr_mse),
         thresholds=thresholds,
     )

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, one printed PASS/FAIL line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s``. The heavy replication
-studies (criteria 2 to 4) use two worker processes; each criterion states
-its tolerance inline.
+studies (criteria 2 to 4) run their replicates serially; each criterion
+states its tolerance inline.
 """
 import math
 import time
@@ -31,7 +31,7 @@ from hetsel import (
     default_mu0_grid,
     fit_prior,
     generate,
-    oracle_clfdr,
+    joint_model,
     oracle_thresholds,
     rvalue_vary_alpha,
     run_replications,
@@ -40,8 +40,6 @@ from hetsel import (
     select_dd,
     select_oracle,
 )
-
-N_JOBS = 2
 
 
 def _report(name: str, ok: bool, detail: str):
@@ -103,7 +101,7 @@ def test_criterion_2_fdr_control():
             reps=50,
             master_seed=311,
         )
-        summary = run_replications(design, n_jobs=N_JOBS).summary
+        summary = run_replications(design).summary
         dd, orc, bh = summary["DD"].fdr, summary["OR"].fdr, summary["BH"].fdr
         rows.append(f"smax={sigma_max:g}: DD {dd:.3f} OR {orc:.3f} BH {bh:.3f}")
         ok = ok and (0.05 <= dd <= 0.13) and (0.05 <= orc <= 0.13) and (bh < 0.10)
@@ -122,7 +120,7 @@ def test_criterion_3_power_ordering_two_component():
         reps=20,
         master_seed=313,
     )
-    report = run_replications(design, n_jobs=N_JOBS)
+    report = run_replications(design)
     dd = report.per_rep["DD"]
     cl = report.per_rep["Clfdr"]
     star_gap, star_se = _paired_margin(
@@ -147,7 +145,7 @@ def test_criterion_4_power_ordering_correlated():
         reps=20,
         master_seed=314,
     )
-    report = run_replications(design, n_jobs=N_JOBS)
+    report = run_replications(design)
     dd = report.per_rep["DD"]
     cl = report.per_rep["Clfdr"]
     star_gap, star_se = _paired_margin(
@@ -178,7 +176,9 @@ def test_criterion_5_deconvolution_consistency():
             rep = generate(design, 0)
             fit = fit_prior(rep.x, rep.sigma)
             estimated = clfdr_from_fit(fit, rep.x, rep.sigma, 0.0)
-            exact = oracle_clfdr(rep.priors[0], rep.x, rep.sigma, 0.0)
+            exact = joint_model(design.family).clfdr(
+                rep.x, rep.sigma, rep.group_ids, 0.0
+            )
             mse[m].append(float(np.mean((estimated - exact) ** 2)))
     small, large = float(np.mean(mse[500])), float(np.mean(mse[5000]))
     _report(

@@ -222,6 +222,30 @@ class TestSelectCommand:
         assert message.startswith(f"fit group 1 (1 units, sigma in [{sigma[-1]!r}, ")
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["select", "--mu0", "inf"], "--mu0"),
+        (["select", "--mu0", "nan"], "--mu0"),
+        (["select", "--mu0", "0", "--sigma-split", "nan"], "--sigma-split"),
+        (["select", "--mu0", "0", "--sigma-split", "1,-inf"], "--sigma-split"),
+        (["rvalue", "--definition", "alpha", "--mu0", "nan"], "--mu0"),
+        (["deconv-fit", "--sigma-split", "inf"], "--sigma-split"),
+        (["simulate", "--design", "uniform", "--sigma-max", "3", "--mu0", "nan"], "--mu0"),
+    ],
+)
+def test_non_finite_flag_is_usage_error(argv, flag, direct_csv, tmp_path, capsys):
+    out = tmp_path / "o"
+    if argv[0] != "simulate":
+        argv = argv + ["--input", str(direct_csv)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--output", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {flag} " in err and "must be finite" in err
+    assert not out.exists()
+
+
 def _selected_flags(path):
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -292,7 +316,6 @@ class TestOtherCommands:
             "--reps", "2",
             "--seed", "7",
             "--oracle-nmc", "100000",
-            "--threads", "1",
         ]
         assert main(args + ["--output", str(tmp_path / "s1")]) == 0
         assert main(args + ["--output", str(tmp_path / "s2")]) == 0
@@ -312,7 +335,6 @@ class TestOtherCommands:
             "--reps", "1",
             "--seed", "7",
             "--oracle-nmc", "100000",
-            "--threads", "1",
             "--output", str(tmp_path / "s"),
         ]
         assert main(args) == 0
@@ -366,7 +388,7 @@ runs = [
 codes = [main(argv) for argv in runs]
 before = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 codes.append(main(["simulate", "--design", "uniform", "--sigma-max", "3", "--m", "200",
-                   "--reps", "1", "--seed", "3", "--oracle-nmc", "100000", "--threads", "1",
+                   "--reps", "1", "--seed", "3", "--oracle-nmc", "100000",
                    "--output", out + "/sim"]))
 print(json.dumps({"codes": codes, "scipy": before, "scipy_after": "scipy" in sys.modules}))
 """

@@ -30,6 +30,7 @@ from hetsel import (
     fit_prior_by_group,
     fit_weights,
     generate,
+    joint_model,
     kernel_marginals,
     oracle_clfdr,
     silverman_bandwidths,
@@ -332,13 +333,23 @@ class TestFitWeights:
         assert fit.kkt_gap <= 1e-8
 
     def test_fit_that_hit_the_old_iteration_cap(self):
-        # Correlated design, seed 51976702, replication 3, group 1: the
-        # former projected-gradient solver stopped at its iteration cap
-        # with objective 1.4540014838e-02 and aborted the whole study.
-        design = SimDesign(CorrelatedTwoGroup(1.0, 10000), 1.0, 0.1, 4, 51976702)
-        rep = generate(design, 3)
-        mask = rep.group_ids == 1
-        xs, sig = rep.x[mask], rep.sigma[mask]
+        # Correlated design (sigma 1, m = 10000), seed key (51976702, 0, 3),
+        # group 1: the former projected-gradient solver stopped at its
+        # iteration cap with objective 1.4540014838e-02 and aborted the
+        # whole study. The units are redrawn as the simulation drew them
+        # then (uniform group labels, then each group's effects, then the
+        # noise), because the bound below holds for that data set only.
+        m = 10000
+        rng = np.random.default_rng(np.random.SeedSequence((51976702, 0, 3)))
+        group_ids = (rng.random(m) < 0.5).astype(int)
+        sigma = np.where(group_ids == 0, 0.25, 1.25)
+        mu = np.empty(m)
+        for g, prior in enumerate(joint_model(CorrelatedTwoGroup(1.0, m)).priors):
+            mask = group_ids == g
+            mu[mask] = prior.sample(rng, int(mask.sum()))
+        x = mu + sigma * rng.standard_normal(m)
+        mask = group_ids == 1
+        xs, sig = x[mask], sigma[mask]
         fit = fit_prior(xs, sig)
         assert fit.objective <= 1.4540014838e-02
         marg = kernel_marginals(xs, sig, fit.bandwidths)

@@ -9,6 +9,8 @@ from hetsel import (
     SimDesign,
     TwoComponent,
     UniformIndep,
+    clfdr_by_group,
+    fit_prior_by_group,
     generate,
     joint_model,
     run_replications,
@@ -20,12 +22,29 @@ def _design(family, mu0, reps=2, seed=42, alpha=0.1):
 
 
 class TestGenerate:
+    @pytest.mark.parametrize(
+        "family, mu0",
+        [
+            (TwoComponent(sigma2=2.0, m=300), 6.0),
+            (UniformIndep(sigma_max=3.0, m=300), 0.0),
+            (CorrelatedTwoGroup(sigma=2.0, m=300), 1.0),
+        ],
+    )
+    def test_generate_is_one_draw_of_joint_model(self, family, mu0):
+        design = _design(family, mu0=mu0, reps=3, seed=17)
+        rep = generate(design, 2)
+        rng = np.random.default_rng(np.random.SeedSequence((17, 0, 2)))
+        x, sigma, mu, group = joint_model(family).sample(rng, family.m)
+        assert rep.seed_key == (17, 0, 2)
+        assert np.array_equal(rep.x, x) and np.array_equal(rep.sigma, sigma)
+        assert np.array_equal(rep.mu, mu) and np.array_equal(rep.group_ids, group)
+        assert np.array_equal(rep.theta, (mu > mu0).astype(np.int8))
+
     def test_two_component_sigma_pattern(self):
         design = _design(TwoComponent(sigma2=2.0, m=400), mu0=6.0)
         rep = generate(design, 0)
-        assert np.all(rep.sigma[:200] == 1.0)
-        assert np.all(rep.sigma[200:] == 2.0)
-        assert np.array_equal(rep.group_ids, np.repeat([0, 1], 200))
+        assert set(np.unique(rep.sigma)) == {1.0, 2.0}
+        assert np.array_equal(rep.group_ids, (rep.sigma == 2.0).astype(int))
         assert np.array_equal(rep.theta, (rep.mu > 6.0).astype(np.int8))
 
     def test_uniform_intervals_match_labels(self):
@@ -42,7 +61,7 @@ class TestGenerate:
         rep = generate(design, 0)
         assert set(np.unique(rep.sigma)) == {0.5, 2.5}
         assert np.array_equal(rep.theta, (rep.mu > 1.0).astype(np.int8))
-        lo, hi = rep.priors
+        lo, hi = joint_model(design.family).priors
         assert lo.components[1] == NormalComponent(1.5, 0.25)
         assert hi.components[1] == NormalComponent(3.0, 0.25)
         assert lo.weights == (0.9, 0.1)
@@ -68,13 +87,16 @@ class TestGenerate:
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
-            TwoComponent(sigma2=2.0, m=401)  # odd
+            TwoComponent(sigma2=2.0, m=3)  # below the bound of 4
         with pytest.raises(ValueError):
             UniformIndep(sigma_max=0.4)
         with pytest.raises(ValueError):
             CorrelatedTwoGroup(sigma=-1.0)
         with pytest.raises(ValueError):
             SimDesign(UniformIndep(sigma_max=2.0), mu0=0.0, alpha=0.1, reps=0, master_seed=1)
+        for mu0 in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="mu0 must be finite"):
+                SimDesign(UniformIndep(sigma_max=2.0), mu0=mu0, alpha=0.1, reps=1, master_seed=1)
 
 
 class TestJointModel:
@@ -103,14 +125,6 @@ class TestRunReplications:
         b = run_replications(design, oracle_n_mc=10 ** 5)
         assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
             b.to_json_dict(), sort_keys=True
-        )
-
-    def test_parallel_equals_serial(self):
-        design = _design(UniformIndep(sigma_max=2.0, m=200), mu0=0.0, reps=3, seed=4)
-        serial = run_replications(design, oracle_n_mc=10 ** 5, n_jobs=1)
-        parallel = run_replications(design, oracle_n_mc=10 ** 5, n_jobs=2)
-        assert json.dumps(serial.to_json_dict(), sort_keys=True) == json.dumps(
-            parallel.to_json_dict(), sort_keys=True
         )
 
     def test_summary_equals_mean_of_reps(self):
@@ -146,6 +160,17 @@ class TestRunReplications:
         assert {r["metric"] for r in rows} == {"fdp", "etp", "etp_star", "n_selected"}
         assert len(rows) == 4 * 4 * 2
 
+    def test_clfdr_mse_per_rep(self):
+        design = _design(CorrelatedTwoGroup(sigma=1.0, m=300), mu0=1.0, reps=2, seed=5)
+        report = run_replications(design, k=30, oracle_n_mc=10 ** 5)
+        assert len(report.clfdr_mse) == 2
+        assert report.to_json_dict()["clfdr_mse"] == list(report.clfdr_mse)
+        rep = generate(design, 1)
+        fits = fit_prior_by_group(rep.x, rep.sigma, rep.group_ids, k=30)
+        estimated = clfdr_by_group(fits, rep.group_ids, rep.x, rep.sigma, 1.0)
+        exact = joint_model(design.family).clfdr(rep.x, rep.sigma, rep.group_ids, 1.0)
+        assert report.clfdr_mse[1] == float(np.mean((estimated - exact) ** 2))
+
     def test_fit_failure_carries_rep_index(self, monkeypatch):
         import hetsel.sim as sim_module
 
@@ -154,5 +179,9 @@ class TestRunReplications:
 
         monkeypatch.setattr(sim_module, "fit_prior_by_group", boom)
         design = _design(UniformIndep(sigma_max=3.0, m=100), mu0=0.0, reps=1)
-        with pytest.raises(RuntimeError, match="replication 0"):
+        with pytest.raises(RuntimeError) as info:
             run_replications(design, oracle_n_mc=10 ** 5)
+        message = str(info.value)
+        assert "replication 0" in message
+        assert "seed key (42, 0, 0)" in message
+        assert "synthetic failure" in message
