@@ -12,7 +12,9 @@ Two evaluation paths are provided:
 * ``clfdr_from_fit`` scores units against a fitted discrete prior;
 * ``oracle_clfdr`` scores units against a known prior (point masses,
   uniform intervals, or normal components) using exact closed forms, for
-  simulations where the generating distribution is available.
+  simulations where the generating distribution is available. Their
+  normal tails come from the numpy erfc kernel in ``model`` (Cody's
+  rational approximations), so the oracle needs numpy only.
 """
 from __future__ import annotations
 
@@ -21,6 +23,8 @@ from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
+
+from .model import _log_ndtr
 
 __all__ = [
     "PriorGrid",
@@ -49,6 +53,10 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Elements per kernel_marginals block: 2**18 doubles, 2 MB per temporary,
 # small enough to stay in cache instead of streaming through memory.
 _KERNEL_BLOCK_PAIRS = 2 ** 18
+# Units per JointModel.clfdr block: the oracle's dozen or so temporaries of
+# 2**16 doubles (512 kB each) stay near the cache instead of streaming
+# through memory at n_mc = 1e6. 2**16 and 2**18 measured equally fast.
+_ORACLE_BLOCK_UNITS = 2 ** 16
 # Binned kernel_marginals grids, set by its 1e-3 relative-error gate:
 # sigma nodes every h_sigma / 4, x nodes every h_x u / 5 in the bin at
 # sigma node u, and kernel terms dropped beyond 9 bandwidths, where they
@@ -84,16 +92,12 @@ def _log_interval_mass(z_lo, z_hi):
     keep full relative precision, so the difference is accurate in either
     tail and underflows only in the log.
     """
-    # scipy is imported only by the known-prior oracle, so the estimator's
-    # commands (select, rvalue, deconv-fit) start without loading it.
-    from scipy.special import log_ndtr
-
     right = z_lo > 0
     lo = np.where(right, -z_hi, z_lo)
     hi = np.where(right, -z_lo, z_hi)
-    log_hi = log_ndtr(hi)
+    log_hi = _log_ndtr(hi)
     with np.errstate(divide="ignore"):
-        return log_hi + np.log(-np.expm1(log_ndtr(lo) - log_hi))
+        return log_hi + np.log(-np.expm1(_log_ndtr(lo) - log_hi))
 
 
 @dataclass(frozen=True)
@@ -619,10 +623,9 @@ def _component_log_masses(comp, w: float, x, sigma, mu0: float):
     """(null, non-null) log marginal contributions of one weighted component.
 
     The null part integrates the component over mu <= mu0 and the non-null
-    part over mu > mu0; a part the component does not reach is -inf.
+    part over mu > mu0; a part the component does not reach is -inf. Both
+    arrays are new, so the caller may overwrite them.
     """
-    from scipy.special import log_ndtr  # oracle only: see _log_interval_mass
-
     with np.errstate(divide="ignore"):
         log_w = np.log(w)
     none = np.full(x.shape, -np.inf)
@@ -643,21 +646,60 @@ def _component_log_masses(comp, w: float, x, sigma, mu0: float):
             piece(max(comp.low, mu0), comp.high),
         )
     # Normal component: the convolution is normal, and the posterior of the
-    # effect is normal, so each part adds the log of one normal tail. The
-    # smaller tail comes from log_ndtr, the larger from its complement.
-    total_var = sigma ** 2 + comp.sd ** 2
-    dens = (
-        log_w
-        - 0.5 * (x - comp.mean) ** 2 / total_var
-        - 0.5 * np.log(2.0 * math.pi * total_var)
-    )
-    post_mean = comp.mean + (comp.sd ** 2 / total_var) * (x - comp.mean)
-    post_sd = sigma * comp.sd / np.sqrt(total_var)
-    z = (mu0 - post_mean) / post_sd
-    small = log_ndtr(-np.abs(z))
-    large = np.log1p(-np.exp(small))
+    # effect is normal, so each part adds the log of one normal tail. With
+    # total variance v = sigma^2 + sd^2, the posterior has mean
+    # m + sd^2 (x - m) / v and sd sigma sd / sqrt(v), so mu0 sits at
+    # z = ((mu0 - m) v - sd^2 (x - m)) / (sigma sd sqrt(v)). The smaller
+    # tail is log Phi(-|z|), the larger its complement.
+    # In place, the log density is log w - (x - m)^2 / (2 v) - log(2 pi v) / 2.
+    sd2 = comp.sd ** 2
+    dev = x - comp.mean
+    tv = np.square(sigma)
+    tv += sd2
+    dens = np.square(dev)
+    dens *= 0.5
+    dens /= tv
+    np.subtract(log_w, dens, out=dens)
+    z = np.multiply(tv, 2.0 * math.pi)
+    np.log(z, out=z)
+    z *= 0.5
+    dens -= z
+    np.multiply(tv, mu0 - comp.mean, out=z)
+    dev *= sd2
+    z -= dev
+    np.sqrt(tv, out=tv)
+    tv *= sigma
+    tv *= comp.sd
+    z /= tv
     below = z < 0
-    return dens + np.where(below, small, large), dens + np.where(below, large, small)
+    np.abs(z, out=z)
+    np.negative(z, out=z)
+    small = _log_ndtr(z)
+    large = np.exp(small, out=z)
+    np.negative(large, out=large)
+    np.log1p(large, out=large)
+    null = np.where(below, small, large)
+    null += dens
+    alt = np.where(below, large, small)
+    alt += dens
+    return null, alt
+
+
+def _log_add_into(acc, terms):
+    """acc <- log(exp(acc) + exp(terms)) in place; ``terms`` is overwritten.
+
+    Whole-array passes of max + log1p(exp(min - max)): np.logaddexp calls
+    exp and log1p one element at a time, about 30 ns each. Where both are
+    -inf, min - max is NaN and is taken as 0, so the sum stays -inf.
+    """
+    hi = np.maximum(acc, terms)
+    np.minimum(acc, terms, out=terms)
+    with np.errstate(invalid="ignore"):
+        terms -= hi
+    np.fmin(terms, 0.0, out=terms)
+    np.exp(terms, out=terms)
+    np.log1p(terms, out=terms)
+    np.add(hi, terms, out=acc)
 
 
 def oracle_clfdr(prior: TruePrior, x, sigma, mu0: float):
@@ -667,21 +709,24 @@ def oracle_clfdr(prior: TruePrior, x, sigma, mu0: float):
     normal CDFs, normal components to Gaussian convolution identities with a
     CDF truncation term; no generic quadrature is involved. The null and
     non-null marginals are summed in log space and combined as
-    expit(log f0 - log f1), so the result lies in [0, 1] and keeps its
-    value where both densities underflow.
+    1 / (1 + exp(log f1 - log f0)), so the result lies in [0, 1] and keeps
+    its value where both densities underflow.
     """
-    from scipy.special import expit  # oracle only: see _log_interval_mass
-
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     sg = np.atleast_1d(np.asarray(sigma, dtype=float))
     xs, sg = np.broadcast_arrays(xs, sg)
-    log_null = np.full(xs.shape, -np.inf)
-    log_alt = np.full(xs.shape, -np.inf)
-    for w, comp in zip(prior.weights, prior.components):
+    parts = zip(prior.weights, prior.components)
+    w, comp = next(parts)
+    log_null, log_alt = _component_log_masses(comp, w, xs, sg, mu0)
+    for w, comp in parts:
         d0, d1 = _component_log_masses(comp, w, xs, sg, mu0)
-        log_null = np.logaddexp(log_null, d0)
-        log_alt = np.logaddexp(log_alt, d1)
-    out = expit(log_null - log_alt)
+        _log_add_into(log_null, d0)
+        _log_add_into(log_alt, d1)
+    out = np.subtract(log_alt, log_null, out=log_alt)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
     if np.ndim(x) == 0 and np.ndim(sigma) == 0:
         return float(out[0])
     return out
@@ -697,8 +742,8 @@ class ConstantSigma:
     value: float
 
     def __post_init__(self):
-        if not self.value > 0:
-            raise ValueError("sigma must be positive")
+        if not (math.isfinite(self.value) and self.value > 0):
+            raise ValueError(f"sigma must be positive and finite, got {self.value!r}")
 
     def sample(self, rng, n):
         return np.full(n, self.value, dtype=float)
@@ -710,8 +755,10 @@ class UniformSigma:
     high: float
 
     def __post_init__(self):
-        if not (0 < self.low < self.high):
-            raise ValueError("need 0 < low < high")
+        if not (0 < self.low < self.high and math.isfinite(self.high)):
+            raise ValueError(
+                f"need 0 < low < high < inf, got low={self.low!r}, high={self.high!r}"
+            )
 
     def sample(self, rng, n):
         return rng.uniform(self.low, self.high, size=n)
@@ -766,14 +813,19 @@ class JointModel:
         return x, sigma, mu, group
 
     def clfdr(self, x, sigma, group, mu0: float) -> np.ndarray:
+        """Exact clfdr of each unit under its group's prior, evaluated over
+        contiguous blocks of units so the temporaries stay in cache."""
         xs = np.asarray(x, dtype=float)
         sg = np.asarray(sigma, dtype=float)
         gp = np.asarray(group, dtype=int)
         out = np.empty(xs.shape, dtype=float)
-        for g in range(self.n_groups):
-            mask = gp == g
-            if mask.any():
-                out[mask] = oracle_clfdr(self.priors[g], xs[mask], sg[mask], mu0)
+        for start in range(0, xs.shape[0], _ORACLE_BLOCK_UNITS):
+            block = slice(start, start + _ORACLE_BLOCK_UNITS)
+            xb, sb, gb, ob = xs[block], sg[block], gp[block], out[block]
+            for g in range(self.n_groups):
+                idx = np.flatnonzero(gb == g)
+                if idx.size:
+                    ob.put(idx, oracle_clfdr(self.priors[g], xb.take(idx), sb.take(idx), mu0))
         return out
 
 

@@ -75,8 +75,8 @@ class TwoComponent:
     DEFAULT_MU0 = 6.0
 
     def __post_init__(self):
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
+        if not (math.isfinite(self.sigma2) and self.sigma2 > 0):
+            raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2!r}")
         if self.m < 4:
             raise ValueError("m must be at least 4")
 
@@ -89,10 +89,12 @@ class UniformIndep:
     DEFAULT_MU0 = 0.0
 
     def __post_init__(self):
+        if not math.isfinite(self.sigma_max):
+            raise ValueError(f"sigma_max must be finite, got {self.sigma_max!r}")
         if not self.sigma_max > 0.5:
             raise ValueError("sigma_max must exceed the lower endpoint 0.5")
         if not (0 < self.pi1 < 1):
-            raise ValueError("pi1 must lie in (0, 1)")
+            raise ValueError(f"pi1 must lie in (0, 1), got {self.pi1!r}")
         if self.m < 2:
             raise ValueError("m must be at least 2")
 
@@ -104,8 +106,8 @@ class CorrelatedTwoGroup:
     DEFAULT_MU0 = 1.0
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
         if self.m < 2:
             raise ValueError("m must be at least 2")
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import expit, log_ndtr
 
 from hetsel import (
     BandwidthPair,
@@ -211,3 +212,64 @@ def clfdr_linear(fit, x, sigma, mu0):
     dens = np.exp(-0.5 * z ** 2) / (math.sqrt(2.0 * math.pi) * sg[:, None])
     null_mask = fit.grid.nodes <= mu0
     return (dens[:, null_mask] @ fit.weights[null_mask]) / (dens @ fit.weights)
+
+
+def _log_interval_mass_scipy(z_lo, z_hi):
+    """log P(z_lo <= Z <= z_hi) by scipy's log_ndtr, intervals right of
+    zero mirrored to the left."""
+    right = z_lo > 0
+    lo = np.where(right, -z_hi, z_lo)
+    hi = np.where(right, -z_lo, z_hi)
+    log_hi = log_ndtr(hi)
+    with np.errstate(divide="ignore"):
+        return log_hi + np.log(-np.expm1(log_ndtr(lo) - log_hi))
+
+
+def _component_log_masses_scipy(comp, w, x, sigma, mu0):
+    """(null, non-null) log marginal masses of one weighted component, in
+    the textbook form: posterior mean and sd, then scipy's log_ndtr."""
+    with np.errstate(divide="ignore"):
+        log_w = np.log(w)
+    none = np.full(x.shape, -np.inf)
+    if isinstance(comp, PointMass):
+        z = (x - comp.loc) / sigma
+        dens = log_w - 0.5 * np.square(z) - np.log(math.sqrt(2.0 * math.pi) * sigma)
+        return (dens, none) if comp.loc <= mu0 else (none, dens)
+    if isinstance(comp, UniformInterval):
+        log_scale = log_w - math.log(comp.high - comp.low)
+
+        def piece(low, high):
+            if not high > low:
+                return none
+            return log_scale + _log_interval_mass_scipy((x - high) / sigma, (x - low) / sigma)
+
+        return piece(comp.low, min(comp.high, mu0)), piece(max(comp.low, mu0), comp.high)
+    total_var = sigma ** 2 + comp.sd ** 2
+    dens = (
+        log_w
+        - 0.5 * (x - comp.mean) ** 2 / total_var
+        - 0.5 * np.log(2.0 * math.pi * total_var)
+    )
+    post_mean = comp.mean + (comp.sd ** 2 / total_var) * (x - comp.mean)
+    post_sd = sigma * comp.sd / np.sqrt(total_var)
+    z = (mu0 - post_mean) / post_sd
+    small = log_ndtr(-np.abs(z))
+    large = np.log1p(-np.exp(small))
+    below = z < 0
+    return dens + np.where(below, small, large), dens + np.where(below, large, small)
+
+
+def oracle_clfdr_scipy(prior, x, sigma, mu0):
+    """Reference for ``oracle_clfdr``: the same closed forms evaluated with
+    scipy's log_ndtr and expit, summed from -inf arrays, one whole-array
+    pass per component."""
+    xs, sg = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(sigma, dtype=float))
+    )
+    log_null = np.full(xs.shape, -np.inf)
+    log_alt = np.full(xs.shape, -np.inf)
+    for w, comp in zip(prior.weights, prior.components):
+        d0, d1 = _component_log_masses_scipy(comp, w, xs, sg, mu0)
+        log_null = np.logaddexp(log_null, d0)
+        log_alt = np.logaddexp(log_alt, d1)
+    return expit(log_null - log_alt)

@@ -375,6 +375,31 @@ class TestOtherCommands:
         assert not (out / "rvalues.json").exists()
 
 
+@pytest.mark.parametrize(
+    "design, param",
+    [
+        (["--design", "uniform", "--sigma-max", "inf"], "sigma_max"),
+        (["--design", "two-component", "--sigma2", "nan"], "sigma2"),
+        (["--design", "two-component", "--sigma2", "inf"], "sigma2"),
+        (["--design", "correlated", "--sigma", "nan"], "sigma"),
+        (["--design", "correlated", "--sigma", "inf"], "sigma"),
+    ],
+)
+def test_simulate_rejects_non_finite_parameter(design, param, tmp_path, capsys):
+    out = tmp_path / "sim"
+    code = main(
+        ["simulate", *design, "--m", "200", "--reps", "1", "--oracle-nmc", "100000",
+         "--output", str(out)]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "ValueError"
+    assert err["message"].startswith(f"{param} must ")
+    assert not out.exists()
+
+
 _SCIPY_FREE_SCRIPT = """
 import json, sys
 from hetsel.cli import main
@@ -394,7 +419,7 @@ print(json.dumps({"codes": codes, "scipy": before, "scipy_after": "scipy" in sys
 """
 
 
-def test_estimator_commands_do_not_load_scipy(direct_csv, tmp_path):
+def test_commands_do_not_load_scipy(direct_csv, tmp_path):
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run(
@@ -404,5 +429,5 @@ def test_estimator_commands_do_not_load_scipy(direct_csv, tmp_path):
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["codes"] == [0, 0, 0, 0]
     assert report["scipy"] == []
-    # simulate still works: its known-prior oracle loads scipy on first use.
-    assert report["scipy_after"]
+    # simulate's known-prior oracle uses numpy's erfc kernel, not scipy.
+    assert not report["scipy_after"]

@@ -14,6 +14,7 @@ from conftest import (
     clfdr_linear,
     kernel_marginal,
     kernel_marginals_exact,
+    oracle_clfdr_scipy,
 )
 from hetsel import (
     BandwidthPair,
@@ -35,7 +36,7 @@ from hetsel import (
     oracle_clfdr,
     silverman_bandwidths,
 )
-from hetsel.deconv import _design_matrix
+from hetsel.deconv import _ORACLE_BLOCK_UNITS, _design_matrix, _log_add_into
 
 
 def assert_simplex_kkt(grid, x, sigma, marginals, w, rtol=1e-8):
@@ -511,6 +512,57 @@ class TestOracleClfdr:
             right = oracle_clfdr(prior, 1e3 * sigma, sigma, 0.0)
             assert_allclose(left, 1.0, rtol=0, atol=1e-10)
             assert_allclose(right, 0.0, rtol=0, atol=1e-10)
+
+
+SIM_FAMILIES = {
+    "two-component": TwoComponent(sigma2=4.0),
+    "uniform": UniformIndep(sigma_max=3.0),
+    "correlated": CorrelatedTwoGroup(sigma=1.0),
+}
+
+
+class TestOracleAgainstScipy:
+    @pytest.mark.parametrize("mu0", [-1.0, 0.0, 1.0, 6.0])
+    @pytest.mark.parametrize("name", sorted(SIM_FAMILIES))
+    def test_matches_scipy_reference(self, name, mu0):
+        family = SIM_FAMILIES[name]
+        model = joint_model(family)
+        x, sigma, _, _ = model.sample(np.random.default_rng(31), family.m)
+        # The far-left outliers whose densities both underflow in linear space.
+        x = np.concatenate([x, [-40.0, -60.0]])
+        sigma = np.concatenate([sigma, sigma[:2]])
+        for prior in model.priors:
+            got = oracle_clfdr(prior, x, sigma, mu0)
+            ref = oracle_clfdr_scipy(prior, x, sigma, mu0)
+            # A clfdr of 1e-58 is exp of a log ratio near -133, which one ulp
+            # of either log mass moves by a relative 3e-14; below 1e-16 the
+            # logs are compared instead.
+            bulk = ref >= 1e-16
+            assert_allclose(got[bulk], ref[bulk], rtol=1e-13, atol=0)
+            assert_allclose(np.log(got[~bulk]), np.log(ref[~bulk]), rtol=1e-14, atol=0)
+
+    def test_blocked_joint_clfdr_equals_unblocked(self):
+        model = joint_model(SIM_FAMILIES["correlated"])
+        m = _ORACLE_BLOCK_UNITS + 3
+        x, sigma, _, group = model.sample(np.random.default_rng(32), m)
+        # The last block holds group 0 only, so group 1 is absent from it.
+        group[-3:] = 0
+        sigma[-3:] = model.sigma_laws[0].value
+        got = model.clfdr(x, sigma, group, 1.0)
+        want = np.empty(m)
+        for g, prior in enumerate(model.priors):
+            mask = group == g
+            want[mask] = oracle_clfdr(prior, x[mask], sigma[mask], 1.0)
+        assert np.array_equal(got, want)
+
+    def test_log_add_matches_numpy(self):
+        rng = np.random.default_rng(33)
+        a = np.concatenate([rng.normal(scale=300.0, size=1000), [-np.inf, -np.inf, 5.0, -np.inf]])
+        b = np.concatenate([rng.normal(scale=300.0, size=1000), [-np.inf, 2.0, -np.inf, -800.0]])
+        want = np.logaddexp(a, b)
+        got = a.copy()
+        _log_add_into(got, b.copy())
+        assert_allclose(got, want, rtol=1e-15, atol=1e-15)
 
 
 class TestFitPriorPipeline:

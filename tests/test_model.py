@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import ndtr
+from scipy.special import erfc, log_ndtr, ndtr
 from scipy.stats import norm
 
 from hetsel import MetricsRecord, etp_star, fdp, zvalue_pvalue
+from hetsel.model import _erfc, _log_ndtr
 
 
 class TestFdp:
@@ -115,6 +118,66 @@ class TestZvaluePvalue:
             zvalue_pvalue(1.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             zvalue_pvalue(np.array([1.0]), np.array([-2.0]), 0.0)
+
+
+def _kernel_grid():
+    """A dense grid over [-40, 40] plus 0, Cody's range boundaries
+    +-0.46875 and +-4 on the erfc scale and times sqrt 2 (the same
+    boundaries on the z scale of log Phi), each with five nextafter
+    neighbours on either side."""
+    points = [np.linspace(-40.0, 40.0, 160_001)]
+    for edge in (0.0, 0.46875, 4.0, -0.46875, -4.0):
+        for c in (edge, edge * math.sqrt(2.0)):
+            up = down = c
+            points.append([c])
+            for _ in range(5):
+                up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+                points.append([up, down])
+    return np.concatenate(points)
+
+
+_TINY = np.finfo(float).tiny
+# scipy's erfc rounds y^2 inside exp(-y^2), so its own relative error
+# grows with y^2 (6e-14 near y = 26, against the C library's erfc); beyond
+# |w| = 8, where it passes 1e-14, the reference is the stdlib's math.erfc.
+_SCIPY_ERFC_EXACT_UP_TO = 8.0
+
+
+def _erfc_reference(w):
+    stdlib = np.array([math.erfc(v) for v in w])
+    return np.where(np.abs(w) <= _SCIPY_ERFC_EXACT_UP_TO, erfc(w), stdlib)
+
+
+class TestNormalTailKernel:
+    # Outputs below the smallest normal double are compared absolutely:
+    # a subnormal carries too few bits for a relative tolerance.
+
+    def test_erfc_matches_reference(self):
+        w = _kernel_grid()
+        assert_allclose(_erfc(w), _erfc_reference(w), rtol=1e-14, atol=_TINY)
+
+    def test_log_ndtr_matches_scipy(self):
+        z = _kernel_grid()
+        got = _log_ndtr(z)
+        # Left of 8 sqrt 2 scipy's log_ndtr is the reference; further right
+        # it is log1p(-erfc(w) / 2) of the same erfc reference as above, with
+        # w = z * sqrt(1/2) rounded as scipy and the kernel round it.
+        near = z <= _SCIPY_ERFC_EXACT_UP_TO * math.sqrt(2.0)
+        assert_allclose(got[near], log_ndtr(z[near]), rtol=1e-14, atol=0)
+        far = np.log1p(-0.5 * _erfc_reference(z[~near] * math.sqrt(0.5)))
+        assert_allclose(got[~near], far, rtol=1e-14, atol=_TINY)
+
+    def test_log_ndtr_never_underflows_on_the_left(self):
+        z = np.array([-40.0, -1e3, -1e150])
+        assert_allclose(_log_ndtr(z), log_ndtr(z), rtol=1e-14, atol=0)
+        assert np.all(np.isfinite(_log_ndtr(z)))
+
+    def test_special_values(self):
+        inf, nan = math.inf, math.nan
+        assert_allclose(_erfc(np.array([inf, -inf, 0.0, nan])), [0.0, 2.0, 1.0, nan])
+        assert_allclose(_log_ndtr(np.array([inf, -inf, 0.0, nan])), [0.0, -inf, math.log(0.5), nan])
+        assert _erfc(np.float64(0.5)).shape == ()
+        assert _log_ndtr(np.zeros((2, 3))).shape == (2, 3)
 
 
 class TestTypes:

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from hetsel import (
+    ConstantSigma,
     CorrelatedTwoGroup,
     NormalComponent,
     SimDesign,
     TwoComponent,
     UniformIndep,
+    UniformSigma,
     clfdr_by_group,
     fit_prior_by_group,
     generate,
@@ -97,6 +99,21 @@ class TestGenerate:
         for mu0 in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="mu0 must be finite"):
                 SimDesign(UniformIndep(sigma_max=2.0), mu0=mu0, alpha=0.1, reps=1, master_seed=1)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_parameters_are_named(self, bad):
+        cases = [
+            (lambda: TwoComponent(sigma2=bad), "sigma2 must"),
+            (lambda: UniformIndep(sigma_max=bad), "sigma_max must"),
+            (lambda: UniformIndep(sigma_max=3.0, pi1=bad), "pi1 must"),
+            (lambda: CorrelatedTwoGroup(sigma=bad), "sigma must"),
+            (lambda: ConstantSigma(bad), "sigma must"),
+            (lambda: UniformSigma(0.5, bad), "need 0 < low < high < inf"),
+            (lambda: UniformSigma(bad, 2.0), "need 0 < low < high < inf"),
+        ]
+        for make, message in cases:
+            with pytest.raises(ValueError, match=message):
+                make()
 
 
 class TestJointModel:
