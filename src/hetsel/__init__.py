@@ -40,7 +40,6 @@ from .selection import (
     Group,
     SelectionResult,
     ThresholdPair,
-    TraceStep,
     calibrate_thresholds,
     classify_groups,
     clfdr_stepup_threshold,
@@ -52,7 +51,6 @@ from .selection import (
     select_oracle,
 )
 from .rvalue import (
-    RValueEntry,
     RValueTable,
     dd_alpha_evaluator,
     dd_mu0_evaluator,

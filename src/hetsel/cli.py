@@ -21,6 +21,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .rvalue import (
     rvalue_vary_alpha,
     rvalue_vary_mu0,
 )
-from .selection import Group, select_bh, select_clfdr_stepup, select_dd
+from .selection import classify_groups, select_bh, select_clfdr_stepup, select_dd
 from .sim import (
     CorrelatedTwoGroup,
     SimDesign,
@@ -45,7 +46,6 @@ from .sim import (
 )
 
 __all__ = [
-    "IngestRecord",
     "RunConfig",
     "ayp_standard_error",
     "trim_by_se_percentile",
@@ -56,13 +56,6 @@ __all__ = [
 
 _DIRECT_HEADER = ["id", "x", "sigma"]
 _AYP_HEADER = ["id", "y", "y_prime", "n", "n_prime"]
-
-
-@dataclass(frozen=True)
-class IngestRecord:
-    id: str
-    x: float
-    sigma: float
 
 
 @dataclass(frozen=True)
@@ -107,21 +100,25 @@ def ayp_standard_error(y: float, y_prime: float, n: int, n_prime: int) -> float:
     return math.sqrt(var)
 
 
-def trim_by_se_percentile(records, lower: float, upper: float):
-    """Drops records whose sigma falls strictly outside the given empirical
-    percentiles (same quantile convention as the prior grid)."""
+def trim_by_se_percentile(ids, x, sigma, lower: float, upper: float):
+    """Drops the units whose sigma falls strictly outside the given empirical
+    percentiles (same quantile convention as the prior grid).
+
+    Returns the kept ``(ids, x, sigma)`` in input order.
+    """
     if not (0.0 <= lower < upper <= 1.0):
         raise ValueError("need 0 <= lower < upper <= 1")
-    sig = np.array([r.sigma for r in records], dtype=float)
+    sig = np.asarray(sigma, dtype=float)
     lo, hi = np.quantile(sig, [lower, upper])
-    kept = [r for r in records if lo <= r.sigma <= hi]
-    if not kept:
+    keep = (lo <= sig) & (sig <= hi)
+    if not keep.any():
         raise ValueError("percentile trim removed every record")
-    return kept
+    return list(compress(ids, keep.tolist())), np.asarray(x, dtype=float)[keep], sig[keep]
 
 
-def read_records(path) -> list:
-    """Parses an input CSV into IngestRecords; errors carry line numbers.
+def read_records(path):
+    """Parses an input CSV into ``(ids, x, sigma)``: a list of ids and two
+    float arrays. Errors carry line numbers.
 
     Extra columns after the recognized prefix are ignored, so the CSV the
     ``select`` command writes can be re-ingested directly.
@@ -143,7 +140,7 @@ def read_records(path) -> list:
                 f"{path}: unrecognized header {header!r}; expected a prefix "
                 f"{_DIRECT_HEADER} or {_AYP_HEADER}"
             )
-        records = []
+        ids, x_col, sigma_col = [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -163,10 +160,12 @@ def read_records(path) -> list:
                     raise ValueError("need sigma > 0 and finite x")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-            records.append(IngestRecord(id=rid, x=x, sigma=sigma))
-    if not records:
+            ids.append(rid)
+            x_col.append(x)
+            sigma_col.append(sigma)
+    if not ids:
         raise ValueError(f"{path}: no data rows")
-    return records
+    return ids, np.array(x_col, dtype=float), np.array(sigma_col, dtype=float)
 
 
 def _group_ids(sigma: np.ndarray, cuts) -> np.ndarray:
@@ -208,14 +207,10 @@ def _write_json(path, doc):
 
 
 def _prepare(config: RunConfig):
-    records = read_records(config.input)
+    ids, x, sigma = read_records(config.input)
     if config.trim:
-        records = trim_by_se_percentile(records, *config.trim)
-    ids = [r.id for r in records]
-    x = np.array([r.x for r in records], dtype=float)
-    sigma = np.array([r.sigma for r in records], dtype=float)
-    groups = _group_ids(sigma, config.sigma_split)
-    return ids, x, sigma, groups
+        ids, x, sigma = trim_by_se_percentile(ids, x, sigma, *config.trim)
+    return ids, x, sigma, _group_ids(sigma, config.sigma_split)
 
 
 def _cmd_deconv_fit(config: RunConfig) -> int:
@@ -242,12 +237,8 @@ def _cmd_select(config: RunConfig) -> int:
     fits = fit_prior_by_group(x, sigma, groups, k=config.k)
     clfdr = clfdr_by_group(fits, groups, x, sigma, config.mu0)
     dd = select_dd(x, clfdr, config.alpha, config.mu0)
-    curve = dd._curve
-    s = np.tanh(curve.t)
-    label = np.full(len(ids), Group.G3, dtype=np.int8)
-    label[curve.g0] = Group.G0
-    label[curve.g1] = Group.G1
-    label[curve.g2] = Group.G2
+    s = np.tanh(dd._curve.t)
+    label = classify_groups(x, clfdr, config.mu0, config.alpha)
     stepup = select_clfdr_stepup(clfdr, config.alpha)
     _, pvals = zvalue_pvalue(x, sigma, config.mu0)
     bh = select_bh(pvals, config.alpha)
@@ -332,18 +323,19 @@ def _cmd_rvalue(config: RunConfig) -> int:
 
 
 def _cmd_simulate(config: RunConfig) -> int:
+    size = {} if config.m is None else {"m": config.m}
     if config.design == "two-component":
         if config.sigma2 is None:
             raise ValueError("--sigma2 is required for the two-component design")
-        family = TwoComponent(sigma2=config.sigma2, m=config.m or 10000)
+        family = TwoComponent(sigma2=config.sigma2, **size)
     elif config.design == "uniform":
         if config.sigma_max is None:
             raise ValueError("--sigma-max is required for the uniform design")
-        family = UniformIndep(sigma_max=config.sigma_max, m=config.m or 5000)
+        family = UniformIndep(sigma_max=config.sigma_max, **size)
     elif config.design == "correlated":
         if config.sigma is None:
             raise ValueError("--sigma is required for the correlated design")
-        family = CorrelatedTwoGroup(sigma=config.sigma, m=config.m or 10000)
+        family = CorrelatedTwoGroup(sigma=config.sigma, **size)
     else:
         raise ValueError(f"unknown design {config.design!r}")
 
@@ -401,7 +393,7 @@ def run(config: RunConfig) -> int:
         return 1
 
 
-def _add_shared(parser, *, need_mu0: bool, mu0_required: bool = True):
+def _add_shared(parser, *, need_mu0: bool):
     parser.add_argument("--input", required=True, help="input CSV path")
     parser.add_argument("--output", required=True, help="output directory")
     parser.add_argument("--alpha", type=float, default=0.1, help="target FDR level")
@@ -409,7 +401,7 @@ def _add_shared(parser, *, need_mu0: bool, mu0_required: bool = True):
         parser.add_argument(
             "--mu0",
             type=float,
-            required=mu0_required,
+            required=True,
             help="reference level: the null region is mu <= mu0",
         )
     parser.add_argument("--grid-size", type=int, default=50, dest="k")

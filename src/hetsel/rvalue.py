@@ -22,7 +22,6 @@ import numpy as np
 from .selection import select_dd
 
 __all__ = [
-    "RValueEntry",
     "RValueTable",
     "default_alpha_grid",
     "default_mu0_grid",
@@ -36,36 +35,40 @@ VARY_ALPHA = "alpha"
 VARY_MU0 = "mu0"
 
 
-@dataclass(frozen=True)
-class RValueEntry:
-    """Per-unit r-value and standardized rank.
+@dataclass(frozen=True, eq=False)
+class RValueTable:
+    """Per-unit r-values and standardized ranks, one column per field.
 
-    ``r`` is +inf (vary-alpha) or -inf (vary-mu0) for units never selected
-    on the grid; those units carry no rank (``r_prime`` is NaN). ``tied``
-    flags units sharing their r-value with another unit, where the rank
-    order fell back to the tie-break: larger score t at the grid point of
-    first selection, then input position. Ties are broken on t, not on
-    s = tanh(t), whose values collide long before t does.
+    ``ids``, ``x`` and ``sigma`` (None when not given) are the units in
+    input order. ``r`` is +inf (vary-alpha) or -inf (vary-mu0) for units
+    never selected on the grid; those units carry no rank (``r_prime`` is
+    NaN). ``tied`` flags units sharing their r-value with another unit,
+    where the rank order fell back to the tie-break: larger score t at the
+    grid point of first selection, then input position. Ties are broken on
+    t, not on s = tanh(t), whose values collide long before t does.
     """
 
-    id: object
-    x: float
-    sigma: float | None
-    r: float
-    r_prime: float
-    tied: bool
-
-    @property
-    def selected_ever(self) -> bool:
-        return math.isfinite(self.r)
-
-
-@dataclass(frozen=True)
-class RValueTable:
     definition: str
     grid_resolution: float
     n_grid: int
-    entries: tuple
+    ids: list
+    x: np.ndarray
+    sigma: np.ndarray | None
+    r: np.ndarray
+    r_prime: np.ndarray
+    tied: np.ndarray
+
+    def _rows(self):
+        # Python scalars per unit; r and r_prime with their sentinels as None.
+        sigma = [None] * len(self.ids) if self.sigma is None else self.sigma.tolist()
+        return zip(
+            self.ids,
+            self.x.tolist(),
+            sigma,
+            [v if math.isfinite(v) else None for v in self.r.tolist()],
+            [None if math.isnan(v) else v for v in self.r_prime.tolist()],
+            self.tied.tolist(),
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -74,36 +77,25 @@ class RValueTable:
             "grid_resolution": self.grid_resolution,
             "n_grid": self.n_grid,
             "entries": [
-                {
-                    "id": e.id,
-                    "x": e.x,
-                    "sigma": e.sigma,
-                    "r": e.r if math.isfinite(e.r) else None,
-                    "r_prime": None if math.isnan(e.r_prime) else e.r_prime,
-                    "tied": e.tied,
-                }
-                for e in self.entries
+                {"id": uid, "x": x, "sigma": sigma, "r": r, "r_prime": r_prime, "tied": tied}
+                for uid, x, sigma, r, r_prime, tied in self._rows()
             ],
         }
 
     def write_csv(self, path):
+        def cell(v):
+            return "" if v is None else repr(v)
+
+        resolution = repr(self.grid_resolution)
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(
                 ["id", "x", "sigma", "r", "r_prime", "definition", "grid_resolution"]
             )
-            for e in self.entries:
-                writer.writerow(
-                    [
-                        e.id,
-                        repr(e.x),
-                        "" if e.sigma is None else repr(e.sigma),
-                        repr(e.r) if math.isfinite(e.r) else "",
-                        "" if math.isnan(e.r_prime) else repr(e.r_prime),
-                        self.definition,
-                        repr(self.grid_resolution),
-                    ]
-                )
+            writer.writerows(
+                [uid, repr(x), cell(sigma), cell(r), cell(r_prime), self.definition, resolution]
+                for uid, x, sigma, r, r_prime, _ in self._rows()
+            )
 
 
 def default_alpha_grid(n: int = 200, low: float = 1e-4, high: float = 0.5) -> np.ndarray:
@@ -165,7 +157,6 @@ def _scan(ids, evaluate, grid, sentinel):
 
 
 def _build_table(ids, x, sigma, r, t_at, definition, resolution, n_grid):
-    xs = np.asarray(x, dtype=float)
     m = len(ids)
     ranked = np.flatnonzero(np.isfinite(r))
     r_prime = np.full(m, np.nan)
@@ -176,26 +167,17 @@ def _build_table(ids, x, sigma, r, t_at, definition, resolution, n_grid):
         primary = r[ranked] if definition == VARY_ALPHA else -r[ranked]
         order = np.lexsort((ranked, -t_at[ranked], primary))
         r_prime[ranked[order]] = np.arange(1, ranked.size + 1) / m
-    finite_r = r[np.isfinite(r)]
-    uniq, counts = np.unique(finite_r, return_counts=True)
-    tied_values = set(uniq[counts > 1].tolist())
-    sig = None if sigma is None else np.asarray(sigma, dtype=float)
-    entries = tuple(
-        RValueEntry(
-            id=ids[i],
-            x=float(xs[i]),
-            sigma=None if sig is None else float(sig[i]),
-            r=float(r[i]),
-            r_prime=float(r_prime[i]),
-            tied=bool(math.isfinite(r[i]) and r[i] in tied_values),
-        )
-        for i in range(m)
-    )
+    uniq, counts = np.unique(r[ranked], return_counts=True)
     return RValueTable(
         definition=definition,
         grid_resolution=resolution,
         n_grid=n_grid,
-        entries=entries,
+        ids=list(ids),
+        x=np.asarray(x, dtype=float),
+        sigma=None if sigma is None else np.asarray(sigma, dtype=float),
+        r=r,
+        r_prime=r_prime,
+        tied=np.isin(r, uniq[counts > 1]),
     )
 
 

@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "Group",
     "ThresholdPair",
-    "TraceStep",
     "SelectionResult",
     "classify_groups",
     "score_arrays",
@@ -60,8 +59,9 @@ class ThresholdPair:
             if math.isnan(v):
                 raise ValueError(f"{name} must not be NaN")
 
-    # np.tanh, as in score_arrays, so a cutoff and a unit's reported s
-    # agree bit for bit (math.tanh can differ in the last place).
+    # np.tanh, as for the s column of selection.csv, so a cutoff and a
+    # unit's reported s agree bit for bit (math.tanh can differ in the last
+    # place).
     @property
     def c1(self) -> float:
         return float(np.tanh(self.t1))
@@ -71,23 +71,15 @@ class ThresholdPair:
         return float(np.tanh(self.t2))
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    """One audit record: what happened, to which unit, and the running state."""
-
-    kind: str
-    unit: int | None
-    etp_star: float
-    capacity: float
-
-
 @dataclass(eq=False)
 class SelectionResult:
     """Decisions plus realized modified power, final budget and audit trail.
 
     The step-wise rule keeps its prefix curve; ``trace`` is replayed from it
     on first access, so callers that only need the decisions pay nothing
-    for the audit trail.
+    for the audit trail. Each trace step is a dict ``{"step", "unit",
+    "etp_star", "capacity"}``: what happened, to which unit (None at a
+    checkpoint), and the running modified power and budget.
     """
 
     decisions: np.ndarray
@@ -118,15 +110,7 @@ class SelectionResult:
             "selected_ids": selected_ids,
             "etp_star": self.etp_star_realized,
             "capacity": self.capacity_final,
-            "trace": [
-                {
-                    "step": st.kind,
-                    "unit": None if st.unit is None else int(st.unit),
-                    "etp_star": st.etp_star,
-                    "capacity": st.capacity,
-                }
-                for st in self.trace
-            ],
+            "trace": self.trace,
         }
 
 
@@ -159,11 +143,11 @@ def classify_groups(x, clfdr, mu0: float, alpha: float) -> np.ndarray:
     ).astype(np.int8)
 
 
-def score_arrays(x, clfdr, mu0: float, alpha: float):
-    """Value-to-cost ratio t and its bounded transform s = tanh(t).
+def score_arrays(x, clfdr, mu0: float, alpha: float) -> np.ndarray:
+    """Value-to-cost ratio t = (x - mu0) / (clfdr - alpha).
 
     Where clfdr equals alpha exactly, t is +inf for x > mu0, -inf for
-    x < mu0 and 0 at x = mu0; tanh maps the infinities to +-1.
+    x < mu0 and 0 at x = mu0.
     """
     xs = np.asarray(x, dtype=float)
     cl = _check_ratio(clfdr, "clfdr")
@@ -171,8 +155,7 @@ def score_arrays(x, clfdr, mu0: float, alpha: float):
     den = cl - alpha
     zero = den == 0.0
     safe = np.where(zero, 1.0, den)
-    t = np.where(zero, np.where(num > 0, np.inf, np.where(num < 0, -np.inf, 0.0)), num / safe)
-    return t, np.tanh(t)
+    return np.where(zero, np.where(num > 0, np.inf, np.where(num < 0, -np.inf, 0.0)), num / safe)
 
 
 def _ordered(indices, t, x, descending_t: bool):
@@ -226,7 +209,7 @@ def _curve(x, clfdr, alpha: float, mu0: float) -> _Curve:
     cl = _check_ratio(clfdr, "clfdr")
     if xs.shape != cl.shape or xs.ndim != 1:
         raise ValueError("x and clfdr must be one-dimensional and of equal length")
-    t, _ = score_arrays(xs, cl, mu0, alpha)
+    t = score_arrays(xs, cl, mu0, alpha)
     grp = classify_groups(xs, cl, mu0, alpha)
 
     g0 = np.flatnonzero(grp == Group.G0)
@@ -263,27 +246,29 @@ def _curve(x, clfdr, alpha: float, mu0: float) -> _Curve:
 
 
 def _trace(c: _Curve) -> list:
-    """Replays the step-wise rule along its curve as audit records.
+    """Replays the step-wise rule along its curve as trace rows (dicts).
 
     Running sums accumulate unit by unit in the order the rule visits the
     units; the stored checkpoints are the curve's own values at each b.
     """
     x, cl, alpha, mu0 = c.x, c.clfdr, c.alpha, c.mu0
-    trace: list[TraceStep] = []
+    trace: list[dict] = []
     if x.size == 0:
         return trace
     running_etp = 0.0
     running_cap = 0.0
 
+    def step(kind: str, unit, etp_star, capacity):
+        trace.append({"step": kind, "unit": unit, "etp_star": etp_star, "capacity": capacity})
+
     def checkpoint(kind: str, b: int):
         a = int(c.a_of_b[b])
-        capacity = float(c.cap_b[b]) - float(c.cost1[a])
-        trace.append(TraceStep(kind, None, float(c.etp_b[b]), capacity))
+        step(kind, None, float(c.etp_b[b]), float(c.cap_b[b]) - float(c.cost1[a]))
 
     for i in c.g0:
         running_etp += x[i] - mu0
         running_cap += alpha - cl[i]
-        trace.append(TraceStep("seed_group0", int(i), running_etp, running_cap))
+        step("seed_group0", int(i), running_etp, running_cap)
 
     def refill(b: int):
         nonlocal running_etp, running_cap
@@ -291,7 +276,7 @@ def _trace(c: _Curve) -> list:
         for i in c.g1[a_from : int(c.a_of_b[b])]:
             running_etp += x[i] - mu0
             running_cap -= cl[i] - alpha
-            trace.append(TraceStep("add_group1", int(i), running_etp, running_cap))
+            step("add_group1", int(i), running_etp, running_cap)
         checkpoint("store_etp", b)
 
     def buy(b: int):
@@ -299,7 +284,7 @@ def _trace(c: _Curve) -> list:
         nxt = int(c.g2[b - 1])
         running_etp += x[nxt] - mu0
         running_cap += alpha - cl[nxt]
-        trace.append(TraceStep("add_group2", nxt, running_etp, running_cap))
+        step("add_group2", nxt, running_etp, running_cap)
         refill(b)
 
     refill(0)
@@ -313,11 +298,11 @@ def _trace(c: _Curve) -> list:
         for i in c.g1[c.a_star : int(c.a_of_b[b])][::-1]:
             running_etp -= x[i] - mu0
             running_cap += cl[i] - alpha
-            trace.append(TraceStep("rollback_group1", int(i), running_etp, running_cap))
+            step("rollback_group1", int(i), running_etp, running_cap)
         nxt = int(c.g2[b - 1])
         running_etp -= x[nxt] - mu0
         running_cap -= alpha - cl[nxt]
-        trace.append(TraceStep("rollback_group2", nxt, running_etp, running_cap))
+        step("rollback_group2", nxt, running_etp, running_cap)
     checkpoint(f"stop_{c.stop}", c.b_star)
     return trace
 
@@ -452,7 +437,7 @@ def select_oracle(x, clfdr, thresholds: ThresholdPair, alpha: float, mu0: float)
     """
     _check_alpha(alpha)
     xs = np.asarray(x, dtype=float)
-    t, _ = score_arrays(xs, clfdr, mu0, alpha)
+    t = score_arrays(xs, clfdr, mu0, alpha)
     cl = np.asarray(clfdr, dtype=float)
     grp = classify_groups(xs, cl, mu0, alpha)
     sel = (

@@ -79,16 +79,14 @@ def classify_group(x, clfdr, mu0, alpha):
 
 
 def score(x, clfdr, mu0, alpha):
-    """Scalar oracle of ``score_arrays``: (t, tanh(t)) of one unit."""
+    """Scalar oracle of ``score_arrays``: the score t of one unit."""
     if not 0.0 <= clfdr <= 1.0:
         raise ValueError("clfdr must lie in [0, 1]")
     num = x - mu0
     den = clfdr - alpha
     if den == 0.0:
-        t = math.inf if num > 0 else (-math.inf if num < 0 else 0.0)
-    else:
-        t = num / den
-    return t, math.tanh(t)
+        return math.inf if num > 0 else (-math.inf if num < 0 else 0.0)
+    return num / den
 
 
 def enumerate_prefix_best(x, clfdr, alpha, mu0, tol=1e-12):

@@ -309,7 +309,7 @@ def test_criterion_8_pcer_reduction():
     grid = np.unique(np.concatenate([p, np.geomspace(1e-5, 0.999, 50)]))
     grid = grid[(grid > 0) & (grid < 1)]
     table = rvalue_vary_alpha(list(range(300)), x, lambda a: p <= a, grid)
-    r = np.array([e.r for e in table.entries])
+    r = table.r
     exact = np.array_equal(r, p)
     _report(
         "criterion 8 p-value reduction",

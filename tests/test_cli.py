@@ -10,13 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hetsel import __version__, classify_groups, fit_prior, score_arrays
-from hetsel.cli import (
-    IngestRecord,
-    ayp_standard_error,
-    main,
-    read_records,
-    trim_by_se_percentile,
-)
+from hetsel.cli import ayp_standard_error, main, read_records, trim_by_se_percentile
 
 
 def _write_direct_csv(path, rows):
@@ -56,38 +50,40 @@ class TestAypStandardError:
 
 
 class TestTrim:
-    def _records(self, sigmas):
-        return [IngestRecord(str(i), 0.0, s) for i, s in enumerate(sigmas)]
+    def _columns(self, sigmas):
+        sigma = np.asarray(sigmas, dtype=float)
+        return [str(i) for i in range(sigma.size)], np.arange(sigma.size, dtype=float), sigma
 
     def test_identity(self):
-        recs = self._records([1.0, 2.0, 3.0])
-        assert trim_by_se_percentile(recs, 0.0, 1.0) == recs
+        ids, x, sigma = self._columns([1.0, 2.0, 3.0])
+        kept = trim_by_se_percentile(ids, x, sigma, 0.0, 1.0)
+        assert kept[0] == ids
+        assert np.array_equal(kept[1], x) and np.array_equal(kept[2], sigma)
 
     def test_hundred_distinct_keeps_98(self):
-        recs = self._records(np.linspace(1, 100, 100))
-        kept = trim_by_se_percentile(recs, 0.01, 0.99)
-        assert len(kept) == 98
+        ids, x, sigma = self._columns(np.linspace(1, 100, 100))
+        kept_ids, kept_x, kept_sigma = trim_by_se_percentile(ids, x, sigma, 0.01, 0.99)
+        assert len(kept_ids) == kept_x.size == kept_sigma.size == 98
 
     def test_constant_sigma_keeps_all(self):
-        recs = self._records([2.0] * 10)
-        assert len(trim_by_se_percentile(recs, 0.01, 0.99)) == 10
+        kept_ids, _, _ = trim_by_se_percentile(*self._columns([2.0] * 10), 0.01, 0.99)
+        assert len(kept_ids) == 10
 
     def test_everything_trimmed(self):
-        recs = self._records([1.0, 2.0])
         with pytest.raises(ValueError):
-            trim_by_se_percentile(recs, 0.4, 0.6)
+            trim_by_se_percentile(*self._columns([1.0, 2.0]), 0.4, 0.6)
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
-            trim_by_se_percentile(self._records([1.0]), 0.5, 0.5)
+            trim_by_se_percentile(*self._columns([1.0]), 0.5, 0.5)
 
 
 class TestIngestion:
     def test_direct_layout(self, tmp_path):
         path = tmp_path / "d.csv"
         _write_direct_csv(path, [["a", "1.5", "0.3"]])
-        recs = read_records(path)
-        assert recs == [IngestRecord("a", 1.5, 0.3)]
+        ids, x, sigma = read_records(path)
+        assert (ids, x.tolist(), sigma.tolist()) == (["a"], [1.5], [0.3])
 
     def test_ayp_layout(self, tmp_path):
         path = tmp_path / "ayp.csv"
@@ -95,9 +91,9 @@ class TestIngestion:
             writer = csv.writer(fh)
             writer.writerow(["id", "y", "y_prime", "n", "n_prime"])
             writer.writerow(["s1", "0.5", "0.5", "100", "100"])
-        recs = read_records(path)
-        assert recs[0].x == 0.0
-        assert_allclose(recs[0].sigma, math.sqrt(0.005))
+        _, x, sigma = read_records(path)
+        assert x[0] == 0.0
+        assert_allclose(sigma[0], math.sqrt(0.005))
 
     def test_error_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -137,12 +133,11 @@ class TestSelectCommand:
             ]
         )
         assert code == 0
-        original = read_records(direct_csv)
-        back = read_records(out / "selection.csv")
+        ids, x_in, sigma_in = read_records(direct_csv)
+        back_ids, back_x, back_sigma = read_records(out / "selection.csv")
         # Bit-exact round trip of (id, x, sigma) through the output CSV.
-        assert [(r.id, r.x, r.sigma) for r in back] == [
-            (r.id, r.x, r.sigma) for r in original
-        ]
+        assert back_ids == ids
+        assert back_x.tolist() == x_in.tolist() and back_sigma.tolist() == sigma_in.tolist()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["tool"]["version"] == __version__
         assert summary["config"]["alpha"] == 0.1
@@ -153,7 +148,7 @@ class TestSelectCommand:
         result = json.loads((out / "selection_result.json").read_text())
         assert result["schema"] == "hetsel/selection-result/v1"
         csv_selected = {
-            r.id for r, flag in zip(original, _selected_flags(out / "selection.csv")) if flag
+            uid for uid, flag in zip(ids, _selected_flags(out / "selection.csv")) if flag
         }
         assert set(result["selected_ids"]) == csv_selected
         # The s and group columns are those of a fresh scoring of the
@@ -162,7 +157,7 @@ class TestSelectCommand:
             rows = list(csv.DictReader(fh))
         x = np.array([float(r["x"]) for r in rows])
         clfdr = np.array([float(r["clfdr"]) for r in rows])
-        _, s = score_arrays(x, clfdr, 0.0, 0.1)
+        s = np.tanh(score_arrays(x, clfdr, 0.0, 0.1))
         assert [r["s"] for r in rows] == [repr(float(v)) for v in s]
         labels = classify_groups(x, clfdr, 0.0, 0.1)
         assert [r["group"] for r in rows] == [str(int(v)) for v in labels]
@@ -180,8 +175,8 @@ class TestSelectCommand:
             ["select", "--input", str(direct_csv), "--output", str(out), "--mu0", "0"]
         ) == 0
         block = json.loads((out / "summary.json").read_text())["fit"]["0"]
-        records = read_records(direct_csv)
-        fit = fit_prior([r.x for r in records], [r.sigma for r in records])
+        _, x, sigma = read_records(direct_csv)
+        fit = fit_prior(x, sigma)
         assert block == {
             "objective": fit.objective,
             "kkt_gap": fit.kkt_gap,
@@ -206,7 +201,7 @@ class TestSelectCommand:
 
 
     def test_unfittable_sigma_group_is_named(self, direct_csv, tmp_path, capsys):
-        sigma = sorted(r.sigma for r in read_records(direct_csv))
+        sigma = sorted(read_records(direct_csv)[2].tolist())
         cut = (sigma[-2] + sigma[-1]) / 2
         code = main(
             [
@@ -244,6 +239,35 @@ def test_non_finite_flag_is_usage_error(argv, flag, direct_csv, tmp_path, capsys
     err = capsys.readouterr().err
     assert f"error: {flag} " in err and "must be finite" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, table",
+    [
+        (["select", "--mu0", "0"], "selection.csv"),
+        (["rvalue", "--definition", "mu0", "--alpha", "0.1", "--grid-points", "20"],
+         "rvalues.csv"),
+    ],
+)
+def test_trim_keeps_rows_in_step(argv, table, direct_csv, tmp_path):
+    # The written (id, x, sigma) rows must be exactly the input rows whose
+    # sigma lies within the trim percentiles, in input order and bit-exact.
+    with open(direct_csv, newline="") as fh:
+        rows = [(r["id"], float(r["x"]), float(r["sigma"])) for r in csv.DictReader(fh)]
+    sigma = np.array([r[2] for r in rows])
+    lo, hi = np.quantile(sigma, [0.1, 0.9])
+    kept = [r for r in rows if lo <= r[2] <= hi]
+    assert 0 < len(kept) < len(rows)
+    cut = float(np.median([r[2] for r in kept]))
+    out = tmp_path / "o"
+    code = main(
+        argv + ["--input", str(direct_csv), "--output", str(out),
+                "--trim", "0.1,0.9", "--sigma-split", repr(cut)]
+    )
+    assert code == 0
+    with open(out / table, newline="") as fh:
+        written = [(r["id"], float(r["x"]), float(r["sigma"])) for r in csv.DictReader(fh)]
+    assert written == kept
 
 
 def _selected_flags(path):
@@ -397,6 +421,23 @@ def test_simulate_rejects_non_finite_parameter(design, param, tmp_path, capsys):
     err = json.loads(captured.err)["error"]
     assert err["type"] == "ValueError"
     assert err["message"].startswith(f"{param} must ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "design", [["two-component", "--sigma2", "2"], ["uniform", "--sigma-max", "3"],
+               ["correlated", "--sigma", "1"]],
+)
+def test_simulate_rejects_zero_units(design, tmp_path, capsys):
+    out = tmp_path / "sim"
+    code = main(
+        ["simulate", "--design", *design, "--m", "0", "--reps", "1",
+         "--oracle-nmc", "100000", "--output", str(out)]
+    )
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ValueError"
+    assert err["message"].startswith("m must be")
     assert not out.exists()
 
 

@@ -37,7 +37,7 @@ class TestVaryAlpha:
         table = rvalue_vary_alpha(
             list(range(p.size)), 1 - p, lambda a: p <= a, grid
         )
-        assert np.array_equal(np.array([e.r for e in table.entries]), p)
+        assert np.array_equal(table.r, p)
 
     def test_never_selected_gets_sentinel(self):
         x = np.array([2.0, -1.0])
@@ -48,9 +48,9 @@ class TestVaryAlpha:
         )
         # The first unit enters once its clfdr fits the budget: the first
         # grid level at or above 0.05 turns it into a group-0 selection.
-        assert table.entries[0].r == grid[grid >= 0.05].min()
-        assert table.entries[1].r == math.inf
-        assert math.isnan(table.entries[1].r_prime)
+        assert table.r[0] == grid[grid >= 0.05].min()
+        assert table.r[1] == math.inf
+        assert math.isnan(table.r_prime[1])
 
     def test_refinement_never_increases_r(self):
         x, sigma = _instance(5, 150)
@@ -58,8 +58,8 @@ class TestVaryAlpha:
         coarse = default_alpha_grid(25)
         fine = np.unique(np.concatenate([coarse, default_alpha_grid(73)]))
         ev = dd_alpha_evaluator(x, cl, 0.0)
-        r_coarse = np.array([e.r for e in rvalue_vary_alpha(range(150), x, ev, coarse).entries])
-        r_fine = np.array([e.r for e in rvalue_vary_alpha(range(150), x, ev, fine).entries])
+        r_coarse = rvalue_vary_alpha(range(150), x, ev, coarse).r
+        r_fine = rvalue_vary_alpha(range(150), x, ev, fine).r
         assert np.all(r_fine <= r_coarse + 1e-15)
 
     def test_grid_validation(self):
@@ -84,8 +84,8 @@ class TestVaryMu0:
             return np.array([mu0 <= x[0] - 1.0])
 
         table = rvalue_vary_mu0([7], x, rule, grid)
-        assert table.entries[0].r == grid[grid <= 3.0].max()
-        assert table.entries[0].r_prime == 1.0
+        assert table.r[0] == grid[grid <= 3.0].max()
+        assert table.r_prime[0] == 1.0
 
     def test_two_units_rank_order(self):
         x = np.array([5.0, 1.0])
@@ -95,9 +95,8 @@ class TestVaryMu0:
             return np.array([mu0 <= 4.0, mu0 <= 0.5])
 
         table = rvalue_vary_mu0(["hi", "lo"], x, rule, grid)
-        assert table.entries[0].r_prime == 0.5
-        assert table.entries[1].r_prime == 1.0
-        assert table.entries[0].r > table.entries[1].r
+        assert table.r_prime.tolist() == [0.5, 1.0]
+        assert table.r[0] > table.r[1]
 
     def test_refinement_never_decreases_r(self):
         x, sigma = _instance(6, 120)
@@ -108,8 +107,8 @@ class TestVaryMu0:
         ev = dd_mu0_evaluator(x, clfdr_fn, 0.1)
         coarse = default_mu0_grid(x, 20)
         fine = np.unique(np.concatenate([coarse, default_mu0_grid(x, 59)]))[::-1]
-        r_coarse = np.array([e.r for e in rvalue_vary_mu0(range(120), x, ev, coarse).entries])
-        r_fine = np.array([e.r for e in rvalue_vary_mu0(range(120), x, ev, fine).entries])
+        r_coarse = rvalue_vary_mu0(range(120), x, ev, coarse).r
+        r_fine = rvalue_vary_mu0(range(120), x, ev, fine).r
         assert np.all(r_fine >= r_coarse - 1e-15)
 
     def test_row_shuffle_only_permutes_the_table(self):
@@ -135,12 +134,10 @@ class TestVaryMu0:
 
         base = table(np.arange(1000))
         shuffled = table(perm)
-        assert [e.id for e in shuffled.entries] == perm.tolist()
-        assert sum(e.tied for e in base.entries) > 100
-        np.testing.assert_array_equal(
-            [(e.r, e.r_prime, e.tied) for e in shuffled.entries],
-            [(base.entries[i].r, base.entries[i].r_prime, base.entries[i].tied) for i in perm],
-        )
+        assert shuffled.ids == perm.tolist()
+        assert base.tied.sum() > 100
+        for column in ("r", "r_prime", "tied"):
+            np.testing.assert_array_equal(getattr(shuffled, column), getattr(base, column)[perm])
 
     def test_descending_grid_required(self):
         with pytest.raises(ValueError):
@@ -154,10 +151,9 @@ class TestVaryMu0:
             return np.array([True, True, mu0 <= 0.5])
 
         table = rvalue_vary_mu0(list("abc"), x, rule, grid)
-        assert table.entries[0].tied and table.entries[1].tied
-        assert not table.entries[2].tied
+        assert table.tied.tolist() == [True, True, False]
         # Without scores the tie breaks by input position.
-        assert table.entries[0].r_prime < table.entries[1].r_prime
+        assert table.r_prime[0] < table.r_prime[1]
 
     def test_top20_by_rvalue_skews_to_larger_effects(self):
         # Seeded qualitative check: the r-value ranking prefers larger
@@ -174,7 +170,7 @@ class TestVaryMu0:
             default_mu0_grid(x, 150),
             sigma=sigma,
         )
-        rp = np.array([e.r_prime for e in table.entries])
+        rp = table.r_prime
         _, p = zvalue_pvalue(x, sigma, 0.0)
         top_r = np.argsort(np.where(np.isnan(rp), 2.0, rp))[:20]
         top_p = np.argsort(p)[:20]

@@ -47,18 +47,18 @@ class TestClassify:
 
 class TestScore:
     def test_hand_value(self):
-        t, s = score_arrays([1.0], [0.6], 0.0, 0.1)
+        t = score_arrays([1.0], [0.6], 0.0, 0.1)
         assert_allclose(t[0], 2.0)
-        assert_allclose(s[0], math.tanh(2.0), rtol=0, atol=1e-15)
+        assert_allclose(np.tanh(t[0]), math.tanh(2.0), rtol=0, atol=1e-15)
 
     def test_zero_numerator(self):
-        t, s = score_arrays([0.5], [0.3], 0.5, 0.1)
-        assert (t[0], s[0]) == (0.0, 0.0)
+        t = score_arrays([0.5], [0.3], 0.5, 0.1)
+        assert (t[0], np.tanh(t[0])) == (0.0, 0.0)
 
     def test_boundary_infinite(self):
-        t, s = score_arrays([1.0, -1.0], [0.1, 0.1], 0.0, 0.1)
+        t = score_arrays([1.0, -1.0], [0.1, 0.1], 0.0, 0.1)
         assert t.tolist() == [math.inf, -math.inf]
-        assert s.tolist() == [1.0, -1.0]
+        assert np.tanh(t).tolist() == [1.0, -1.0]
 
     def test_invalid_clfdr(self):
         with pytest.raises(ValueError):
@@ -70,11 +70,11 @@ class TestScore:
         rng = np.random.default_rng(11)
         x = np.round(rng.normal(size=200), 1)
         cl = np.round(rng.random(200), 1)  # hits clfdr == alpha exactly
-        t, s = score_arrays(x, cl, 0.2, 0.3)
+        t = score_arrays(x, cl, 0.2, 0.3)
         for i in range(200):
-            t_ref, s_ref = score(x[i], cl[i], 0.2, 0.3)
+            t_ref = score(x[i], cl[i], 0.2, 0.3)
             assert t[i] == t_ref
-            assert_allclose(s[i], s_ref, rtol=0, atol=1e-15)
+            assert_allclose(np.tanh(t[i]), math.tanh(t_ref), rtol=0, atol=1e-15)
 
 
 class TestSelectDD:
@@ -84,7 +84,7 @@ class TestSelectDD:
         res = select_dd([2.0, 3.0, 0.5, -1.0], [0.05, 0.2, 0.12, 0.02], 0.1, 0.0)
         assert sorted(res.selected_indices.tolist()) == [0, 1, 2, 3]
         assert_allclose(res.etp_star_realized, 4.5)
-        kinds = [st.kind for st in res.trace]
+        kinds = [st["step"] for st in res.trace]
         assert kinds[0] == "seed_group0"
         assert "add_group2" in kinds
         assert kinds.count("add_group1") == 2
@@ -121,8 +121,8 @@ class TestSelectDD:
             res = select_dd(x, cl, alpha, 0.0)
             assert res.capacity_final >= -1e-9
             for st in res.trace:
-                if st.kind in ("store_etp", "stop_power_decline"):
-                    assert st.capacity >= -1e-9
+                if st["step"] in ("store_etp", "stop_power_decline"):
+                    assert st["capacity"] >= -1e-9
 
     def test_prefix_structure(self):
         rng = np.random.default_rng(3)
@@ -131,7 +131,7 @@ class TestSelectDD:
             alpha = float(rng.uniform(0.1, 0.4))
             res = select_dd(x, cl, alpha, 0.0)
             sel = set(res.selected_indices.tolist())
-            t, _ = score_arrays(x, cl, 0.0, alpha)
+            t = score_arrays(x, cl, 0.0, alpha)
             groups = classify_groups(x, cl, 0.0, alpha)
             for grp, descending in ((Group.G1, True), (Group.G2, False)):
                 members = np.flatnonzero(groups == grp).tolist()
@@ -149,10 +149,10 @@ class TestSelectDD:
             res = select_dd(x, cl, alpha, 0.0)
             picked = set()
             for st in res.trace:
-                if st.kind in ("seed_group0", "add_group1", "add_group2"):
-                    picked.add(st.unit)
-                elif st.kind in ("rollback_group1", "rollback_group2"):
-                    picked.remove(st.unit)
+                if st["step"] in ("seed_group0", "add_group1", "add_group2"):
+                    picked.add(st["unit"])
+                elif st["step"] in ("rollback_group1", "rollback_group2"):
+                    picked.remove(st["unit"])
             assert picked == set(res.selected_indices.tolist())
 
     def test_not_nested_in_alpha(self):
@@ -279,7 +279,7 @@ class TestThresholds:
 
 class TestSelectOracle:
     def test_strict_inequality_at_cutoff(self):
-        t, _ = score_arrays([1.0], [0.6], 0.0, 0.1)
+        t = score_arrays([1.0], [0.6], 0.0, 0.1)
         pair = ThresholdPair(t1=float(t[0]), t2=-math.inf)
         res = select_oracle([1.0], [0.6], pair, 0.1, 0.0)
         assert res.n_selected == 0
@@ -300,7 +300,7 @@ class TestSelectOracle:
         # Scores tanh-saturate at t around 19; the pair must still separate
         # units by their value-to-cost ratio.
         x, cl = [30.0, 25.0], [0.2, 0.2]
-        _, s = score_arrays(x, cl, 0.0, 0.1)
+        s = np.tanh(score_arrays(x, cl, 0.0, 0.1))
         assert s.tolist() == [1.0, 1.0]
         pair = ThresholdPair(t1=280.0, t2=-math.inf)
         res = select_oracle(x, cl, pair, 0.1, 0.0)
@@ -309,7 +309,8 @@ class TestSelectOracle:
     def test_tanh_collision_below_saturation(self):
         # t = 18.967 lies above the cutoff 18.895, but both map to the same
         # s = 0.9999999999999999 < 1.0, so a comparison on s drops the unit.
-        t, s = score_arrays([1.8967], [0.2], 0.0, 0.1)
+        t = score_arrays([1.8967], [0.2], 0.0, 0.1)
+        s = np.tanh(t)
         pair = ThresholdPair(t1=18.895, t2=-math.inf)
         assert t[0] > pair.t1 and s[0] == pair.c1 == 0.9999999999999999
         res = select_oracle([1.8967], [0.2], pair, 0.1, 0.0)
