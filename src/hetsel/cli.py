@@ -70,7 +70,7 @@ class RunConfig:
     k: int = 50
     seed: int = 0  # simulate only: master seed of the replication streams
     reps: int = 10
-    sigma_split: tuple = ()
+    sigma_split: tuple = ()  # ascending, distinct sigma cuts
     trim: tuple | None = None
     definition: str = "mu0"
     grid_points: int = 200
@@ -79,7 +79,6 @@ class RunConfig:
     sigma_max: float | None = None
     sigma: float | None = None
     m: int | None = None
-    oracle_n_mc: int = 10 ** 6
 
 
 def ayp_standard_error(y: float, y_prime: float, n: int, n_prime: int) -> float:
@@ -169,9 +168,11 @@ def read_records(path):
 
 
 def _group_ids(sigma: np.ndarray, cuts) -> np.ndarray:
+    """Fit group of each unit: the number of (ascending) cuts at or below
+    its sigma."""
     if not cuts:
         return np.zeros(sigma.size, dtype=int)
-    return np.digitize(sigma, np.asarray(sorted(cuts), dtype=float))
+    return np.digitize(sigma, np.asarray(cuts, dtype=float))
 
 
 def _envelope(kind: str, config: RunConfig, extra: dict | None = None) -> dict:
@@ -347,7 +348,7 @@ def _cmd_simulate(config: RunConfig) -> int:
         reps=config.reps,
         master_seed=config.seed,
     )
-    report = run_replications(design, k=config.k, oracle_n_mc=config.oracle_n_mc)
+    report = run_replications(design, k=config.k)
     os.makedirs(config.output, exist_ok=True)
     _write_json(
         os.path.join(config.output, "report.json"),
@@ -461,10 +462,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--mu0", type=float, default=None)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--grid-size", type=int, default=50, dest="k")
-    p_sim.add_argument(
-        "--oracle-nmc", type=int, default=10 ** 6, dest="oracle_n_mc",
-        help="Monte Carlo draws for the oracle cutoff calibration",
-    )
     return parser
 
 
@@ -482,11 +479,15 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     sigma_split = ()
     if getattr(args, "sigma_split", ""):
         sigma_split = tuple(
-            float(v) for v in args.sigma_split.split(",") if v.strip()
+            sorted(float(v) for v in args.sigma_split.split(",") if v.strip())
         )
         if not all(math.isfinite(v) for v in sigma_split):
             raise ValueError(
                 f"--sigma-split cuts must be finite, got {args.sigma_split}"
+            )
+        if len(set(sigma_split)) < len(sigma_split):
+            raise ValueError(
+                f"--sigma-split cuts must be distinct, got {args.sigma_split}"
             )
     trim = None
     if getattr(args, "trim", ""):
@@ -509,7 +510,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         sigma_max=getattr(args, "sigma_max", None),
         sigma=getattr(args, "sigma", None),
         m=getattr(args, "m", None),
-        oracle_n_mc=getattr(args, "oracle_n_mc", 10 ** 6),
     )
 
 

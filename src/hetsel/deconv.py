@@ -55,7 +55,8 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _KERNEL_BLOCK_PAIRS = 2 ** 18
 # Units per JointModel.clfdr block: the oracle's dozen or so temporaries of
 # 2**16 doubles (512 kB each) stay near the cache instead of streaming
-# through memory at n_mc = 1e6. 2**16 and 2**18 measured equally fast.
+# through memory on a large replicate (measured at 1e6 units, where 2**16
+# and 2**18 were equally fast).
 _ORACLE_BLOCK_UNITS = 2 ** 16
 # Binned kernel_marginals grids, set by its 1e-3 relative-error gate:
 # sigma nodes every h_sigma / 4, x nodes every h_x u / 5 in the bin at
@@ -179,27 +180,6 @@ class FittedPrior:
                 "h_sigma": self.bandwidths.h_sigma,
             }
         return doc
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "FittedPrior":
-        if doc.get("schema") != _PRIOR_FIT_SCHEMA:
-            raise ValueError(
-                f"unsupported prior fit schema {doc.get('schema')!r}; "
-                f"expected {_PRIOR_FIT_SCHEMA!r}"
-            )
-        grid = PriorGrid(**doc["grid"])
-        if not np.array_equal(grid.nodes, np.asarray(doc["nodes"], dtype=float)):
-            raise ValueError("prior fit nodes do not match the grid block")
-        bw = None
-        if "bandwidths" in doc:
-            bw = BandwidthPair(doc["bandwidths"]["h_x"], doc["bandwidths"]["h_sigma"])
-        return cls(
-            grid=grid,
-            weights=np.asarray(doc["weights"], dtype=float),
-            objective=float(doc["objective"]),
-            kkt_gap=float(doc["kkt_gap"]),
-            bandwidths=bw,
-        )
 
 
 def build_grid(xs, k: int = 50) -> PriorGrid:
@@ -587,10 +567,6 @@ class TruePrior:
         object.__setattr__(self, "components", tuple(self.components))
 
     @classmethod
-    def point_masses(cls, locs, weights) -> "TruePrior":
-        return cls(tuple(weights), tuple(PointMass(float(v)) for v in locs))
-
-    @classmethod
     def uniform_mixture(cls, pieces) -> "TruePrior":
         """pieces: iterable of (weight, low, high)."""
         ws, comps = zip(*[(w, UniformInterval(lo, hi)) for w, lo, hi in pieces])
@@ -601,6 +577,37 @@ class TruePrior:
         """pieces: iterable of (weight, mean, sd)."""
         ws, comps = zip(*[(w, NormalComponent(m, s)) for w, m, s in pieces])
         return cls(ws, comps)
+
+    def reach(self, sigma, sds: float):
+        """Per sigma, the x interval (lo, hi) that reaches ``sds`` standard
+        deviations of the marginal beyond every component."""
+        sg = np.asarray(sigma, dtype=float)
+        lo, hi = [], []
+        for comp in self.components:
+            if isinstance(comp, PointMass):
+                left = right = comp.loc
+                sd = sg
+            elif isinstance(comp, UniformInterval):
+                left, right, sd = comp.low, comp.high, sg
+            else:
+                left = right = comp.mean
+                sd = np.hypot(sg, comp.sd)
+            lo.append(left - sds * sd)
+            hi.append(right + sds * sd)
+        return np.min(lo, axis=0), np.max(hi, axis=0)
+
+    def log_masses(self, x, sigma, mu0: float):
+        """(log f0, log f1): the null (mu <= mu0) and non-null parts of the
+        marginal density of x at sigma, summed over the components in log
+        space. x and sigma must have the same shape."""
+        parts = zip(self.weights, self.components)
+        w, comp = next(parts)
+        log_null, log_alt = _component_log_masses(comp, w, x, sigma, mu0)
+        for w, comp in parts:
+            d0, d1 = _component_log_masses(comp, w, x, sigma, mu0)
+            _log_add_into(log_null, d0)
+            _log_add_into(log_alt, d1)
+        return log_null, log_alt
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         which = rng.choice(len(self.components), size=n, p=np.asarray(self.weights))
@@ -715,13 +722,7 @@ def oracle_clfdr(prior: TruePrior, x, sigma, mu0: float):
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     sg = np.atleast_1d(np.asarray(sigma, dtype=float))
     xs, sg = np.broadcast_arrays(xs, sg)
-    parts = zip(prior.weights, prior.components)
-    w, comp = next(parts)
-    log_null, log_alt = _component_log_masses(comp, w, xs, sg, mu0)
-    for w, comp in parts:
-        d0, d1 = _component_log_masses(comp, w, xs, sg, mu0)
-        _log_add_into(log_null, d0)
-        _log_add_into(log_alt, d1)
+    log_null, log_alt = prior.log_masses(xs, sg, mu0)
     out = np.subtract(log_alt, log_null, out=log_alt)
     with np.errstate(over="ignore"):
         np.exp(out, out=out)
@@ -733,7 +734,7 @@ def oracle_clfdr(prior: TruePrior, x, sigma, mu0: float):
 
 
 # ---------------------------------------------------------------------------
-# Sigma laws and the joint (sigma, mu) model used for oracle calibration.
+# Sigma laws and the joint (sigma, mu) model of the simulation designs.
 # ---------------------------------------------------------------------------
 
 
@@ -747,6 +748,10 @@ class ConstantSigma:
 
     def sample(self, rng, n):
         return np.full(n, self.value, dtype=float)
+
+    def nodes(self, n: int, breaks=()):
+        """Quadrature of the law: its one value, with weight 1."""
+        return np.array([float(self.value)]), np.array([1.0])
 
 
 @dataclass(frozen=True)
@@ -762,6 +767,19 @@ class UniformSigma:
 
     def sample(self, rng, n):
         return rng.uniform(self.low, self.high, size=n)
+
+    def nodes(self, n: int, breaks=()):
+        """Quadrature of the law: n Gauss-Legendre nodes on each piece of
+        (low, high) that the points ``breaks`` cut it into, with weights
+        summing to 1."""
+        from numpy.polynomial.legendre import leggauss
+
+        u, w = leggauss(n)
+        edges = np.concatenate(([self.low], np.sort(breaks), [self.high]))
+        half = 0.5 * np.diff(edges)
+        nodes = edges[:-1, None] + half[:, None] * (u + 1.0)
+        weights = half[:, None] * w / (self.high - self.low)
+        return nodes.ravel(), weights.ravel()
 
 
 @dataclass(frozen=True)

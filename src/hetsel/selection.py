@@ -20,6 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .deconv import oracle_clfdr
+
 __all__ = [
     "Group",
     "ThresholdPair",
@@ -407,26 +409,238 @@ def calibrate_thresholds(x, clfdr, alpha: float, mu0: float) -> ThresholdPair:
     return ThresholdPair(t1, t2)
 
 
-def oracle_thresholds(
-    model,
-    alpha: float,
-    mu0: float,
-    n_mc: int = 10 ** 6,
-    seed: int | np.random.SeedSequence = 0,
-) -> ThresholdPair:
-    """Monte Carlo calibration of the oracle cutoffs under a known model.
+# Quadrature of the population cutoffs: Gauss-Legendre nodes per
+# UniformSigma law, x panels of half a sigma with a Chebyshev series of
+# _X_ORDER terms on each, and the marginal cut 12 standard deviations
+# beyond the prior's support, where less than Phi(-12) ~ 2e-33 of its
+# mass lies. Doubling the three counts moves t1 by less than 1e-13.
+_SIGMA_NODES = 32
+_X_ORDER = 16
+_PANELS_PER_SIGMA = 2
+_X_REACH = 12.0
+# Root brackets close to a few ulps in well under this many steps.
+_ROOT_STEPS = 200
+# Points of a sigma law between which _sigma_breaks looks for a crossing.
+_BREAK_SCAN = 64
 
-    ``model`` must provide ``sample(rng, n) -> (x, sigma, mu, group)`` and
-    ``clfdr(x, sigma, group, mu0)``; see ``deconv.JointModel``. Draws n_mc
-    synthetic units, scores them exactly, and runs the empirical curve
-    search of ``calibrate_thresholds``.
+
+def _increasing_root(fn, a, b, fa, fb, scale=0.0):
+    """Elementwise roots of increasing functions on brackets [a, b].
+
+    ``fa`` and ``fb`` are fn at the ends. Where fn keeps one sign on the
+    bracket, the root clamps to the end nearer the root. The Illinois
+    variant of regula falsi shrinks each bracket from both sides until it
+    is a few ulps of max(|a|, |b|, scale) wide.
     """
-    if n_mc < 10 ** 5:
-        raise ValueError("n_mc must be at least 1e5 for a stable calibration")
-    rng = np.random.default_rng(seed)
-    x, sigma, _, group = model.sample(rng, int(n_mc))
-    cl = model.clfdr(x, sigma, group, mu0)
-    return calibrate_thresholds(x, cl, alpha, mu0)
+    a, b, fa, fb = (np.array(v, dtype=float) for v in np.broadcast_arrays(a, b, fa, fb))
+    clamp_lo, clamp_hi = fa >= 0, fb <= 0
+    b = np.where(clamp_lo, a, b)
+    a = np.where(clamp_hi & ~clamp_lo, b, a)
+    live = ~(clamp_lo | clamp_hi)
+    tol = 4 * np.finfo(float).eps * np.maximum(np.maximum(np.abs(a), np.abs(b)), scale)
+    side = np.zeros(a.shape)
+    for _ in range(_ROOT_STEPS):
+        live &= b - a > tol
+        if not live.any():
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = (a * fb - b * fa) / (fb - fa)
+        x = np.where(live & (a < x) & (x < b), x, 0.5 * (a + b))
+        fx = fn(x)
+        left, right = live & (fx < 0), live & (fx > 0)
+        # Illinois: an end kept twice in a row has its value halved.
+        fb = np.where(left & (side < 0), 0.5 * fb, fb)
+        fa = np.where(right & (side > 0), 0.5 * fa, fa)
+        hit = live & (fx == 0)
+        a, fa = np.where(left | hit, x, a), np.where(left, fx, fa)
+        b, fb = np.where(right | hit, x, b), np.where(right, fx, fb)
+        side = np.where(left, -1.0, np.where(right, 1.0, side))
+        live &= ~hit
+    return 0.5 * (a + b)
+
+
+def _sigma_breaks(law, prior, alpha: float, mu0: float):
+    """The sigma values where clfdr(mu0, sigma) = alpha: group 1 starts or
+    ends there, and the integrands over sigma have a kink that a single
+    Gauss-Legendre rule would converge across only slowly. Each is found
+    between two consecutive points of a fine quadrature of the law."""
+    s, _ = law.nodes(_BREAK_SCAN)
+    if s.size < 2:
+        return ()
+
+    def excess(v):
+        return oracle_clfdr(prior, np.full(v.shape, float(mu0)), v, mu0) - alpha
+
+    e = excess(s)
+    cross = np.flatnonzero(e[:-1] * e[1:] < 0)
+    if not cross.size:
+        return ()
+    sign = np.sign(e[cross + 1])
+    lo, hi = s[cross], s[cross + 1]
+    return _increasing_root(
+        lambda v: sign * excess(v), lo, hi, sign * e[cross], sign * e[cross + 1], hi - lo
+    )
+
+
+class _Table:
+    """clfdr and cost density q = (clfdr - alpha) f of a known model, one
+    row per sigma node, as Chebyshev series on equal panels of [a, b].
+
+    Row j covers [max(mu0, lo_j), hi_j], the part of the x reach at or
+    above mu0, where groups 0 and 1 live; ``c0`` is the clfdr at mu0.
+    ``weight`` holds the sigma nodes' probabilities.
+    """
+
+    def __init__(self, model, alpha: float, mu0: float):
+        sigma, weight, lo, hi, blocks = [], [], [], [], []
+        for gw, law, prior in zip(model.group_weights, model.sigma_laws, model.priors):
+            s, w = law.nodes(_SIGMA_NODES, _sigma_breaks(law, prior, alpha, mu0))
+            left, right = prior.reach(s, _X_REACH)
+            first = sum(v.size for v in sigma)
+            blocks.append((slice(first, first + s.size), prior))
+            sigma.append(s)
+            weight.append(gw * w)
+            lo.append(left)
+            hi.append(right)
+        sigma, self.weight, lo, hi = map(np.concatenate, (sigma, weight, lo, hi))
+        self.a = np.maximum(lo, mu0)
+        self.b = np.maximum(hi, self.a + sigma)
+        self.panels = max(1, math.ceil(_PANELS_PER_SIGMA * float(np.max((self.b - self.a) / sigma))))
+        self.h = (self.b - self.a) / self.panels
+        self.rows = np.arange(sigma.size)
+
+        # Chebyshev points of the first kind on each panel, then mu0.
+        k = np.arange(_X_ORDER)
+        theta = np.pi * (k + 0.5) / _X_ORDER
+        offsets = (np.arange(self.panels)[:, None] + 0.5 * (1.0 + np.cos(theta))).ravel()
+        x = self.a[:, None] + self.h[:, None] * offsets
+        x = np.concatenate((x, np.full((sigma.size, 1), float(mu0))), axis=1)
+        log_null, log_alt = np.empty(x.shape), np.empty(x.shape)
+        for rows, prior in blocks:
+            sg = np.broadcast_to(sigma[rows, None], x[rows].shape)
+            log_null[rows], log_alt[rows] = prior.log_masses(x[rows], sg, mu0)
+        with np.errstate(over="ignore"):
+            clfdr = 1.0 / (1.0 + np.exp(log_alt - log_null))
+        f0 = np.exp(log_null)
+        q = f0 - alpha * (f0 + np.exp(log_alt))
+        self.c0 = clfdr[:, -1]
+
+        # Values at the points -> coefficients of the interpolating series.
+        to_series = (2.0 / _X_ORDER) * np.cos(np.outer(theta, k))
+        to_series[:, 0] *= 0.5
+        shape = (sigma.size, self.panels, _X_ORDER)
+        self.clfdr_coef = clfdr[:, :-1].reshape(shape) @ to_series
+        self.q_coef = q[:, :-1].reshape(shape) @ to_series
+        # int_{-1}^{1} T_k = 2 / (1 - k^2) for even k, 0 for odd k; q_tail
+        # holds int of q from each panel's start to b, closed by a zero.
+        whole = np.zeros(_X_ORDER)
+        whole[::2] = 2.0 / (1.0 - k[::2] ** 2)
+        panel_q = 0.5 * self.h[:, None] * (self.q_coef @ whole)
+        self.q_tail = np.concatenate(
+            (np.cumsum(panel_q[:, ::-1], axis=1)[:, ::-1], np.zeros((sigma.size, 1))), axis=1
+        )
+
+    def _locate(self, x):
+        # Panel index and angle: x maps to cos(theta) in [-1, 1] on its panel.
+        pos = (x - self.a) / self.h
+        p = np.clip(np.floor(pos), 0, self.panels - 1).astype(int)
+        return p, np.arccos(np.clip(2.0 * (pos - p) - 1.0, -1.0, 1.0))
+
+    def clfdr(self, x):
+        """The clfdr at one x per node."""
+        p, theta = self._locate(x)
+        terms = np.cos(np.outer(theta, np.arange(_X_ORDER)))
+        return np.einsum("jk,jk->j", terms, self.clfdr_coef[self.rows, p])
+
+    def q_above(self, x):
+        """int_x^b q per node."""
+        p, theta = self._locate(x)
+        # int_{cos theta}^1 T_k = ((1 - cos (k+1) theta) / (k+1)
+        # + (1 - cos (k-1) theta) / (1-k)) / 2; for k = 1 the second term
+        # is 0 / 0 and its limit 0.
+        k = np.arange(_X_ORDER)
+        minus = np.where(k == 1, 1.0, 1.0 - k)
+        part = 0.5 * (
+            (1.0 - np.cos(np.outer(theta, k + 1))) / (k + 1)
+            + (1.0 - np.cos(np.outer(theta, k - 1))) / minus
+        )
+        inside = 0.5 * self.h * np.einsum("jk,jk->j", part, self.q_coef[self.rows, p])
+        return inside + self.q_tail[self.rows, p + 1]
+
+
+def oracle_thresholds(model, alpha: float, mu0: float) -> ThresholdPair:
+    """Population cutoffs of the fixed-cutoff rule under a known model.
+
+    The limit, as the number of units grows, of ``calibrate_thresholds`` on
+    units drawn from ``model`` (a ``deconv.JointModel``) and scored by their
+    exact clfdr, computed by deterministic quadrature. Per unit of
+    population, group 0 frees the budget cap0 = E[(alpha - clfdr) 1{G0}],
+    and the group-1 units scoring above t cost
+    C1(t) = E[(clfdr - alpha) 1{G1, t(x, sigma) > t}]. At fixed sigma the
+    clfdr does not increase in x, so group 1 is the interval
+    [mu0, x_alpha(sigma)) where clfdr(x_alpha) = alpha, and t increases
+    along it. t1 solves C1(t1) = cap0; it is -inf when C1(-inf) <= cap0
+    (group 1 is used up) and +inf when group 1 or group 0 is empty. Over
+    sigma the expectations take one node per ``ConstantSigma`` law and
+    ``_SIGMA_NODES`` Gauss-Legendre nodes per ``UniformSigma`` law, on each
+    side of any sigma where clfdr(mu0, sigma) = alpha; over x, Chebyshev
+    series of the model's closed-form clfdr and density on panels of half
+    a sigma, on which the roots and integrals are solved.
+
+    t2 is -inf. The step-wise walk buys the group-2 units nearest mu0
+    first, and stops at the first purchase whose budget gain, alpha -
+    clfdr(mu0, sigma), with the leftover budget does not fund the next
+    group-1 unit, which costs clfdr - alpha at the cutoff. While the
+    smallest such gain is below the largest such cost, every purchase
+    has a chance of funding nothing, so the walk stops after O(1) units,
+    which carry no population mass. A ratio of 1 or more raises
+    ValueError naming it: every purchase then funds group 1, the walk buys
+    a share of group 2, and no single-cutoff limit exists.
+    """
+    _check_alpha(alpha)
+    tab = _Table(model, alpha, mu0)
+    a, b, c0 = tab.a, tab.b, tab.c0
+    x_alpha = _increasing_root(
+        lambda x: alpha - tab.clfdr(x), a, b, alpha - tab.clfdr(a), alpha - tab.clfdr(b), b - a
+    )
+    c_alpha = tab.clfdr(x_alpha)
+
+    def cut(t):
+        # The group-1 point scoring t at each node: x - mu0 = t (clfdr - alpha).
+        return _increasing_root(
+            lambda x: x - mu0 - t * (tab.clfdr(x) - alpha),
+            a,
+            x_alpha,
+            a - mu0 - t * (tab.clfdr(a) - alpha),
+            x_alpha - mu0 - t * (c_alpha - alpha),
+            b - a,
+        )
+
+    q_alpha = tab.q_above(x_alpha)
+    cap0 = -float(tab.weight @ q_alpha)
+    full = float(tab.weight @ (tab.q_above(a) - q_alpha))
+    if full <= 0.0 or cap0 <= 0.0:
+        return ThresholdPair(math.inf, -math.inf)
+    if full <= cap0:
+        return ThresholdPair(-math.inf, -math.inf)
+
+    # Solved for s = t / (1 + t) in [0, 1], on which C1 falls from full to 0.
+    def excess(s):
+        t = s[0] / (1.0 - s[0])
+        return np.array([cap0 - float(tab.weight @ (tab.q_above(cut(t)) - q_alpha))])
+
+    s1 = float(_increasing_root(excess, [0.0], [1.0], [cap0 - full], [cap0])[0])
+    t1 = s1 / (1.0 - s1)
+    gain2 = alpha - c0[c0 < alpha]
+    if gain2.size:
+        cost1 = tab.clfdr(cut(t1))[x_alpha > a] - alpha
+        ratio = float(gain2.min() / cost1.max())
+        if ratio >= 1.0:
+            raise ValueError(
+                f"group-2 gain to group-1 cost ratio {ratio:.4g} is at least 1: "
+                "every group-2 purchase funds group 1, so no single-cutoff limit exists"
+            )
+    return ThresholdPair(t1, -math.inf)
 
 
 def select_oracle(x, clfdr, thresholds: ThresholdPair, alpha: float, mu0: float) -> SelectionResult:

@@ -14,8 +14,9 @@ Three generative designs are provided:
   on noisier units. Reference level defaults to 1.
 
 Each design's law is stated once, in ``joint_model``: replicates are drawn
-from it and the oracle cutoffs are calibrated on it. Each replication draws
-from an isolated, replayable stream; four methods run on every replicate:
+from it and the oracle cutoffs are the population cutoffs of that law,
+computed by quadrature without random draws. Each replication draws from an
+isolated, replayable stream; four methods run on every replicate:
 the data-driven step-wise procedure (DD), the fixed-cutoff rule with exact
 scores (OR), the clfdr step-up baseline on exact scores, and
 Benjamini-Hochberg on p-values.
@@ -62,10 +63,9 @@ __all__ = [
 
 METHODS = ("DD", "OR", "Clfdr", "BH")
 
-# Stream namespaces under the master seed: replicate r draws from
-# (master, _REP_STREAM, r); the oracle calibration from (master, _CALIB_STREAM).
+# Stream namespace under the master seed: replicate r draws from
+# (master, _REP_STREAM, r). The oracle cutoffs draw nothing.
 _REP_STREAM = 0
-_CALIB_STREAM = 1
 
 
 @dataclass(frozen=True)
@@ -153,13 +153,9 @@ class Replicate:
     seed_key: tuple
 
 
-def _calib_seed(master_seed: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence((master_seed, _CALIB_STREAM))
-
-
 def joint_model(family: Family) -> JointModel:
-    """The design's population law: ``generate`` draws from it and the
-    oracle calibration runs on it."""
+    """The design's population law: ``generate`` draws from it and
+    ``oracle_thresholds`` integrates over it."""
     if isinstance(family, TwoComponent):
         return JointModel(
             (0.5, 0.5),
@@ -335,22 +331,15 @@ def run_replications(
     design: SimDesign,
     *,
     k: int = 50,
-    oracle_n_mc: int = 10 ** 6,
 ) -> ReplicationReport:
     """Runs every replication in order and aggregates the four methods'
     metrics.
 
-    The oracle cutoffs are calibrated once per design from their own stream
-    and shared across replications.
+    The oracle cutoffs are the population cutoffs of the design's law,
+    computed once per design and shared across replications.
     """
     model = joint_model(design.family)
-    thresholds = oracle_thresholds(
-        model,
-        design.alpha,
-        design.mu0,
-        n_mc=oracle_n_mc,
-        seed=_calib_seed(design.master_seed),
-    )
+    thresholds = oracle_thresholds(model, design.alpha, design.mu0)
 
     per_rep = {m: [] for m in METHODS}
     falses = {m: 0 for m in METHODS}
@@ -391,7 +380,6 @@ def run_replications(
         "reps": design.reps,
         "master_seed": design.master_seed,
         "grid_size": k,
-        "oracle_n_mc": oracle_n_mc,
     }
     return ReplicationReport(
         design_label=design.label(),

@@ -16,15 +16,55 @@ from scipy.special import expit, log_ndtr
 from hetsel import (
     BandwidthPair,
     ConstantSigma,
+    FittedPrior,
     Group,
     JointModel,
     NormalComponent,
     PointMass,
+    PriorGrid,
     TruePrior,
     UniformInterval,
     UniformSigma,
+    calibrate_thresholds,
 )
-from hetsel.deconv import _KERNEL_BLOCK_PAIRS, _gauss
+from hetsel.deconv import _KERNEL_BLOCK_PAIRS, _PRIOR_FIT_SCHEMA, _gauss
+
+
+def point_masses(locs, weights) -> TruePrior:
+    """A known prior of point masses at ``locs``."""
+    return TruePrior(tuple(weights), tuple(PointMass(float(v)) for v in locs))
+
+
+def fitted_prior_from_json(doc: dict) -> FittedPrior:
+    """Reads back one ``FittedPrior.to_json_dict`` document."""
+    if doc.get("schema") != _PRIOR_FIT_SCHEMA:
+        raise ValueError(
+            f"unsupported prior fit schema {doc.get('schema')!r}; "
+            f"expected {_PRIOR_FIT_SCHEMA!r}"
+        )
+    grid = PriorGrid(**doc["grid"])
+    if not np.array_equal(grid.nodes, np.asarray(doc["nodes"], dtype=float)):
+        raise ValueError("prior fit nodes do not match the grid block")
+    bw = None
+    if "bandwidths" in doc:
+        bw = BandwidthPair(doc["bandwidths"]["h_x"], doc["bandwidths"]["h_sigma"])
+    return FittedPrior(
+        grid=grid,
+        weights=np.asarray(doc["weights"], dtype=float),
+        objective=float(doc["objective"]),
+        kkt_gap=float(doc["kkt_gap"]),
+        bandwidths=bw,
+    )
+
+
+def oracle_thresholds_mc(model, alpha, mu0, n_mc, seed):
+    """Monte Carlo reference for ``oracle_thresholds``: draws n_mc units
+    from ``model``, scores them by their exact clfdr and runs the empirical
+    curve search of ``calibrate_thresholds``."""
+    rng = np.random.default_rng(seed)
+    x, sigma, _, group = model.sample(rng, int(n_mc))
+    return calibrate_thresholds(x, model.clfdr(x, sigma, group, mu0), alpha, mu0)
+
 
 INSTANCE_FAMILIES = {
     "two-interval": JointModel.independent(
@@ -36,7 +76,7 @@ INSTANCE_FAMILIES = {
         UniformSigma(1.0, 3.0),
     ),
     "point-mass": JointModel.independent(
-        TruePrior.point_masses([-1.0, 0.8, 2.5], [0.3, 0.4, 0.3]),
+        point_masses([-1.0, 0.8, 2.5], [0.3, 0.4, 0.3]),
         UniformSigma(0.5, 2.5),
     ),
     "mixed": JointModel.independent(

@@ -217,6 +217,29 @@ class TestSelectCommand:
         assert message.startswith(f"fit group 1 (1 units, sigma in [{sigma[-1]!r}, ")
 
 
+def test_sigma_split_cuts_are_sorted(direct_csv, tmp_path):
+    # Cuts given in any order fit the same groups, and the config records
+    # them in the order that numbers the groups.
+    docs = []
+    for split in ("2.0,1.2", "1.2,2.0"):
+        out = tmp_path / split
+        argv = ["deconv-fit", "--input", str(direct_csv), "--output", str(out)]
+        assert main(argv + ["--sigma-split", split]) == 0
+        docs.append(json.loads((out / "prior_fit.json").read_text()))
+    assert docs[0] == docs[1]
+    assert docs[0]["config"]["sigma_split"] == [1.2, 2.0]
+    assert sorted(docs[0]["fits"]) == ["0", "1", "2"]
+
+
+def test_duplicate_sigma_split_cut_is_usage_error(direct_csv, tmp_path, capsys):
+    argv = ["deconv-fit", "--input", str(direct_csv), "--output", str(tmp_path / "o")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--sigma-split", "1.5,1.5"])
+    assert exc.value.code == 2
+    assert "error: --sigma-split cuts must be distinct, got 1.5,1.5" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -339,7 +362,6 @@ class TestOtherCommands:
             "--m", "200",
             "--reps", "2",
             "--seed", "7",
-            "--oracle-nmc", "100000",
         ]
         assert main(args + ["--output", str(tmp_path / "s1")]) == 0
         assert main(args + ["--output", str(tmp_path / "s2")]) == 0
@@ -358,7 +380,6 @@ class TestOtherCommands:
             "--m", "200",
             "--reps", "1",
             "--seed", "7",
-            "--oracle-nmc", "100000",
             "--output", str(tmp_path / "s"),
         ]
         assert main(args) == 0
@@ -367,7 +388,15 @@ class TestOtherCommands:
         assert config["master_seed"] == 7
         assert config["mu0"] == 0.0  # the design default, not the unset flag
         assert "sigma_split" in config and "trim" in config
-        assert "threads" not in config
+        assert "threads" not in config and "oracle_n_mc" not in config
+
+    def test_simulate_has_no_monte_carlo_option(self, tmp_path, capsys):
+        # The oracle cutoffs are population quantities; nothing is drawn.
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--design", "uniform", "--sigma-max", "3", "--reps", "1",
+                  "--oracle-nmc", "100000", "--output", str(tmp_path / "s")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --oracle-nmc" in capsys.readouterr().err
 
     def test_simulate_missing_design_flag(self, tmp_path):
         code = main(
@@ -412,8 +441,7 @@ class TestOtherCommands:
 def test_simulate_rejects_non_finite_parameter(design, param, tmp_path, capsys):
     out = tmp_path / "sim"
     code = main(
-        ["simulate", *design, "--m", "200", "--reps", "1", "--oracle-nmc", "100000",
-         "--output", str(out)]
+        ["simulate", *design, "--m", "200", "--reps", "1", "--output", str(out)]
     )
     assert code == 1
     captured = capsys.readouterr()
@@ -432,7 +460,7 @@ def test_simulate_rejects_zero_units(design, tmp_path, capsys):
     out = tmp_path / "sim"
     code = main(
         ["simulate", "--design", *design, "--m", "0", "--reps", "1",
-         "--oracle-nmc", "100000", "--output", str(out)]
+         "--output", str(out)]
     )
     assert code == 1
     err = json.loads(capsys.readouterr().err)["error"]
@@ -454,8 +482,7 @@ runs = [
 codes = [main(argv) for argv in runs]
 before = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 codes.append(main(["simulate", "--design", "uniform", "--sigma-max", "3", "--m", "200",
-                   "--reps", "1", "--seed", "3", "--oracle-nmc", "100000",
-                   "--output", out + "/sim"]))
+                   "--reps", "1", "--seed", "3", "--output", out + "/sim"]))
 print(json.dumps({"codes": codes, "scipy": before, "scipy_after": "scipy" in sys.modules}))
 """
 

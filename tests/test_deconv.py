@@ -14,7 +14,9 @@ from conftest import (
     clfdr_linear,
     kernel_marginal,
     kernel_marginals_exact,
+    fitted_prior_from_json,
     oracle_clfdr_scipy,
+    point_masses,
 )
 from hetsel import (
     BandwidthPair,
@@ -423,11 +425,11 @@ class TestClfdrFromFit:
 
 class TestOracleClfdr:
     def test_point_mass_symmetry(self):
-        prior = TruePrior.point_masses([-1.0, 1.0], [0.5, 0.5])
+        prior = point_masses([-1.0, 1.0], [0.5, 0.5])
         assert_allclose(oracle_clfdr(prior, 0.0, 1.0, 0.0), 0.5)
 
     def test_point_mass_hand_value(self):
-        prior = TruePrior.point_masses([-1.0, 1.0], [0.5, 0.5])
+        prior = point_masses([-1.0, 1.0], [0.5, 0.5])
         expected = math.exp(-2) / (1 + math.exp(-2))
         assert_allclose(oracle_clfdr(prior, 1.0, 1.0, 0.0), expected, rtol=1e-12)
 
@@ -474,7 +476,7 @@ class TestOracleClfdr:
     def test_matches_fitted_prior_on_point_masses(self):
         locs = [-1.5, -0.5, 0.5, 1.5]
         weights = [0.1, 0.4, 0.3, 0.2]
-        prior = TruePrior.point_masses(locs, weights)
+        prior = point_masses(locs, weights)
         grid = PriorGrid(left=-1.5, eta=1.0, k=4)
         fit = FittedPrior(grid=grid, weights=np.array(weights), objective=0.0, kkt_gap=0.0)
         rng = np.random.default_rng(13)
@@ -500,7 +502,7 @@ class TestOracleClfdr:
 
     def test_point_masses_far_left_outlier(self):
         # Both densities underflow at x = -60; the ratio of the sums read 0.
-        prior = TruePrior.point_masses([-1.0, 1.0], [0.5, 0.5])
+        prior = point_masses([-1.0, 1.0], [0.5, 0.5])
         assert oracle_clfdr(prior, -60.0, 1.0, 0.0) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("family", sorted(INSTANCE_FAMILIES))
@@ -519,6 +521,32 @@ SIM_FAMILIES = {
     "uniform": UniformIndep(sigma_max=3.0),
     "correlated": CorrelatedTwoGroup(sigma=1.0),
 }
+
+
+MONOTONE_PRIORS = [
+    (f"{name}[{g}]", prior)
+    for name, model in sorted(INSTANCE_FAMILIES.items())
+    for g, prior in enumerate(model.priors)
+] + [
+    (f"{name}-design[{g}]", prior)
+    for name, family in sorted(SIM_FAMILIES.items())
+    for g, prior in enumerate(joint_model(family).priors)
+]
+
+
+@pytest.mark.parametrize("label, prior", MONOTONE_PRIORS, ids=[k for k, _ in MONOTONE_PRIORS])
+def test_oracle_clfdr_non_increasing_in_x(label, prior):
+    # Monotone likelihood ratio of the normal location family: at fixed
+    # sigma the clfdr never rises with x, which the root-finding of
+    # oracle_thresholds relies on. Checked out to 1e3 sigma on a grid with
+    # no near-duplicate points, up to a rounding rise of 4 ulps.
+    for mu0 in (-1.0, 0.0, 1.0, 6.0):
+        for sigma in (0.05, 0.3, 1.0, 2.5, 10.0):
+            far = np.geomspace(10.0, 1e3 * sigma, 2000)[1:]
+            x = np.concatenate([-far[::-1], np.linspace(-10.0, 10.0, 8001), far])
+            clfdr = oracle_clfdr(prior, x, sigma, mu0)
+            rise = np.diff(clfdr) - 4 * np.finfo(float).eps * clfdr[:-1]
+            assert np.all(rise <= 0.0), (label, mu0, sigma)
 
 
 class TestOracleAgainstScipy:
@@ -599,7 +627,7 @@ class TestFitPriorPipeline:
         sig = rng.uniform(0.5, 1.5, 100)
         fit = fit_prior(xs, sig, k=12)
         doc = fit.to_json_dict()
-        back = FittedPrior.from_json_dict(json.loads(json.dumps(doc)))
+        back = fitted_prior_from_json(json.loads(json.dumps(doc)))
         assert back.grid == fit.grid
         np.testing.assert_array_equal(back.weights, fit.weights)
         assert back.objective == fit.objective
@@ -607,4 +635,4 @@ class TestFitPriorPipeline:
         assert back.bandwidths == fit.bandwidths
         old = dict(doc, schema="hetsel/prior-fit/v1")
         with pytest.raises(ValueError, match="hetsel/prior-fit/v1"):
-            FittedPrior.from_json_dict(old)
+            fitted_prior_from_json(old)

@@ -4,17 +4,24 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import hetsel.selection as selection_module
 from conftest import (
     classify_group,
     coherent_instance,
     enumerate_prefix_best,
+    oracle_thresholds_mc,
+    point_masses,
     score,
     stepup_bh_reference,
     stepup_clfdr_reference,
 )
 from hetsel import (
+    ConstantSigma,
     Group,
+    JointModel,
     ThresholdPair,
+    TruePrior,
+    UniformSigma,
     calibrate_thresholds,
     classify_groups,
     clfdr_stepup_threshold,
@@ -25,7 +32,25 @@ from hetsel import (
     select_dd,
     select_oracle,
 )
-from hetsel.sim import UniformIndep, joint_model
+from hetsel.sim import CorrelatedTwoGroup, TwoComponent, UniformIndep, joint_model
+
+# The three built-in designs at their default mu0 (and the uniform one at
+# mu0 = 1), and the criterion-1 model.
+POPULATION_CASES = {
+    "correlated": (joint_model(CorrelatedTwoGroup(sigma=1.0)), 1.0),
+    "two-component": (joint_model(TwoComponent(sigma2=2.0)), 6.0),
+    "uniform": (joint_model(UniformIndep(sigma_max=3.0)), 0.0),
+    # Some sigma nodes have near-free group-1 units at the cutoff here,
+    # yet no group-2 purchase is sure to fund one: t2 is still -inf.
+    "uniform-mu0-1": (joint_model(UniformIndep(sigma_max=3.0)), 1.0),
+    "criterion-1": (
+        JointModel.independent(
+            TruePrior.uniform_mixture([(0.8, -3.0, -1.0), (0.2, 1.0, 2.0)]),
+            UniformSigma(0.5, 3.0),
+        ),
+        0.0,
+    ),
+}
 
 
 class TestClassify:
@@ -256,17 +281,68 @@ class TestThresholds:
             best = enumerate_prefix_best(x, cl, alpha, 0.0)
             assert chosen.etp_star_realized >= best - 1e-9
 
-    def test_seed_stability(self):
+    def test_population_cutoffs_are_deterministic(self):
         model = joint_model(UniformIndep(sigma_max=3.0, m=1000))
-        a = oracle_thresholds(model, 0.1, 0.0, n_mc=2 * 10 ** 5, seed=1)
-        b = oracle_thresholds(model, 0.1, 0.0, n_mc=2 * 10 ** 5, seed=2)
-        assert abs(a.t1 - b.t1) < 1.0
-        assert a.c2 == b.c2 == -1.0
+        a = oracle_thresholds(model, 0.1, 0.0)
+        b = oracle_thresholds(joint_model(UniformIndep(sigma_max=3.0, m=1000)), 0.1, 0.0)
+        assert (a.t1, a.t2) == (b.t1, b.t2)
+        assert math.isfinite(a.t1) and a.c2 == -1.0
 
-    def test_n_mc_floor(self):
-        model = joint_model(UniformIndep(sigma_max=3.0, m=100))
-        with pytest.raises(ValueError):
-            oracle_thresholds(model, 0.1, 0.0, n_mc=10 ** 4, seed=0)
+    @pytest.mark.parametrize("alpha", [0.1, 0.2])
+    @pytest.mark.parametrize("case", sorted(POPULATION_CASES))
+    def test_doubling_the_quadrature_keeps_t1(self, case, alpha, monkeypatch):
+        model, mu0 = POPULATION_CASES[case]
+        pair = oracle_thresholds(model, alpha, mu0)
+        for name in ("_SIGMA_NODES", "_X_ORDER", "_PANELS_PER_SIGMA"):
+            monkeypatch.setattr(selection_module, name, 2 * getattr(selection_module, name))
+        fine = oracle_thresholds(model, alpha, mu0)
+        assert abs(fine.t1 - pair.t1) < 1e-6 * abs(pair.t1)
+        assert pair.t2 == fine.t2 == -math.inf
+
+    @pytest.mark.parametrize("case", ["correlated", "two-component", "uniform", "uniform-mu0-1"])
+    def test_agrees_with_monte_carlo(self, case):
+        # t1 lies within 3 standard errors of the mean Monte Carlo cutoff,
+        # and the sampled walk buys at most one group-2 unit, whose score
+        # is O(1 / n_mc) above 0.
+        model, mu0 = POPULATION_CASES[case]
+        pair = oracle_thresholds(model, 0.1, mu0)
+        draws = [oracle_thresholds_mc(model, 0.1, mu0, 10 ** 6, seed) for seed in range(8)]
+        t1 = np.array([d.t1 for d in draws])
+        se = t1.std(ddof=1) / math.sqrt(t1.size)
+        assert abs(pair.t1 - t1.mean()) <= 3 * se
+        assert pair.t2 == -math.inf
+        assert all(d.t2 == -math.inf or 0 < d.t2 < 1e-2 for d in draws)
+
+    @pytest.mark.parametrize(
+        "prior, alpha, expected",
+        [
+            # clfdr(mu0) < alpha at sigma = 1: group 1 is empty.
+            (point_masses([-3.0, 3.0], [0.01, 0.99]), 0.1, (math.inf, -math.inf)),
+            # Group 0 frees more budget than all of group 1 costs.
+            (point_masses([-1.0, 3.0], [0.1, 0.9]), 0.2, (-math.inf, -math.inf)),
+        ],
+    )
+    def test_sentinel_cutoffs_match_monte_carlo(self, prior, alpha, expected):
+        model = JointModel.independent(prior, ConstantSigma(1.0))
+        pair = oracle_thresholds(model, alpha, 0.0)
+        sampled = oracle_thresholds_mc(model, alpha, 0.0, 10 ** 5, 0)
+        assert (pair.t1, pair.t2) == (sampled.t1, sampled.t2) == expected
+
+    def test_ratio_guard(self):
+        # Group-2 units (sigma = 1) all gain alpha; at alpha = 0.45 that is
+        # more than any group-1 unit (sigma = 2) costs at the cutoff, so the
+        # sampled walk buys most of group 2 and its t2 stays near 2 as n
+        # grows. At alpha = 0.3 the ratio is 0.62 and the walk stops at once.
+        law = JointModel(
+            (0.2, 0.8),
+            (ConstantSigma(1.0), ConstantSigma(2.0)),
+            (point_masses([1.0], [1.0]), point_masses([-0.1, 1.1], [0.86, 0.14])),
+        )
+        with pytest.raises(ValueError, match=r"cost ratio 1\.17 is at least 1"):
+            oracle_thresholds(law, 0.45, 0.0)
+        assert all(oracle_thresholds_mc(law, 0.45, 0.0, n, 0).t2 > 1.5 for n in (10 ** 4, 10 ** 5))
+        assert oracle_thresholds(law, 0.3, 0.0).t2 == -math.inf
+        assert oracle_thresholds_mc(law, 0.3, 0.0, 10 ** 5, 0).t2 < 0.01
 
     def test_pair_validation(self):
         with pytest.raises(ValueError):

@@ -130,7 +130,7 @@ class TestJointModel:
 class TestRunReplications:
     def test_single_rep_summary_is_that_rep(self):
         design = _design(UniformIndep(sigma_max=3.0, m=300), mu0=0.0, reps=1)
-        report = run_replications(design, oracle_n_mc=10 ** 5)
+        report = run_replications(design)
         for method, recs in report.per_rep.items():
             assert len(recs) == 1
             assert report.summary[method].fdr == recs[0].fdp
@@ -138,15 +138,15 @@ class TestRunReplications:
 
     def test_byte_identical_reruns(self):
         design = _design(UniformIndep(sigma_max=3.0, m=250), mu0=0.0, reps=2, seed=9)
-        a = run_replications(design, oracle_n_mc=10 ** 5)
-        b = run_replications(design, oracle_n_mc=10 ** 5)
+        a = run_replications(design)
+        b = run_replications(design)
         assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
             b.to_json_dict(), sort_keys=True
         )
 
     def test_summary_equals_mean_of_reps(self):
         design = _design(UniformIndep(sigma_max=3.0, m=200), mu0=0.0, reps=4, seed=11)
-        report = run_replications(design, oracle_n_mc=10 ** 5)
+        report = run_replications(design)
         for method, recs in report.per_rep.items():
             assert report.summary[method].fdr == pytest.approx(
                 np.mean([r.fdp for r in recs])
@@ -163,14 +163,14 @@ class TestRunReplications:
             (CorrelatedTwoGroup(sigma=2.0, m=600), 1.0),
         ):
             design = _design(family, mu0=mu0, reps=3, seed=13)
-            report = run_replications(design, oracle_n_mc=10 ** 5)
+            report = run_replications(design)
             assert (
                 report.summary["BH"].fdr <= report.summary["DD"].fdr + 0.05
             ), family
 
     def test_seed_ledger_and_tidy_rows(self):
         design = _design(UniformIndep(sigma_max=3.0, m=150), mu0=0.0, reps=2, seed=3)
-        report = run_replications(design, oracle_n_mc=10 ** 5)
+        report = run_replications(design)
         assert len(set(report.seed_ledger)) == 2
         rows = report.tidy_rows()
         assert {r["method"] for r in rows} == {"DD", "OR", "Clfdr", "BH"}
@@ -179,7 +179,7 @@ class TestRunReplications:
 
     def test_clfdr_mse_per_rep(self):
         design = _design(CorrelatedTwoGroup(sigma=1.0, m=300), mu0=1.0, reps=2, seed=5)
-        report = run_replications(design, k=30, oracle_n_mc=10 ** 5)
+        report = run_replications(design, k=30)
         assert len(report.clfdr_mse) == 2
         assert report.to_json_dict()["clfdr_mse"] == list(report.clfdr_mse)
         rep = generate(design, 1)
@@ -197,7 +197,7 @@ class TestRunReplications:
         monkeypatch.setattr(sim_module, "fit_prior_by_group", boom)
         design = _design(UniformIndep(sigma_max=3.0, m=100), mu0=0.0, reps=1)
         with pytest.raises(RuntimeError) as info:
-            run_replications(design, oracle_n_mc=10 ** 5)
+            run_replications(design)
         message = str(info.value)
         assert "replication 0" in message
         assert "seed key (42, 0, 0)" in message
