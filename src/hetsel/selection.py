@@ -48,6 +48,8 @@ class Group(IntEnum):
 class ThresholdPair:
     """Cutoffs (t1, t2) on the value-to-cost score t for groups 1 and 2.
 
+    ``calibrate_thresholds`` reads them off the step-wise rule on data;
+    ``oracle_thresholds`` gives their population limit under a known law.
     +inf / -inf encode "select none" of group 1 / group 2, and -inf / +inf
     "select all". ``c1`` and ``c2`` are the same cutoffs on the bounded
     scale s = tanh(t), for reporting only.
@@ -413,7 +415,8 @@ def calibrate_thresholds(x, clfdr, alpha: float, mu0: float) -> ThresholdPair:
 # UniformSigma law, x panels of half a sigma with a Chebyshev series of
 # _X_ORDER terms on each, and the marginal cut 12 standard deviations
 # beyond the prior's support, where less than Phi(-12) ~ 2e-33 of its
-# mass lies. Doubling the three counts moves t1 by less than 1e-13.
+# mass lies. Doubling the three counts moves t1 by less than 1e-13 on the
+# built-in designs.
 _SIGMA_NODES = 32
 _X_ORDER = 16
 _PANELS_PER_SIGMA = 2
