@@ -21,7 +21,8 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -201,10 +202,95 @@ def _envelope(kind: str, config: RunConfig, extra: dict | None = None) -> dict:
     return doc
 
 
+class _Rows:
+    """A JSON list of objects that share their keys, given as columns of
+    ready JSON text: ``cells`` maps each key to one text per object."""
+
+    def __init__(self, cells: dict):
+        self.cells = cells
+
+
+def _scalar(value):
+    """JSON text of a scalar as ``json.dump`` writes it, or None."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    return None
+
+
+def _key(key) -> str:
+    if not isinstance(key, str):
+        text = _scalar(key)
+        if text is None:
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+            )
+        key = text
+    return encode_basestring_ascii(key)
+
+
+def _encode(value, indent: str, out: list):
+    """Appends ``value`` as ``json.dump(indent=2, sort_keys=True)`` writes it
+    on a line indented by ``indent``."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+        return
+    text = _scalar(value)
+    if text is not None:
+        out.append(text)
+        return
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _encode(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]" if value else "[]")
+    elif isinstance(value, dict):
+        sep = "{\n" + inner
+        for key, item in sorted(value.items()):
+            out.append(sep + _key(key) + ": ")
+            _encode(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}" if value else "{}")
+    elif isinstance(value, _Rows):
+        keys = sorted(value.cells)
+        field = "\n" + inner + "  "
+        row = "{" + ",".join(field + _key(k).replace("%", "%%") + ": %s" for k in keys)
+        row += "\n" + inner + "}"
+        rows = map(row.__mod__, zip(*(value.cells[k] for k in keys)))
+        sep = "[\n" + inner
+        # Blocks of rows, so no one string holds the whole list.
+        while block := list(islice(rows, 4096)):
+            out.append(sep + (",\n" + inner).join(block))
+            sep = ",\n" + inner
+        out.append("[]" if sep[0] == "[" else "\n" + indent + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _write_json(path, doc):
+    """Writes ``doc`` byte for byte as ``json.dump(doc, fh, indent=2,
+    sort_keys=True)`` followed by a newline."""
+    out: list = []
+    _encode(doc, "", out)
+    out.append("\n")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.writelines(out)
 
 
 def _prepare(config: RunConfig):
@@ -315,12 +401,16 @@ def _cmd_rvalue(config: RunConfig) -> int:
             sigma=sigma,
         )
     os.makedirs(config.output, exist_ok=True)
-    table.write_csv(os.path.join(config.output, "rvalues.csv"))
-    _write_json(
-        os.path.join(config.output, "rvalues.json"),
-        _envelope("rvalues", config, table.to_json_dict()),
-    )
+    _write_rvalues(config, table)
     return 0
+
+
+def _write_rvalues(config: RunConfig, table):
+    """Writes ``rvalues.csv`` and ``rvalues.json``, whose ``entries`` are
+    ``table.to_json_dict()``'s, into ``config.output``."""
+    table.write_csv(os.path.join(config.output, "rvalues.csv"))
+    doc = {**table._json_head(), "entries": _Rows(table._json_cells())}
+    _write_json(os.path.join(config.output, "rvalues.json"), _envelope("rvalues", config, doc))
 
 
 def _cmd_simulate(config: RunConfig) -> int:

@@ -14,8 +14,12 @@ than located by bisection.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -58,43 +62,74 @@ class RValueTable:
     r_prime: np.ndarray
     tied: np.ndarray
 
-    def _rows(self):
-        # Python scalars per unit; r and r_prime with their sentinels as None.
-        sigma = [None] * len(self.ids) if self.sigma is None else self.sigma.tolist()
-        return zip(
-            self.ids,
-            self.x.tolist(),
-            sigma,
-            [v if math.isfinite(v) else None for v in self.r.tolist()],
-            [None if math.isnan(v) else v for v in self.r_prime.tolist()],
-            self.tied.tolist(),
+    @cached_property
+    def _text(self):
+        # x, sigma, r and r_prime as repr text, encoded once for both
+        # artifacts; "" where sigma is None, r is infinite or r_prime NaN.
+        def text(values, missing=None):
+            out = list(map(float.__repr__, values.tolist()))
+            if missing is not None:
+                for i in np.flatnonzero(missing).tolist():
+                    out[i] = ""
+            return out
+
+        return (
+            text(self.x),
+            [""] * len(self.ids) if self.sigma is None else text(self.sigma),
+            text(self.r, ~np.isfinite(self.r)),
+            text(self.r_prime, np.isnan(self.r_prime)),
         )
 
-    def to_json_dict(self) -> dict:
+    def _json_head(self) -> dict:
         return {
             "schema": "hetsel/rvalues/v1",
             "definition": self.definition,
             "grid_resolution": self.grid_resolution,
             "n_grid": self.n_grid,
+        }
+
+    def to_json_dict(self) -> dict:
+        sigma = [None] * len(self.ids) if self.sigma is None else self.sigma.tolist()
+        r = [v if math.isfinite(v) else None for v in self.r.tolist()]
+        r_prime = [None if math.isnan(v) else v for v in self.r_prime.tolist()]
+        return {
+            **self._json_head(),
             "entries": [
-                {"id": uid, "x": x, "sigma": sigma, "r": r, "r_prime": r_prime, "tied": tied}
-                for uid, x, sigma, r, r_prime, tied in self._rows()
+                {"id": uid, "x": x, "sigma": sg, "r": rv, "r_prime": rp, "tied": tied}
+                for uid, x, sg, rv, rp, tied in zip(
+                    self.ids, self.x.tolist(), sigma, r, r_prime, self.tied.tolist()
+                )
             ],
         }
 
-    def write_csv(self, path):
-        def cell(v):
-            return "" if v is None else repr(v)
+    def _json_cells(self) -> dict:
+        """The entries of ``to_json_dict`` as columns of JSON text."""
+        x, sigma, r, r_prime = self._text
+        return {
+            "id": [
+                encode_basestring_ascii(v) if isinstance(v, str) else json.dumps(v)
+                for v in self.ids
+            ],
+            "x": x,
+            "sigma": [v or "null" for v in sigma],
+            "r": [v or "null" for v in r],
+            "r_prime": [v or "null" for v in r_prime],
+            "tied": ["true" if v else "false" for v in self.tied.tolist()],
+        }
 
-        resolution = repr(self.grid_resolution)
+    def write_csv(self, path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(
                 ["id", "x", "sigma", "r", "r_prime", "definition", "grid_resolution"]
             )
             writer.writerows(
-                [uid, repr(x), cell(sigma), cell(r), cell(r_prime), self.definition, resolution]
-                for uid, x, sigma, r, r_prime, _ in self._rows()
+                zip(
+                    self.ids,
+                    *self._text,
+                    repeat(self.definition),
+                    repeat(repr(self.grid_resolution)),
+                )
             )
 
 

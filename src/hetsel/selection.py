@@ -125,9 +125,16 @@ def _check_alpha(alpha: float):
 
 def _check_ratio(values, name):
     v = np.asarray(values, dtype=float)
-    if v.size and (np.any(v < 0) or np.any(v > 1) or not np.all(np.isfinite(v))):
+    # NaN and +-inf fail one of the two comparisons.
+    if not np.all((v >= 0) & (v <= 1)):
         raise ValueError(f"{name} must lie in [0, 1]")
     return v
+
+
+def _masks(xs, cl, mu0: float, alpha: float):
+    # gain: x - mu0 >= 0; cheap: clfdr - alpha <= 0. A NaN input fails
+    # its mask.
+    return xs - mu0 >= 0, cl - alpha <= 0
 
 
 def classify_groups(x, clfdr, mu0: float, alpha: float) -> np.ndarray:
@@ -136,15 +143,8 @@ def classify_groups(x, clfdr, mu0: float, alpha: float) -> np.ndarray:
     Both boundaries are closed towards groups 0 and 2: x = mu0 counts as a
     gain and clfdr = alpha as free budget.
     """
-    xs = np.asarray(x, dtype=float)
-    cl = np.asarray(clfdr, dtype=float)
-    gain = xs - mu0 >= 0
-    cheap = cl - alpha <= 0
-    return np.select(
-        [gain & cheap, gain & ~cheap, ~gain & cheap],
-        [Group.G0, Group.G1, Group.G2],
-        default=Group.G3,
-    ).astype(np.int8)
+    gain, cheap = _masks(np.asarray(x, dtype=float), np.asarray(clfdr, dtype=float), mu0, alpha)
+    return (2 * ~gain + ~cheap).astype(np.int8)
 
 
 def score_arrays(x, clfdr, mu0: float, alpha: float) -> np.ndarray:
@@ -153,20 +153,32 @@ def score_arrays(x, clfdr, mu0: float, alpha: float) -> np.ndarray:
     Where clfdr equals alpha exactly, t is +inf for x > mu0, -inf for
     x < mu0 and 0 at x = mu0.
     """
-    xs = np.asarray(x, dtype=float)
-    cl = _check_ratio(clfdr, "clfdr")
+    return _scores(np.asarray(x, dtype=float), _check_ratio(clfdr, "clfdr"), mu0, alpha)
+
+
+def _scores(xs, cl, mu0: float, alpha: float) -> np.ndarray:
+    # score_arrays without the clfdr check.
     num = xs - mu0
     den = cl - alpha
-    zero = den == 0.0
-    safe = np.where(zero, 1.0, den)
-    return np.where(zero, np.where(num > 0, np.inf, np.where(num < 0, -np.inf, 0.0)), num / safe)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = num / den
+    zero = np.flatnonzero(den == 0.0)
+    if zero.size:
+        num = num[zero]
+        t[zero] = np.where(num > 0, np.inf, np.where(num < 0, -np.inf, 0.0))
+    return t
 
 
 def _ordered(indices, t, x, descending_t: bool):
     # Ties in the score break towards larger x (the quantity the power
     # metric rewards), then towards earlier input position.
     key_t = -t[indices] if descending_t else t[indices]
-    order = np.lexsort((indices, -x[indices], key_t))
+    order = np.argsort(key_t)
+    # Strictly increasing sorted keys (no tie, no NaN) leave nothing for
+    # the tie-breaks to decide.
+    srt = key_t[order]
+    if not np.all(srt[1:] > srt[:-1]):
+        order = np.lexsort((indices, -x[indices], key_t))
     return indices[order]
 
 
@@ -213,12 +225,12 @@ def _curve(x, clfdr, alpha: float, mu0: float) -> _Curve:
     cl = _check_ratio(clfdr, "clfdr")
     if xs.shape != cl.shape or xs.ndim != 1:
         raise ValueError("x and clfdr must be one-dimensional and of equal length")
-    t = score_arrays(xs, cl, mu0, alpha)
-    grp = classify_groups(xs, cl, mu0, alpha)
+    t = _scores(xs, cl, mu0, alpha)
+    gain, cheap = _masks(xs, cl, mu0, alpha)
 
-    g0 = np.flatnonzero(grp == Group.G0)
-    g1 = _ordered(np.flatnonzero(grp == Group.G1), t, xs, descending_t=True)
-    g2 = _ordered(np.flatnonzero(grp == Group.G2), t, xs, descending_t=False)
+    g0 = np.flatnonzero(gain & cheap)
+    g1 = _ordered(np.flatnonzero(gain & ~cheap), t, xs, descending_t=True)
+    g2 = _ordered(np.flatnonzero(cheap & ~gain), t, xs, descending_t=False)
     n1, n2 = g1.size, g2.size
 
     cap0 = float(np.sum(alpha - cl[g0]))
@@ -416,7 +428,9 @@ def calibrate_thresholds(x, clfdr, alpha: float, mu0: float) -> ThresholdPair:
 # _X_ORDER terms on each, and the marginal cut 12 standard deviations
 # beyond the prior's support, where less than Phi(-12) ~ 2e-33 of its
 # mass lies. Doubling the three counts moves t1 by less than 1e-13 on the
-# built-in designs.
+# built-in designs. Where group 0 lies far in the x tail, 32 sigma nodes
+# converge slowly: on the test-only "mixed" law at mu0 = 3, alpha = 0.01
+# (t1 about 6058), doubling them moves t1 by 1.9e-4 relative.
 _SIGMA_NODES = 32
 _X_ORDER = 16
 _PANELS_PER_SIGMA = 2

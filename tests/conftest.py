@@ -8,7 +8,10 @@ call the code paths they check.
 """
 from __future__ import annotations
 
+import csv
+import json
 import math
+import os
 
 import numpy as np
 from scipy.special import expit, log_ndtr
@@ -27,6 +30,7 @@ from hetsel import (
     UniformSigma,
     calibrate_thresholds,
 )
+from hetsel.cli import _envelope
 from hetsel.deconv import _KERNEL_BLOCK_PAIRS, _PRIOR_FIT_SCHEMA, _gauss
 
 
@@ -127,6 +131,28 @@ def score(x, clfdr, mu0, alpha):
     if den == 0.0:
         return math.inf if num > 0 else (-math.inf if num < 0 else 0.0)
     return num / den
+
+
+def classify_groups_select(x, clfdr, mu0, alpha):
+    """Reference for ``classify_groups``: ``np.select`` over the three
+    labelled sign patterns, group 3 by default."""
+    gain = np.asarray(x, dtype=float) - mu0 >= 0
+    cheap = np.asarray(clfdr, dtype=float) - alpha <= 0
+    return np.select(
+        [gain & cheap, gain & ~cheap, ~gain & cheap],
+        [Group.G0, Group.G1, Group.G2],
+        default=Group.G3,
+    ).astype(np.int8)
+
+
+def score_arrays_where(x, clfdr, mu0, alpha):
+    """Reference for ``score_arrays``: the sentinels chosen by ``np.where``
+    before dividing by a denominator with its zeros replaced by 1."""
+    num = np.asarray(x, dtype=float) - mu0
+    den = np.asarray(clfdr, dtype=float) - alpha
+    zero = den == 0.0
+    safe = np.where(zero, 1.0, den)
+    return np.where(zero, np.where(num > 0, np.inf, np.where(num < 0, -np.inf, 0.0)), num / safe)
 
 
 def enumerate_prefix_best(x, clfdr, alpha, mu0, tol=1e-12):
@@ -311,3 +337,31 @@ def oracle_clfdr_scipy(prior, x, sigma, mu0):
         log_null = np.logaddexp(log_null, d0)
         log_alt = np.logaddexp(log_alt, d1)
     return expit(log_null - log_alt)
+
+
+def write_json_reference(path, doc):
+    """The JSON artifact format by the standard library's encoder."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_rvalues_reference(config, table):
+    """Reference for ``rvalues.csv`` and ``rvalues.json`` in ``config.output``:
+    ``csv.writer`` over repr cells, and ``json.dump`` of the envelope around
+    ``table.to_json_dict()``."""
+    doc = _envelope("rvalues", config, table.to_json_dict())
+
+    def cell(v):
+        return "" if v is None else repr(v)
+
+    resolution = repr(table.grid_resolution)
+    with open(os.path.join(config.output, "rvalues.csv"), "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "x", "sigma", "r", "r_prime", "definition", "grid_resolution"])
+        writer.writerows(
+            [e["id"], repr(e["x"]), cell(e["sigma"]), cell(e["r"]), cell(e["r_prime"]),
+             table.definition, resolution]
+            for e in doc["entries"]
+        )
+    write_json_reference(os.path.join(config.output, "rvalues.json"), doc)

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import write_rvalues_reference
 from hetsel import (
     JointModel,
     TruePrior,
@@ -16,6 +18,7 @@ from hetsel import (
     rvalue_vary_mu0,
     zvalue_pvalue,
 )
+from hetsel.cli import RunConfig, _write_rvalues
 
 TWO_INTERVAL = TruePrior.uniform_mixture([(0.8, -3.0, -1.0), (0.2, 1.0, 2.0)])
 
@@ -177,18 +180,69 @@ class TestVaryMu0:
         assert x[top_r].mean() > x[top_p].mean()
 
 
+def _output_tables():
+    """R-value tables covering the writers' cases, by name."""
+    x = np.array([2.0, -1.0, 0.3])
+    cl = np.array([0.05, 0.9, 0.2])
+    ids = ["a,b", 'q"q', "\u00e9t\u00e9"]  # CSV quoting, JSON \u escapes
+    alpha_grid = default_alpha_grid(30)
+    mu0_grid = np.linspace(2.5, -1.5, 17)
+
+    def mu0_rule(mu0):
+        # The second unit is never selected.
+        return np.array([mu0 <= 1.5, False, mu0 <= -0.25])
+
+    xs, sigma = _instance(5, 150)
+    seeded_ids = [f"u{i:03d}" for i in range(150)]
+    return {
+        "alpha": rvalue_vary_alpha(
+            ids, x, dd_alpha_evaluator(x, cl, 0.0), alpha_grid, sigma=[1.0, 2.0, 0.5]
+        ),
+        "alpha-no-sigma": rvalue_vary_alpha(ids, x, dd_alpha_evaluator(x, cl, 0.0), alpha_grid),
+        "mu0": rvalue_vary_mu0(ids, x, mu0_rule, mu0_grid, sigma=[1.0, 2.0, 0.5]),
+        "mu0-no-sigma": rvalue_vary_mu0(ids, x, mu0_rule, mu0_grid),
+        "m1-selected": rvalue_vary_mu0(["only"], [4.0], lambda m: np.array([m <= 0.0]), mu0_grid),
+        "m1-never": rvalue_vary_alpha(["only"], [4.0], lambda a: np.array([False]), alpha_grid),
+        "seeded-alpha": rvalue_vary_alpha(
+            seeded_ids,
+            xs,
+            dd_alpha_evaluator(xs, oracle_clfdr(TWO_INTERVAL, xs, sigma, 0.0), 0.0),
+            alpha_grid,
+            sigma=sigma,
+        ),
+        "seeded-mu0": rvalue_vary_mu0(
+            seeded_ids,
+            xs,
+            dd_mu0_evaluator(xs, lambda m: oracle_clfdr(TWO_INTERVAL, xs, sigma, m), 0.1),
+            default_mu0_grid(xs, 40),
+            sigma=sigma,
+        ),
+    }
+
+
 class TestTableOutputs:
     def test_csv_and_json(self, tmp_path):
-        x = np.array([2.0, -1.0])
-        cl = np.array([0.05, 0.9])
-        table = rvalue_vary_alpha(
-            ["a", "b"], x, dd_alpha_evaluator(x, cl, 0.0), default_alpha_grid(30), sigma=[1.0, 2.0]
-        )
-        doc = table.to_json_dict()
-        assert doc["definition"] == "alpha"
-        assert doc["entries"][1]["r"] is None  # sentinel serializes as null
-        path = tmp_path / "rv.csv"
-        table.write_csv(path)
-        rows = path.read_text().strip().splitlines()
+        # Both artifacts are byte-identical to csv.writer over repr cells and
+        # json.dump of to_json_dict, on every case of _output_tables.
+        tables = _output_tables()
+        for name, sentinel in (("alpha", math.inf), ("mu0", -math.inf)):
+            never = tables[name].r == sentinel
+            assert never.any() and np.isnan(tables[name].r_prime[never]).all()
+        assert tables["alpha-no-sigma"].sigma is None and tables["m1-never"].r[0] == math.inf
+        for name, table in tables.items():
+            new, ref = tmp_path / name / "new", tmp_path / name / "ref"
+            new.mkdir(parents=True)
+            ref.mkdir()
+            config = RunConfig(
+                command="rvalue", output=str(new), alpha=0.1, mu0=0.0, definition=table.definition
+            )
+            _write_rvalues(config, table)
+            write_rvalues_reference(replace(config, output=str(ref)), table)
+            for artifact in ("rvalues.csv", "rvalues.json"):
+                got, want = (new / artifact).read_bytes(), (ref / artifact).read_bytes()
+                assert got == want, (name, artifact)
+        text = (tmp_path / "alpha" / "new" / "rvalues.json").read_text(encoding="ascii")
+        assert '"id": "\\u00e9t\\u00e9"' in text and '"r": null' in text
+        rows = (tmp_path / "alpha" / "new" / "rvalues.csv").read_text("utf-8").splitlines()
         assert rows[0] == "id,x,sigma,r,r_prime,definition,grid_resolution"
-        assert len(rows) == 3
+        assert rows[1].startswith('"a,b",') and rows[2].startswith('"q""q",')

@@ -6,12 +6,15 @@ from numpy.testing import assert_allclose
 
 import hetsel.selection as selection_module
 from conftest import (
+    INSTANCE_FAMILIES,
     classify_group,
+    classify_groups_select,
     coherent_instance,
     enumerate_prefix_best,
     oracle_thresholds_mc,
     point_masses,
     score,
+    score_arrays_where,
     stepup_bh_reference,
     stepup_clfdr_reference,
 )
@@ -100,6 +103,57 @@ class TestScore:
             t_ref = score(x[i], cl[i], 0.2, 0.3)
             assert t[i] == t_ref
             assert_allclose(np.tanh(t[i]), math.tanh(t_ref), rtol=0, atol=1e-15)
+
+
+def _assert_replay_matches_references(x, cl, mu0, alpha):
+    """Labels, t and the ordered groups of one replay equal those of the
+    np.select / np.where references, bit for bit."""
+    labels = classify_groups_select(x, cl, mu0, alpha)
+    t = score_arrays_where(x, cl, mu0, alpha)
+    got_labels = classify_groups(x, cl, mu0, alpha)
+    assert got_labels.dtype == np.int8 and np.array_equal(got_labels, labels)
+    curve = selection_module._curve(x, cl, alpha, mu0)
+    for got in (score_arrays(x, cl, mu0, alpha), curve.t):
+        assert np.array_equal(got, t) and np.array_equal(np.signbit(got), np.signbit(t))
+    g1 = sorted(np.flatnonzero(labels == Group.G1), key=lambda i: (-t[i], -x[i], i))
+    g2 = sorted(np.flatnonzero(labels == Group.G2), key=lambda i: (t[i], -x[i], i))
+    assert np.array_equal(curve.g0, np.flatnonzero(labels == Group.G0))
+    assert np.array_equal(curve.g1, np.array(g1, dtype=int))
+    assert np.array_equal(curve.g2, np.array(g2, dtype=int))
+
+
+class TestReplayReferences:
+    def test_x_equal_to_mu0(self):
+        x = np.array([0.5, 0.5, 0.5, 1.0, 0.0, 0.5, -0.5])
+        cl = np.array([0.05, 0.1, 0.3, 0.3, 0.02, 0.9, 0.01])
+        assert classify_groups(x, cl, 0.5, 0.1).tolist() == [0, 0, 1, 1, 2, 1, 2]
+        _assert_replay_matches_references(x, cl, 0.5, 0.1)
+
+    def test_clfdr_equal_to_alpha(self):
+        # The sentinels: +inf above mu0, -inf below, 0 at mu0.
+        x = np.array([1.0, -1.0, 0.0, 2.0, 0.5, -0.3])
+        cl = np.array([0.1, 0.1, 0.1, 0.1, 0.4, 0.05])
+        assert score_arrays(x, cl, 0.0, 0.1)[:4].tolist() == [math.inf, -math.inf, 0.0, math.inf]
+        _assert_replay_matches_references(x, cl, 0.0, 0.1)
+
+    def test_nan_clfdr_unchecked_labels(self):
+        # classify_groups does not check clfdr: a NaN is never cheap.
+        x = np.array([1.0, -1.0, 0.0, math.nan, math.nan])
+        cl = np.array([math.nan, math.nan, math.nan, 0.05, math.nan])
+        got = classify_groups(x, cl, 0.0, 0.1)
+        assert got.tolist() == [1, 3, 1, 2, 3]
+        assert np.array_equal(got, classify_groups_select(x, cl, 0.0, 0.1))
+
+    def test_mu0_sweep(self):
+        model = INSTANCE_FAMILIES["two-interval"]
+        x, sigma, _, group = model.sample(np.random.default_rng(13), 10_000)
+        alpha = 0.1
+        # 190 grid points plus 10 that equal some unit's x exactly.
+        grid = np.concatenate((np.linspace(x.max(), x.min(), 190), x[::1000]))
+        for k, mu0 in enumerate(grid):
+            cl = model.clfdr(x, sigma, group, mu0)
+            cl[k::97] = alpha  # clfdr == alpha on both sides of mu0
+            _assert_replay_matches_references(x, cl, mu0, alpha)
 
 
 class TestSelectDD:
