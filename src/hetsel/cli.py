@@ -210,50 +210,28 @@ class _Rows:
         self.cells = cells
 
 
-def _scalar(value):
-    """JSON text of a scalar as ``json.dump`` writes it, or None."""
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == math.inf:
-            return "Infinity"
-        if value == -math.inf:
-            return "-Infinity"
-        return float.__repr__(value)
-    return None
-
-
-def _key(key) -> str:
-    if not isinstance(key, str):
-        text = _scalar(key)
-        if text is None:
-            raise TypeError(
-                f"keys must be str, int, float, bool or None, not {type(key).__name__}"
-            )
-        key = text
-    return encode_basestring_ascii(key)
-
-
 def _encode(value, indent: str, out: list):
     """Appends ``value`` as ``json.dump(indent=2, sort_keys=True)`` writes it
-    on a line indented by ``indent``."""
+    on a line indented by ``indent``. Keys must be strings."""
+    inner = indent + "  "
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
-        return
-    text = _scalar(value)
-    if text is not None:
-        out.append(text)
-        return
-    inner = indent + "  "
-    if isinstance(value, (list, tuple)):
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if value != value:
+            out.append("NaN")
+        elif value in (math.inf, -math.inf):
+            out.append("Infinity" if value > 0 else "-Infinity")
+        else:
+            out.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
         sep = "[\n" + inner
         for item in value:
             out.append(sep)
@@ -263,14 +241,16 @@ def _encode(value, indent: str, out: list):
     elif isinstance(value, dict):
         sep = "{\n" + inner
         for key, item in sorted(value.items()):
-            out.append(sep + _key(key) + ": ")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
             _encode(item, inner, out)
             sep = ",\n" + inner
         out.append("\n" + indent + "}" if value else "{}")
     elif isinstance(value, _Rows):
         keys = sorted(value.cells)
         field = "\n" + inner + "  "
-        row = "{" + ",".join(field + _key(k).replace("%", "%%") + ": %s" for k in keys)
+        row = "{" + ",".join(
+            field + encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys
+        )
         row += "\n" + inner + "}"
         rows = map(row.__mod__, zip(*(value.cells[k] for k in keys)))
         sep = "[\n" + inner

@@ -36,10 +36,6 @@ EDGE_DOCUMENTS = {
         'k"\\é\n': "escaped key",
     },
     "key-order": {"b": 1, "a": 2, "B": 3, "_": 4, "a b": 5, "é": 6, "": 7},
-    "int-keys": {10: "ten", 2: "two", -1: "minus one"},
-    "float-keys": {1.5: "a", -0.0: "b", math.inf: "c", math.nan: "d"},
-    "bool-keys": {True: 1},
-    "none-key": {None: 1},
     "top-list": [1, "two", [3.0], {"four": 4}],
     "top-empty-list": [],
     "top-empty-dict": {},
@@ -60,13 +56,16 @@ def test_emitter_matches_json_dump(name, tmp_path):
 @pytest.mark.parametrize("value", [np.int64(1), {1, 2}, object(), b"bytes"])
 def test_emitter_rejects_what_json_dump_rejects(value, tmp_path):
     with pytest.raises(TypeError):
-        write_json_reference(tmp_path / "ref.json", {"v": value})
+        write_json_reference(tmp_path / "ref.json", {"v": [value]})
     with pytest.raises(TypeError):
-        _write_json(tmp_path / "new.json", {"v": value})
+        _write_json(tmp_path / "new.json", {"v": [value]})
+
+
+@pytest.mark.parametrize("key", [1, 1.5, None, True, (1,)])
+def test_emitter_takes_only_string_keys(key, tmp_path):
+    # json.dump would stringify the scalar keys; no artifact has them.
     with pytest.raises(TypeError):
-        write_json_reference(tmp_path / "ref.json", {(1,): value})
-    with pytest.raises(TypeError):
-        _write_json(tmp_path / "new.json", {(1,): value})
+        _write_json(tmp_path / "new.json", {"a": {key: 1}})
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, 3, 4097])
