@@ -14,7 +14,6 @@ than located by bisection.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -103,13 +102,11 @@ class RValueTable:
         }
 
     def _json_cells(self) -> dict:
-        """The entries of ``to_json_dict`` as columns of JSON text."""
+        """The entries of ``to_json_dict`` as columns of JSON text; the ids
+        must be strings."""
         x, sigma, r, r_prime = self._text
         return {
-            "id": [
-                encode_basestring_ascii(v) if isinstance(v, str) else json.dumps(v)
-                for v in self.ids
-            ],
+            "id": list(map(encode_basestring_ascii, self.ids)),
             "x": x,
             "sigma": [v or "null" for v in sigma],
             "r": [v or "null" for v in r],
