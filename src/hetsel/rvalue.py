@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -62,9 +61,11 @@ class RValueTable:
     tied: np.ndarray
 
     @cached_property
-    def _text(self):
-        # x, sigma, r and r_prime as repr text, encoded once for both
-        # artifacts; "" where sigma is None, r is infinite or r_prime NaN.
+    def text_columns(self) -> tuple:
+        """x, sigma, r and r_prime as lists of ``repr`` text, encoded once
+        for both artifacts; "" where sigma is None, r is infinite or
+        r_prime NaN."""
+
         def text(values, missing=None):
             out = list(map(float.__repr__, values.tolist()))
             if missing is not None:
@@ -79,7 +80,8 @@ class RValueTable:
             text(self.r_prime, np.isnan(self.r_prime)),
         )
 
-    def _json_head(self) -> dict:
+    def json_header(self) -> dict:
+        """The fields of ``to_json_dict`` other than ``entries``."""
         return {
             "schema": "hetsel/rvalues/v1",
             "definition": self.definition,
@@ -92,26 +94,13 @@ class RValueTable:
         r = [v if math.isfinite(v) else None for v in self.r.tolist()]
         r_prime = [None if math.isnan(v) else v for v in self.r_prime.tolist()]
         return {
-            **self._json_head(),
+            **self.json_header(),
             "entries": [
                 {"id": uid, "x": x, "sigma": sg, "r": rv, "r_prime": rp, "tied": tied}
                 for uid, x, sg, rv, rp, tied in zip(
                     self.ids, self.x.tolist(), sigma, r, r_prime, self.tied.tolist()
                 )
             ],
-        }
-
-    def _json_cells(self) -> dict:
-        """The entries of ``to_json_dict`` as columns of JSON text; the ids
-        must be strings."""
-        x, sigma, r, r_prime = self._text
-        return {
-            "id": list(map(encode_basestring_ascii, self.ids)),
-            "x": x,
-            "sigma": [v or "null" for v in sigma],
-            "r": [v or "null" for v in r],
-            "r_prime": [v or "null" for v in r_prime],
-            "tied": ["true" if v else "false" for v in self.tied.tolist()],
         }
 
     def write_csv(self, path):
@@ -123,7 +112,7 @@ class RValueTable:
             writer.writerows(
                 zip(
                     self.ids,
-                    *self._text,
+                    *self.text_columns,
                     repeat(self.definition),
                     repeat(repr(self.grid_resolution)),
                 )

@@ -151,13 +151,15 @@ def score_arrays(x, clfdr, mu0: float, alpha: float) -> np.ndarray:
     """Value-to-cost ratio t = (x - mu0) / (clfdr - alpha).
 
     Where clfdr equals alpha exactly, t is +inf for x > mu0, -inf for
-    x < mu0 and 0 at x = mu0.
+    x < mu0 and 0 at x = mu0. x and clfdr broadcast against each other;
+    scalars give a 0-d array.
     """
-    return _scores(np.asarray(x, dtype=float), _check_ratio(clfdr, "clfdr"), mu0, alpha)
+    xs, cl = np.broadcast_arrays(np.asarray(x, dtype=float), _check_ratio(clfdr, "clfdr"))
+    return _scores(xs.ravel(), cl.ravel(), mu0, alpha).reshape(xs.shape)
 
 
 def _scores(xs, cl, mu0: float, alpha: float) -> np.ndarray:
-    # score_arrays without the clfdr check.
+    # score_arrays without the clfdr check, on 1-d arrays of equal length.
     num = xs - mu0
     den = cl - alpha
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -173,12 +175,7 @@ def _ordered(indices, t, x, descending_t: bool):
     # Ties in the score break towards larger x (the quantity the power
     # metric rewards), then towards earlier input position.
     key_t = -t[indices] if descending_t else t[indices]
-    order = np.argsort(key_t)
-    # Strictly increasing sorted keys (no tie, no NaN) leave nothing for
-    # the tie-breaks to decide.
-    srt = key_t[order]
-    if not np.all(srt[1:] > srt[:-1]):
-        order = np.lexsort((indices, -x[indices], key_t))
+    order = np.lexsort((indices, -x[indices], key_t))
     return indices[order]
 
 

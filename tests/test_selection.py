@@ -88,6 +88,19 @@ class TestScore:
         assert t.tolist() == [math.inf, -math.inf]
         assert np.tanh(t).tolist() == [1.0, -1.0]
 
+    def test_scalar_and_broadcast_shapes(self):
+        # Scalars give a 0-d array, the sentinel included; a scalar clfdr
+        # broadcasts over an array of x, with the sentinel at every unit.
+        for x, cl in ((1.0, 0.1), (-1.0, 0.1), (0.0, 0.1), (1.0, 0.6)):
+            got = score_arrays(x, cl, 0.0, 0.1)
+            assert isinstance(got, np.ndarray) and got.shape == ()
+            assert got == score_arrays_where(x, cl, 0.0, 0.1)
+        x = np.array([[1.0, -1.0, 0.0], [2.0, 0.5, -0.3]])
+        for cl in (0.1, np.array([0.1, 0.4, 0.1])):
+            got = score_arrays(x, cl, 0.0, 0.1)
+            assert got.shape == (2, 3)
+            assert np.array_equal(got, score_arrays_where(x, cl, 0.0, 0.1))
+
     def test_invalid_clfdr(self):
         with pytest.raises(ValueError):
             score_arrays([1.0], [1.5], 0.0, 0.1)
