@@ -263,11 +263,6 @@ def _encode(value, indent: str, out: list):
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _or_null(texts) -> list:
-    # A float column's repr text with "" (a missing value) as JSON null.
-    return [v or "null" for v in texts]
-
-
 def _write_json(path, doc):
     """Writes ``doc`` byte for byte as ``json.dump(doc, fh, indent=2,
     sort_keys=True)`` followed by a newline."""
@@ -395,13 +390,14 @@ def _write_rvalues(config: RunConfig, table):
     ``table.to_json_dict()``'s, into ``config.output``. The ids must be
     strings, as ``read_records`` returns them."""
     table.write_csv(os.path.join(config.output, "rvalues.csv"))
+    # Float cells are the CSV's repr text, "" (a missing value) as null.
     x, sigma, r, r_prime = table.text_columns
     cells = {
         "id": list(map(encode_basestring_ascii, table.ids)),
         "x": x,
-        "sigma": _or_null(sigma),
-        "r": _or_null(r),
-        "r_prime": _or_null(r_prime),
+        "sigma": [v or "null" for v in sigma],
+        "r": [v or "null" for v in r],
+        "r_prime": [v or "null" for v in r_prime],
         "tied": ["true" if v else "false" for v in table.tied.tolist()],
     }
     doc = {**table.json_header(), "entries": _Rows(cells)}
