@@ -1,5 +1,8 @@
 """Command-line surface: CSV ingestion, pipelines, and artifact persistence.
 
+This is the only module that knows a file format: the others return
+columns, dataclasses and dicts, and the writers here turn them into bytes.
+
 Commands
 --------
 deconv-fit   fit the discretized effect prior and save it as JSON
@@ -20,8 +23,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
-from itertools import compress, islice
+from dataclasses import dataclass, fields
+from itertools import compress, islice, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -61,7 +64,8 @@ _AYP_HEADER = ["id", "y", "y_prime", "n", "n_prime"]
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated invocation: one command plus every knob it needs."""
+    """Validated invocation: one command plus every knob it needs. The
+    defaults here are the command-line defaults too."""
 
     command: str
     input: str | None = None
@@ -273,6 +277,23 @@ def _write_json(path, doc):
         fh.writelines(out)
 
 
+def _text(values, missing=None) -> list:
+    """``repr`` text of each float in ``values``; "" where ``missing``."""
+    out = list(map(float.__repr__, values.tolist()))
+    if missing is not None:
+        for i in np.flatnonzero(missing).tolist():
+            out[i] = ""
+    return out
+
+
+def _write_csv(path, header, rows):
+    """Writes a header row and ``rows`` with ``csv.writer``'s defaults."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _prepare(config: RunConfig):
     ids, x, sigma = read_records(config.input)
     if config.trim:
@@ -311,22 +332,11 @@ def _cmd_select(config: RunConfig) -> int:
     bh = select_bh(pvals, config.alpha)
 
     os.makedirs(config.output, exist_ok=True)
-    with open(
-        os.path.join(config.output, "selection.csv"), "w", newline="", encoding="utf-8"
-    ) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "x", "sigma", "clfdr", "s", "group", "selected"])
-        writer.writerows(
-            zip(
-                ids,
-                map(repr, x.tolist()),
-                map(repr, sigma.tolist()),
-                map(repr, clfdr.tolist()),
-                map(repr, s.tolist()),
-                label.tolist(),
-                dd.decisions.tolist(),
-            )
-        )
+    _write_csv(
+        os.path.join(config.output, "selection.csv"),
+        ["id", "x", "sigma", "clfdr", "s", "group", "selected"],
+        zip(ids, *map(_text, (x, sigma, clfdr, s)), label.tolist(), dd.decisions.tolist()),
+    )
 
     def power(result):
         sel = result.selected_indices
@@ -351,11 +361,15 @@ def _cmd_select(config: RunConfig) -> int:
         },
     )
     _write_json(os.path.join(config.output, "summary.json"), summary)
-    payload = dd.to_json_dict(ids=ids)
-    payload.pop("schema")
+    result = {
+        "selected_ids": [ids[i] for i in dd.selected_indices.tolist()],
+        "etp_star": dd.etp_star_realized,
+        "capacity": dd.capacity_final,
+        "trace": dd.trace,
+    }
     _write_json(
         os.path.join(config.output, "selection_result.json"),
-        _envelope("selection-result", config, payload),
+        _envelope("selection-result", config, result),
     )
     return 0
 
@@ -386,12 +400,23 @@ def _cmd_rvalue(config: RunConfig) -> int:
 
 
 def _write_rvalues(config: RunConfig, table):
-    """Writes ``rvalues.csv`` and ``rvalues.json``, whose ``entries`` are
-    ``table.to_json_dict()``'s, into ``config.output``. The ids must be
-    strings, as ``read_records`` returns them."""
-    table.write_csv(os.path.join(config.output, "rvalues.csv"))
-    # Float cells are the CSV's repr text, "" (a missing value) as null.
-    x, sigma, r, r_prime = table.text_columns
+    """Writes ``rvalues.csv`` and ``rvalues.json`` into ``config.output``.
+
+    Both files carry each float as the same ``repr`` text, encoded once; a
+    missing value (no sigma given, r infinite for a unit never selected,
+    r_prime NaN) is an empty CSV cell and a JSON null. The ids must be
+    strings, as ``read_records`` returns them.
+    """
+    x = _text(table.x)
+    sigma = [""] * len(table.ids) if table.sigma is None else _text(table.sigma)
+    r = _text(table.r, ~np.isfinite(table.r))
+    r_prime = _text(table.r_prime, np.isnan(table.r_prime))
+    _write_csv(
+        os.path.join(config.output, "rvalues.csv"),
+        ["id", "x", "sigma", "r", "r_prime", "definition", "grid_resolution"],
+        zip(table.ids, x, sigma, r, r_prime, repeat(table.definition),
+            repeat(repr(table.grid_resolution))),
+    )
     cells = {
         "id": list(map(encode_basestring_ascii, table.ids)),
         "x": x,
@@ -400,7 +425,12 @@ def _write_rvalues(config: RunConfig, table):
         "r_prime": [v or "null" for v in r_prime],
         "tied": ["true" if v else "false" for v in table.tied.tolist()],
     }
-    doc = {**table.json_header(), "entries": _Rows(cells)}
+    doc = {
+        "definition": table.definition,
+        "grid_resolution": table.grid_resolution,
+        "n_grid": table.n_grid,
+        "entries": _Rows(cells),
+    }
     _write_json(os.path.join(config.output, "rvalues.json"), _envelope("rvalues", config, doc))
 
 
@@ -435,15 +465,12 @@ def _cmd_simulate(config: RunConfig) -> int:
         os.path.join(config.output, "report.json"),
         _envelope("replication-report", config, report.to_json_dict()),
     )
-    with open(
-        os.path.join(config.output, "report_tidy.csv"), "w", newline="", encoding="utf-8"
-    ) as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["design", "method", "metric", "rep", "value"]
-        )
-        writer.writeheader()
-        for row in report.tidy_rows():
-            writer.writerow(row)
+    header = ["design", "method", "metric", "rep", "value"]
+    _write_csv(
+        os.path.join(config.output, "report_tidy.csv"),
+        header,
+        ([row[key] for key in header] for row in report.tidy_rows()),
+    )
     return 0
 
 
@@ -475,18 +502,21 @@ def run(config: RunConfig) -> int:
         return 1
 
 
-def _add_shared(parser, *, need_mu0: bool):
+def _add_shared(parser, *, mu0: bool | None, alpha: float | None = RunConfig.alpha):
+    """Adds the flags of the commands that read an input CSV. ``mu0`` says
+    whether --mu0 is required (None: no such flag); ``alpha`` is the
+    --alpha default."""
     parser.add_argument("--input", required=True, help="input CSV path")
     parser.add_argument("--output", required=True, help="output directory")
-    parser.add_argument("--alpha", type=float, default=0.1, help="target FDR level")
-    if need_mu0:
+    parser.add_argument("--alpha", type=float, default=alpha, help="target FDR level")
+    if mu0 is not None:
         parser.add_argument(
             "--mu0",
             type=float,
-            required=True,
+            required=mu0,
             help="reference level: the null region is mu <= mu0",
         )
-    parser.add_argument("--grid-size", type=int, default=50, dest="k")
+    parser.add_argument("--grid-size", type=int, default=RunConfig.k, dest="k")
     parser.add_argument(
         "--sigma-split",
         type=str,
@@ -510,24 +540,18 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fit = sub.add_parser("deconv-fit", help="fit the effect prior")
-    _add_shared(p_fit, need_mu0=False)
+    _add_shared(p_fit, mu0=None)
 
     p_sel = sub.add_parser("select", help="run the prioritized selection")
-    _add_shared(p_sel, need_mu0=True)
+    _add_shared(p_sel, mu0=True)
 
     # The r-value command fixes one threshold parameter and varies the
-    # other, so which flag is mandatory depends on the definition; both
-    # default to None and are validated after parsing.
+    # other, so which flag it takes depends on the definition; both
+    # default to None and are checked in main.
     p_rv = sub.add_parser("rvalue", help="rank units by r-value")
-    p_rv.add_argument("--input", required=True, help="input CSV path")
-    p_rv.add_argument("--output", required=True, help="output directory")
+    _add_shared(p_rv, mu0=False, alpha=None)
     p_rv.add_argument("--definition", choices=["alpha", "mu0"], required=True)
-    p_rv.add_argument("--alpha", type=float, default=None)
-    p_rv.add_argument("--mu0", type=float, default=None)
-    p_rv.add_argument("--grid-points", type=int, default=200)
-    p_rv.add_argument("--grid-size", type=int, default=50, dest="k")
-    p_rv.add_argument("--sigma-split", type=str, default="")
-    p_rv.add_argument("--trim", type=str, default="")
+    p_rv.add_argument("--grid-points", type=int, default=RunConfig.grid_points)
 
     p_sim = sub.add_parser("simulate", help="run a replication study")
     p_sim.add_argument("--output", required=True)
@@ -538,11 +562,11 @@ def make_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--sigma-max", type=float, help="sigma upper bound (uniform)")
     p_sim.add_argument("--sigma", type=float, help="sigma scale (correlated)")
     p_sim.add_argument("--m", type=int, help="units per replication")
-    p_sim.add_argument("--reps", type=int, default=10)
-    p_sim.add_argument("--alpha", type=float, default=0.1)
-    p_sim.add_argument("--mu0", type=float, default=None)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--grid-size", type=int, default=50, dest="k")
+    p_sim.add_argument("--reps", type=int, default=RunConfig.reps)
+    p_sim.add_argument("--alpha", type=float, default=RunConfig.alpha)
+    p_sim.add_argument("--mu0", type=float)
+    p_sim.add_argument("--seed", type=int, default=RunConfig.seed)
+    p_sim.add_argument("--grid-size", type=int, default=RunConfig.k, dest="k")
     return parser
 
 
@@ -554,54 +578,35 @@ def _parse_pair(text: str, flag: str):
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    mu0 = getattr(args, "mu0", None)
+    """The ``RunConfig`` of what argparse parsed: each field the command's
+    flags set, and the dataclass default for the fields it has no flag for."""
+    parsed = vars(args)
+    given = {f.name: parsed[f.name] for f in fields(RunConfig) if f.name in parsed}
+    mu0 = given.get("mu0")
     if mu0 is not None and not math.isfinite(mu0):
         raise ValueError(f"--mu0 must be finite, got {mu0}")
-    sigma_split = ()
-    if getattr(args, "sigma_split", ""):
-        sigma_split = tuple(
-            sorted(float(v) for v in args.sigma_split.split(",") if v.strip())
-        )
-        if not all(math.isfinite(v) for v in sigma_split):
-            raise ValueError(
-                f"--sigma-split cuts must be finite, got {args.sigma_split}"
-            )
-        if len(set(sigma_split)) < len(sigma_split):
-            raise ValueError(
-                f"--sigma-split cuts must be distinct, got {args.sigma_split}"
-            )
-    trim = None
-    if getattr(args, "trim", ""):
-        trim = _parse_pair(args.trim, "--trim")
-    return RunConfig(
-        command=args.command,
-        input=getattr(args, "input", None),
-        output=args.output,
-        alpha=getattr(args, "alpha", 0.1),
-        mu0=mu0,
-        k=getattr(args, "k", 50),
-        seed=getattr(args, "seed", 0),
-        reps=getattr(args, "reps", 10),
-        sigma_split=sigma_split,
-        trim=trim,
-        definition=getattr(args, "definition", "mu0"),
-        grid_points=getattr(args, "grid_points", 200),
-        design=getattr(args, "design", None),
-        sigma2=getattr(args, "sigma2", None),
-        sigma_max=getattr(args, "sigma_max", None),
-        sigma=getattr(args, "sigma", None),
-        m=getattr(args, "m", None),
-    )
+    text = given.get("sigma_split")
+    cuts = tuple(sorted(float(v) for v in text.split(",") if v.strip())) if text else ()
+    if not all(math.isfinite(v) for v in cuts):
+        raise ValueError(f"--sigma-split cuts must be finite, got {text}")
+    if len(set(cuts)) < len(cuts):
+        raise ValueError(f"--sigma-split cuts must be distinct, got {text}")
+    given["sigma_split"] = cuts
+    given["trim"] = _parse_pair(given["trim"], "--trim") if given.get("trim") else None
+    return RunConfig(**given)
 
 
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     if args.command == "rvalue":
-        if args.definition == "mu0" and args.alpha is None:
-            parser.error("--alpha is required with --definition mu0")
-        if args.definition == "alpha" and args.mu0 is None:
-            parser.error("--mu0 is required with --definition alpha")
+        varied = args.definition
+        fixed = "alpha" if varied == "mu0" else "mu0"
+        if getattr(args, fixed) is None:
+            parser.error(f"--{fixed} is required with --definition {varied}")
+        if getattr(args, varied) is not None:
+            parser.error(f"--{varied} is the parameter --definition {varied} varies; "
+                         f"give only --{fixed}")
     try:
         config = config_from_args(args)
     except ValueError as exc:

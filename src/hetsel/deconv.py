@@ -439,9 +439,18 @@ def fit_weights(grid: PriorGrid, x, sigma, marginals) -> FittedPrior:
     if np.any(b <= 0):
         raise ValueError("marginals must be strictly positive")
 
-    C = _design_matrix(grid, xs, sg)
-    C -= b[:, None]
-    H = C.T @ C
+    # A tiny sigma overflows the kernel's square, whose density is then 0 as
+    # it should be, and can overflow H, which is checked below.
+    with np.errstate(over="ignore"):
+        C = _design_matrix(grid, xs, sg)
+        C -= b[:, None]
+        H = C.T @ C
+    if not np.isfinite(H).all():
+        # LAPACK would fail on H with an unrelated message.
+        raise ValueError(
+            f"the least-squares fit overflows: H = C'C is not finite, since the marginal "
+            f"density reaches {float(b.max())!r} (the smallest sigma is {float(sg.min())!r})"
+        )
     lam, V = np.linalg.eigh(H)
     R = np.sqrt(np.clip(lam, 0.0, None) / max(lam[-1], _TINY))[:, None] * V.T
     target = np.zeros(grid.k + 1)

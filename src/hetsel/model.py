@@ -80,14 +80,6 @@ class MetricsRecord:
         if not (0 <= self.etp <= self.n_selected):
             raise ValueError("need n_selected >= etp >= 0")
 
-    def as_dict(self) -> dict:
-        return {
-            "fdp": self.fdp,
-            "etp": self.etp,
-            "etp_star": self.etp_star,
-            "n_selected": self.n_selected,
-        }
-
 
 def _aligned(decisions, theta):
     d = _as_binary(decisions, "decisions")

@@ -13,11 +13,8 @@ than located by bisection.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 
@@ -39,7 +36,11 @@ VARY_MU0 = "mu0"
 
 @dataclass(frozen=True, eq=False)
 class RValueTable:
-    """Per-unit r-values and standardized ranks, one column per field.
+    """Per-unit r-values and standardized ranks, one column per field, plus
+    the scan's metadata: the varied parameter ``definition``, the grid's
+    largest step ``grid_resolution`` and its size ``n_grid``. The table
+    knows no file format; ``hetsel.cli`` writes it as ``rvalues.csv`` and
+    ``rvalues.json``.
 
     ``ids``, ``x`` and ``sigma`` (None when not given) are the units in
     input order. ``r`` is +inf (vary-alpha) or -inf (vary-mu0) for units
@@ -59,64 +60,6 @@ class RValueTable:
     r: np.ndarray
     r_prime: np.ndarray
     tied: np.ndarray
-
-    @cached_property
-    def text_columns(self) -> tuple:
-        """x, sigma, r and r_prime as lists of ``repr`` text, encoded once
-        for both artifacts; "" where sigma is None, r is infinite or
-        r_prime NaN."""
-
-        def text(values, missing=None):
-            out = list(map(float.__repr__, values.tolist()))
-            if missing is not None:
-                for i in np.flatnonzero(missing).tolist():
-                    out[i] = ""
-            return out
-
-        return (
-            text(self.x),
-            [""] * len(self.ids) if self.sigma is None else text(self.sigma),
-            text(self.r, ~np.isfinite(self.r)),
-            text(self.r_prime, np.isnan(self.r_prime)),
-        )
-
-    def json_header(self) -> dict:
-        """The fields of ``to_json_dict`` other than ``entries``."""
-        return {
-            "schema": "hetsel/rvalues/v1",
-            "definition": self.definition,
-            "grid_resolution": self.grid_resolution,
-            "n_grid": self.n_grid,
-        }
-
-    def to_json_dict(self) -> dict:
-        sigma = [None] * len(self.ids) if self.sigma is None else self.sigma.tolist()
-        r = [v if math.isfinite(v) else None for v in self.r.tolist()]
-        r_prime = [None if math.isnan(v) else v for v in self.r_prime.tolist()]
-        return {
-            **self.json_header(),
-            "entries": [
-                {"id": uid, "x": x, "sigma": sg, "r": rv, "r_prime": rp, "tied": tied}
-                for uid, x, sg, rv, rp, tied in zip(
-                    self.ids, self.x.tolist(), sigma, r, r_prime, self.tied.tolist()
-                )
-            ],
-        }
-
-    def write_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["id", "x", "sigma", "r", "r_prime", "definition", "grid_resolution"]
-            )
-            writer.writerows(
-                zip(
-                    self.ids,
-                    *self.text_columns,
-                    repeat(self.definition),
-                    repeat(repr(self.grid_resolution)),
-                )
-            )
 
 
 def default_alpha_grid(n: int = 200, low: float = 1e-4, high: float = 0.5) -> np.ndarray:

@@ -83,7 +83,8 @@ class SelectionResult:
     on first access, so callers that only need the decisions pay nothing
     for the audit trail. Each trace step is a dict ``{"step", "unit",
     "etp_star", "capacity"}``: what happened, to which unit (None at a
-    checkpoint), and the running modified power and budget.
+    checkpoint), and the running modified power and budget. ``hetsel.cli``
+    writes the result as ``selection_result.json``.
     """
 
     decisions: np.ndarray
@@ -102,20 +103,6 @@ class SelectionResult:
     @property
     def n_selected(self) -> int:
         return int(self.decisions.sum())
-
-    def to_json_dict(self, ids=None) -> dict:
-        sel = self.selected_indices
-        if ids is not None:
-            selected_ids = [ids[i] for i in sel]
-        else:
-            selected_ids = [int(i) for i in sel]
-        return {
-            "schema": "hetsel/selection/v1",
-            "selected_ids": selected_ids,
-            "etp_star": self.etp_star_realized,
-            "capacity": self.capacity_final,
-            "trace": self.trace,
-        }
 
 
 def _check_alpha(alpha: float):

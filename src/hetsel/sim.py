@@ -24,7 +24,7 @@ Benjamini-Hochberg on p-values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Union
 
 import numpy as np
@@ -265,18 +265,6 @@ class MethodSummary:
     se_etp_star: float
     mean_selected: float
 
-    def as_dict(self) -> dict:
-        return {
-            "fdr": self.fdr,
-            "se_fdr": self.se_fdr,
-            "mfdr_estimate": self.mfdr_estimate,
-            "mean_etp": self.mean_etp,
-            "se_etp": self.se_etp,
-            "mean_etp_star": self.mean_etp_star,
-            "se_etp_star": self.se_etp_star,
-            "mean_selected": self.mean_selected,
-        }
-
 
 def _mean_se(values):
     v = np.asarray(values, dtype=float)
@@ -287,6 +275,9 @@ def _mean_se(values):
 
 @dataclass(frozen=True)
 class ReplicationReport:
+    """A study's per-replicate metrics, method summaries and seed ledger;
+    ``hetsel.cli`` writes it as ``report.json`` and ``report_tidy.csv``."""
+
     design_label: str
     config: dict
     per_rep: dict
@@ -297,13 +288,12 @@ class ReplicationReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": "hetsel/replication-report/v1",
             "design": self.design_label,
             "config": self.config,
             "oracle_thresholds": {"c1": self.thresholds.c1, "c2": self.thresholds.c2},
-            "summary": {m: s.as_dict() for m, s in self.summary.items()},
+            "summary": {m: asdict(s) for m, s in self.summary.items()},
             "per_rep": {
-                m: [r.as_dict() for r in recs] for m, recs in self.per_rep.items()
+                m: [asdict(r) for r in recs] for m, recs in self.per_rep.items()
             },
             "seed_ledger": [list(k) for k in self.seed_ledger],
             "clfdr_mse": list(self.clfdr_mse),
@@ -311,20 +301,13 @@ class ReplicationReport:
 
     def tidy_rows(self):
         """Long-format rows (design, method, metric, rep, value) for plotting."""
-        rows = []
-        for method, recs in self.per_rep.items():
-            for rep_index, rec in enumerate(recs):
-                for metric, value in rec.as_dict().items():
-                    rows.append(
-                        {
-                            "design": self.design_label,
-                            "method": method,
-                            "metric": metric,
-                            "rep": rep_index,
-                            "value": value,
-                        }
-                    )
-        return rows
+        return [
+            {"design": self.design_label, "method": method, "metric": metric,
+             "rep": rep_index, "value": value}
+            for method, recs in self.per_rep.items()
+            for rep_index, rec in enumerate(recs)
+            for metric, value in asdict(rec).items()
+        ]
 
 
 def run_replications(

@@ -349,8 +349,24 @@ def write_json_reference(path, doc):
 def write_rvalues_reference(config, table):
     """Reference for ``rvalues.csv`` and ``rvalues.json`` in ``config.output``:
     ``csv.writer`` over repr cells, and ``json.dump`` of the envelope around
-    ``table.to_json_dict()``."""
-    doc = _envelope("rvalues", config, table.to_json_dict())
+    one entry dict per unit, None where sigma is not given, r is infinite or
+    r_prime is NaN."""
+    sigma = [None] * len(table.ids) if table.sigma is None else table.sigma.tolist()
+    entries = [
+        {"id": uid, "x": x, "sigma": sg, "r": rv if math.isfinite(rv) else None,
+         "r_prime": None if math.isnan(rp) else rp, "tied": tied}
+        for uid, x, sg, rv, rp, tied in zip(
+            table.ids, table.x.tolist(), sigma, table.r.tolist(), table.r_prime.tolist(),
+            table.tied.tolist(),
+        )
+    ]
+    doc = _envelope("rvalues", config, {
+        "schema": "hetsel/rvalues/v1",
+        "definition": table.definition,
+        "grid_resolution": table.grid_resolution,
+        "n_grid": table.n_grid,
+        "entries": entries,
+    })
 
     def cell(v):
         return "" if v is None else repr(v)

@@ -1,13 +1,18 @@
-"""The JSON artifact writer against ``json.dump(indent=2, sort_keys=True)``."""
+"""The artifact writers against the standard library: JSON against
+``json.dump(indent=2, sort_keys=True)``, CSV against ``csv.writer`` over
+``repr`` cells and ``csv.DictWriter``."""
+import ast
 import csv
 import json
 import math
 from enum import IntEnum
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import write_json_reference
+from hetsel import SimDesign, TwoComponent, run_replications
 from hetsel.cli import _Rows, _write_json, main
 
 
@@ -96,7 +101,7 @@ def input_csv(tmp_path_factory):
         for i in range(150):
             mu = rng.uniform(-3, -1) if rng.random() < 0.8 else rng.uniform(1, 2)
             sigma = rng.uniform(0.5, 3.0)
-            uid = f'u{i:03d}' if i % 50 else f'é,"{i}"'
+            uid = f"u{i:03d}" if i % 50 else ("a,b", 'q"q', f'é,"{i}"')[i // 50]
             writer.writerow([uid, repr(mu + sigma * rng.standard_normal()), repr(sigma)])
     return path
 
@@ -125,3 +130,51 @@ def test_every_json_artifact_is_json_dump(command, input_csv, tmp_path):
     for path in artifacts:
         write_json_reference(tmp_path / "ref.json", json.loads(path.read_bytes()))
         assert path.read_bytes() == (tmp_path / "ref.json").read_bytes(), path.name
+
+
+def test_selection_csv_is_csv_writer_over_repr(input_csv, tmp_path):
+    # Re-writing the parsed rows with csv.writer, each float cell as the repr
+    # of its value, gives the file's bytes back.
+    out = tmp_path / "out"
+    assert main(COMMANDS["select"] + ["--output", str(out), "--input", str(input_csv)]) == 0
+    with open(out / "selection.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["id", "x", "sigma", "clfdr", "s", "group", "selected"]
+    assert [row[0] for row in rows[::50]] == ["a,b", 'q"q', 'é,"100"']
+    with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            [uid, *(repr(float(v)) for v in floats), int(group), int(selected)]
+            for uid, *floats, group, selected in rows
+        )
+    assert (out / "selection.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_report_tidy_csv_is_dict_writer(tmp_path):
+    out = tmp_path / "out"
+    assert main(COMMANDS["simulate"] + ["--output", str(out)]) == 0
+    family = TwoComponent(sigma2=2.0, m=300)
+    design = SimDesign(family=family, mu0=family.DEFAULT_MU0, alpha=0.1, reps=2, master_seed=3)
+    report = run_replications(design, k=50)
+    with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=["design", "method", "metric", "rep", "value"])
+        writer.writeheader()
+        writer.writerows(report.tidy_rows())
+    assert (out / "report_tidy.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_only_cli_knows_a_file_format():
+    # Every other module returns data; hetsel.cli alone encodes it.
+    for path in sorted((Path(__file__).parents[1] / "src" / "hetsel").glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in ("csv", "json"), (path.name, name)

@@ -265,6 +265,26 @@ def test_non_finite_flag_is_usage_error(argv, flag, direct_csv, tmp_path, capsys
 
 
 @pytest.mark.parametrize(
+    "definition, fixed, varied",
+    [("mu0", ["--alpha", "0.1"], ["--mu0", "3"]), ("alpha", ["--mu0", "0"], ["--alpha", "0.1"])],
+)
+def test_rvalue_rejects_the_varied_parameter(definition, fixed, varied, direct_csv, tmp_path,
+                                             capsys):
+    # The definition varies one threshold over its grid; a value given for it
+    # would be ignored by the scan and still written into the config block.
+    out = tmp_path / "rv"
+    argv = ["rvalue", "--input", str(direct_csv), "--output", str(out),
+            "--definition", definition, *fixed, *varied]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {varied[0]} is the parameter --definition {definition} varies" in err
+    assert f"give only {fixed[0]}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv, table",
     [
         (["select", "--mu0", "0"], "selection.csv"),

@@ -2,6 +2,7 @@ import json
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -620,6 +621,33 @@ class TestFitPriorPipeline:
         groups = (np.arange(200) >= 100).astype(int)
         fits = fit_prior_by_group(xs, sig, groups, k=10)
         assert set(fits) == {0, 1}
+
+    @staticmethod
+    def _benchmark_draw(seed, m):
+        # perfbench/gen.py's draw: the benchmark's inputs for ``seed``.
+        rng = np.random.default_rng(seed)
+        piece = rng.choice(2, size=m, p=[0.8, 0.2])
+        lows, highs = np.array([-3.0, 1.0])[piece], np.array([-1.0, 2.0])[piece]
+        mu = lows + (highs - lows) * rng.random(m)
+        sigma = rng.uniform(0.5, 3.0, size=m)
+        return mu + sigma * rng.standard_normal(m), sigma
+
+    @pytest.mark.parametrize("tiny", [1e-160, 1e-300])
+    def test_overflowing_fit_is_named(self, tiny, capfd):
+        # A unit with a tiny sigma has a marginal density near 1 / sigma,
+        # whose square overflows H = C'C. The error names that before LAPACK
+        # fails on H with "SVD did not converge" and prints to stderr.
+        x, sigma = self._benchmark_draw(3, 2000)
+        sigma[0] = tiny
+        with pytest.raises(ValueError) as info, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit_prior_by_group(x, sigma, np.zeros(x.size, dtype=int))
+        message = str(info.value)
+        assert message.startswith(f"fit group 0 (2000 units, sigma in [{tiny!r}, ")
+        assert "the least-squares fit overflows" in message
+        assert message.endswith(f"(the smallest sigma is {tiny!r})")
+        err = capfd.readouterr().err
+        assert "DLASCL" not in err and "illegal value" not in err
 
     def test_json_round_trip(self):
         rng = np.random.default_rng(17)

@@ -223,7 +223,7 @@ def _output_tables():
 class TestTableOutputs:
     def test_csv_and_json(self, tmp_path):
         # Both artifacts are byte-identical to csv.writer over repr cells and
-        # json.dump of to_json_dict, on every case of _output_tables.
+        # json.dump of one entry dict per unit, on every case of _output_tables.
         tables = _output_tables()
         for name, sentinel in (("alpha", math.inf), ("mu0", -math.inf)):
             never = tables[name].r == sentinel
