@@ -38,7 +38,7 @@ from .deconv import (
 )
 from .selection import (
     Group,
-    SelectionResult,
+    SelectionCurve,
     ThresholdPair,
     calibrate_thresholds,
     classify_groups,

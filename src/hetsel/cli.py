@@ -1,7 +1,9 @@
 """Command-line surface: CSV ingestion, pipelines, and artifact persistence.
 
 This is the only module that knows a file format: the others return
-columns, dataclasses and dicts, and the writers here turn them into bytes.
+columns, decision vectors, dataclasses and dicts, and the writers here
+turn them into bytes. The sums an artifact reports over a selection
+(modified power, leftover budget, counts) are taken here too.
 
 Commands
 --------
@@ -23,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from itertools import compress, islice, repeat
 from json.encoder import encode_basestring_ascii
 
@@ -60,6 +62,7 @@ __all__ = [
 
 _DIRECT_HEADER = ["id", "x", "sigma"]
 _AYP_HEADER = ["id", "y", "y_prime", "n", "n_prime"]
+_PRIOR_FIT_SCHEMA = "hetsel/prior-fit/v2"
 
 
 @dataclass(frozen=True)
@@ -301,23 +304,34 @@ def _prepare(config: RunConfig):
     return ids, x, sigma, _group_ids(sigma, config.sigma_split)
 
 
+def _fit_summary(fit) -> dict:
+    """How one group's prior was fit: quality, bandwidths and grid."""
+    bw, grid = fit.bandwidths, fit.grid
+    return {
+        "objective": float(fit.objective),
+        "kkt_gap": float(fit.kkt_gap),
+        "bandwidths": {"h_x": bw.h_x, "h_sigma": bw.h_sigma},
+        "grid": {"left": grid.left, "eta": grid.eta, "k": grid.k},
+    }
+
+
+def _prior_fit(fit) -> dict:
+    """One group's entry in ``prior_fit.json``."""
+    nodes, weights = fit.grid.nodes.tolist(), fit.weights.tolist()
+    return dict(_fit_summary(fit), schema=_PRIOR_FIT_SCHEMA, nodes=nodes, weights=weights)
+
+
 def _cmd_deconv_fit(config: RunConfig) -> int:
     _, x, sigma, groups = _prepare(config)
     fits = fit_prior_by_group(x, sigma, groups, k=config.k)
     doc = _envelope(
         "prior-fit-set",
         config,
-        {"fits": {str(g): fit.to_json_dict() for g, fit in fits.items()}},
+        {"fits": {str(g): _prior_fit(fit) for g, fit in fits.items()}},
     )
     os.makedirs(config.output, exist_ok=True)
     _write_json(os.path.join(config.output, "prior_fit.json"), doc)
     return 0
-
-
-def _fit_summary(fit) -> dict:
-    """How one group's prior was fit: quality, bandwidths and grid."""
-    doc = fit.to_json_dict()
-    return {key: doc[key] for key in ("objective", "kkt_gap", "bandwidths", "grid")}
 
 
 def _cmd_select(config: RunConfig) -> int:
@@ -325,7 +339,7 @@ def _cmd_select(config: RunConfig) -> int:
     fits = fit_prior_by_group(x, sigma, groups, k=config.k)
     clfdr = clfdr_by_group(fits, groups, x, sigma, config.mu0)
     dd = select_dd(x, clfdr, config.alpha, config.mu0)
-    s = np.tanh(dd._curve.t)
+    s = np.tanh(dd.t)
     label = classify_groups(x, clfdr, config.mu0, config.alpha)
     stepup = select_clfdr_stepup(clfdr, config.alpha)
     _, pvals = zvalue_pvalue(x, sigma, config.mu0)
@@ -338,9 +352,11 @@ def _cmd_select(config: RunConfig) -> int:
         zip(ids, *map(_text, (x, sigma, clfdr, s)), label.tolist(), dd.decisions.tolist()),
     )
 
-    def power(result):
-        sel = result.selected_indices
+    def power(decisions):
+        sel = np.flatnonzero(decisions)
         return float(np.sum(x[sel] - config.mu0)) if sel.size else 0.0
+
+    selected = np.flatnonzero(dd.decisions)
 
     summary = _envelope(
         "select-summary",
@@ -348,12 +364,12 @@ def _cmd_select(config: RunConfig) -> int:
         {
             "n_units": len(ids),
             "n_selected": {
-                "dd": dd.n_selected,
-                "clfdr_stepup": stepup.n_selected,
-                "bh": bh.n_selected,
+                "dd": int(dd.decisions.sum()),
+                "clfdr_stepup": int(stepup.sum()),
+                "bh": int(bh.sum()),
             },
             "modified_power": {
-                "dd": power(dd),
+                "dd": power(dd.decisions),
                 "clfdr_stepup": power(stepup),
                 "bh": power(bh),
             },
@@ -362,9 +378,9 @@ def _cmd_select(config: RunConfig) -> int:
     )
     _write_json(os.path.join(config.output, "summary.json"), summary)
     result = {
-        "selected_ids": [ids[i] for i in dd.selected_indices.tolist()],
-        "etp_star": dd.etp_star_realized,
-        "capacity": dd.capacity_final,
+        "selected_ids": [ids[i] for i in selected.tolist()],
+        "etp_star": power(dd.decisions),
+        "capacity": float(-np.sum(clfdr[selected] - config.alpha)) if selected.size else 0.0,
         "trace": dd.trace,
     }
     _write_json(
@@ -463,15 +479,37 @@ def _cmd_simulate(config: RunConfig) -> int:
     os.makedirs(config.output, exist_ok=True)
     _write_json(
         os.path.join(config.output, "report.json"),
-        _envelope("replication-report", config, report.to_json_dict()),
+        _envelope("replication-report", config, _report_doc(report)),
     )
-    header = ["design", "method", "metric", "rep", "value"]
     _write_csv(
         os.path.join(config.output, "report_tidy.csv"),
-        header,
-        ([row[key] for key in header] for row in report.tidy_rows()),
+        ["design", "method", "metric", "rep", "value"],
+        _tidy_rows(report),
     )
     return 0
+
+
+def _report_doc(report) -> dict:
+    """The ``report.json`` payload of a ``ReplicationReport``."""
+    return {
+        "design": report.design_label,
+        "config": report.config,
+        "oracle_thresholds": {"c1": report.thresholds.c1, "c2": report.thresholds.c2},
+        "summary": {m: asdict(s) for m, s in report.summary.items()},
+        "per_rep": {m: [asdict(r) for r in recs] for m, recs in report.per_rep.items()},
+        "seed_ledger": [list(k) for k in report.seed_ledger],
+        "clfdr_mse": list(report.clfdr_mse),
+    }
+
+
+def _tidy_rows(report):
+    """The ``report_tidy.csv`` rows: [design, method, metric, rep, value]."""
+    return (
+        [report.design_label, method, metric, rep, value]
+        for method, recs in report.per_rep.items()
+        for rep, rec in enumerate(recs)
+        for metric, value in asdict(rec).items()
+    )
 
 
 _COMMANDS = {

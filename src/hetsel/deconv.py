@@ -68,7 +68,6 @@ _REACH = 9.0
 # x nodes beyond a segment's outer points: the reach plus the cubic stencil.
 _X_PAD = int(_REACH * _X_NODES_PER_BANDWIDTH) + 2
 
-_PRIOR_FIT_SCHEMA = "hetsel/prior-fit/v2"
 _TINY = np.finfo(float).tiny
 
 
@@ -144,7 +143,8 @@ class FittedPrior:
     """Discretized prior estimate: grid nodes, simplex weights, fit diagnostics.
 
     ``kkt_gap`` measures how far the weights are from the simplex optimality
-    conditions; see ``fit_weights``.
+    conditions; see ``fit_weights``. ``hetsel.cli`` writes it into
+    ``prior_fit.json``.
     """
 
     grid: PriorGrid
@@ -164,22 +164,6 @@ class FittedPrior:
         if not self.kkt_gap >= 0:
             raise ValueError("kkt_gap must be nonnegative")
         object.__setattr__(self, "weights", w)
-
-    def to_json_dict(self) -> dict:
-        doc = {
-            "schema": _PRIOR_FIT_SCHEMA,
-            "grid": {"left": self.grid.left, "eta": self.grid.eta, "k": self.grid.k},
-            "nodes": [float(v) for v in self.grid.nodes],
-            "weights": [float(v) for v in self.weights],
-            "objective": float(self.objective),
-            "kkt_gap": float(self.kkt_gap),
-        }
-        if self.bandwidths is not None:
-            doc["bandwidths"] = {
-                "h_x": self.bandwidths.h_x,
-                "h_sigma": self.bandwidths.h_sigma,
-            }
-        return doc
 
 
 def build_grid(xs, k: int = 50) -> PriorGrid:

@@ -148,7 +148,7 @@ def _build_table(ids, x, sigma, r, t_at, definition, resolution, n_grid):
 def rvalue_vary_alpha(ids, x, evaluate, alpha_grid, sigma=None) -> RValueTable:
     """R-values as the smallest grid alpha at which each unit is selected.
 
-    ``evaluate(alpha)`` must return a boolean selection vector, optionally
+    ``evaluate(alpha)`` must return a 0/1 selection vector, optionally
     paired with the per-unit scores t used for rank tie-breaks. Units never
     selected get r = +inf and no rank.
     """
@@ -171,8 +171,8 @@ def rvalue_vary_mu0(ids, x, evaluate, mu0_grid, sigma=None) -> RValueTable:
 def _replay_dd(x, clfdr, alpha: float, mu0: float):
     # One scoring pass: the tie-break scores t come from the curve
     # select_dd already built.
-    res = select_dd(x, clfdr, alpha, mu0)
-    return res.decisions.astype(bool), res._curve.t
+    curve = select_dd(x, clfdr, alpha, mu0)
+    return curve.decisions, curve.t
 
 
 def dd_alpha_evaluator(x, clfdr, mu0: float):

@@ -10,13 +10,16 @@ spending budget on group 1 (descending t) and buying budget from group 2
 Scores are compared on the t scale only; the bounded transform s = tanh(t)
 is kept for reporting, because distinct t values collide in s long before
 tanh saturates to exactly 1.0.
+
+Every procedure returns 0/1 decisions (int8), the step-wise rule as part of
+its ``SelectionCurve``. Sums over a selection, such as its modified power
+or leftover budget, are left to the caller.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +28,7 @@ from .deconv import oracle_clfdr
 __all__ = [
     "Group",
     "ThresholdPair",
-    "SelectionResult",
+    "SelectionCurve",
     "classify_groups",
     "score_arrays",
     "select_dd",
@@ -73,36 +76,6 @@ class ThresholdPair:
     @property
     def c2(self) -> float:
         return float(np.tanh(self.t2))
-
-
-@dataclass(eq=False)
-class SelectionResult:
-    """Decisions plus realized modified power, final budget and audit trail.
-
-    The step-wise rule keeps its prefix curve; ``trace`` is replayed from it
-    on first access, so callers that only need the decisions pay nothing
-    for the audit trail. Each trace step is a dict ``{"step", "unit",
-    "etp_star", "capacity"}``: what happened, to which unit (None at a
-    checkpoint), and the running modified power and budget. ``hetsel.cli``
-    writes the result as ``selection_result.json``.
-    """
-
-    decisions: np.ndarray
-    etp_star_realized: float | None
-    capacity_final: float | None
-    _curve: "_Curve | None" = field(default=None, repr=False)
-
-    @cached_property
-    def trace(self) -> list:
-        return [] if self._curve is None else _trace(self._curve)
-
-    @property
-    def selected_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.decisions)
-
-    @property
-    def n_selected(self) -> int:
-        return int(self.decisions.sum())
 
 
 def _check_alpha(alpha: float):
@@ -167,14 +140,21 @@ def _ordered(indices, t, x, descending_t: bool):
 
 
 @dataclass(frozen=True, eq=False)
-class _Curve:
+class SelectionCurve:
     """The one-dimensional selection curve of one instance.
 
-    Index b counts group-2 purchases in ascending t. ``cap_b[b]`` is the
-    budget after them and ``a_of_b[b]`` the longest group-1 prefix, in
-    descending t, that budget affords; ``etp_b[b]`` is the modified power
-    of that selection, and ``cost1`` the group-1 budget prefix sums with a
-    leading zero. The rule stops at ``b_star`` for ``stop``.
+    ``t`` holds the units' scores. Index b counts group-2 purchases in
+    ascending t. ``cap_b[b]`` is the budget after them and ``a_of_b[b]``
+    the longest group-1 prefix, in descending t, that budget affords;
+    ``etp_b[b]`` is the modified power of that selection, and ``cost1`` the
+    group-1 budget prefix sums with a leading zero. The rule stops at
+    ``b_star`` for ``stop``, selecting ``decisions`` (0/1, int8).
+
+    ``trace`` replays the rule along the curve each time it is read, so
+    callers that only need the decisions pay nothing for it. Each step is
+    a dict ``{"step", "unit", "etp_star", "capacity"}``: what happened, to
+    which unit (None at a checkpoint), and the running modified power and
+    budget.
     """
 
     x: np.ndarray
@@ -191,24 +171,35 @@ class _Curve:
     etp_b: np.ndarray
     b_star: int
     stop: str
+    decisions: np.ndarray
 
     @property
     def a_star(self) -> int:
         return int(self.a_of_b[self.b_star])
 
+    @property
+    def trace(self) -> list:
+        return _trace(self)
 
-def _curve(x, clfdr, alpha: float, mu0: float) -> _Curve:
+
+def _units(x, clfdr, alpha: float):
+    """x and clfdr as checked float arrays, 1-d and of equal length."""
+    _check_alpha(alpha)
+    xs = np.asarray(x, dtype=float)
+    cl = _check_ratio(clfdr, "clfdr")
+    if xs.shape != cl.shape or xs.ndim != 1:
+        raise ValueError("x and clfdr must be one-dimensional and of equal length")
+    return xs, cl
+
+
+def _curve(x, clfdr, alpha: float, mu0: float) -> SelectionCurve:
     """Scores and groups the units, then searches the curve for its stop.
 
     The search stops at the first b where group 1 is used up (checked
     first) or where buying the next group-2 unit would strictly lower the
     modified power, whichever comes first; otherwise at b = n2.
     """
-    _check_alpha(alpha)
-    xs = np.asarray(x, dtype=float)
-    cl = _check_ratio(clfdr, "clfdr")
-    if xs.shape != cl.shape or xs.ndim != 1:
-        raise ValueError("x and clfdr must be one-dimensional and of equal length")
+    xs, cl = _units(x, clfdr, alpha)
     t = _scores(xs, cl, mu0, alpha)
     gain, cheap = _masks(xs, cl, mu0, alpha)
 
@@ -240,12 +231,16 @@ def _curve(x, clfdr, alpha: float, mu0: float) -> _Curve:
         b_star, stop = b_decline, "power_decline"
     else:
         b_star, stop = n2, "group2_exhausted"
-    return _Curve(
-        xs, cl, t, alpha, mu0, g0, g1, g2, cost1, cap_b, a_of_b, etp_b, b_star, stop
+    decisions = np.zeros(xs.size, dtype=np.int8)
+    decisions[g0] = 1
+    decisions[g2[:b_star]] = 1
+    decisions[g1[: a_of_b[b_star]]] = 1
+    return SelectionCurve(
+        xs, cl, t, alpha, mu0, g0, g1, g2, cost1, cap_b, a_of_b, etp_b, b_star, stop, decisions
     )
 
 
-def _trace(c: _Curve) -> list:
+def _trace(c: SelectionCurve) -> list:
     """Replays the step-wise rule along its curve as trace rows (dicts).
 
     Running sums accumulate unit by unit in the order the rule visits the
@@ -307,15 +302,9 @@ def _trace(c: _Curve) -> list:
     return trace
 
 
-def _result(decisions, x, clfdr, alpha: float, mu0: float, curve=None) -> SelectionResult:
-    sel = np.flatnonzero(decisions)
-    etp_real = float(np.sum(x[sel] - mu0)) if sel.size else 0.0
-    cap = float(-np.sum(clfdr[sel] - alpha)) if sel.size else 0.0
-    return SelectionResult(decisions, etp_real, cap, curve)
-
-
-def select_dd(x, clfdr, alpha: float, mu0: float) -> SelectionResult:
-    """Step-wise prioritized selection with a full audit trail.
+def select_dd(x, clfdr, alpha: float, mu0: float) -> SelectionCurve:
+    """Step-wise prioritized selection; returns its curve, whose
+    ``decisions`` are the selection and whose ``trace`` is the audit trail.
 
     Seeds the selection with every group-0 unit, then alternates between
     two moves: fill group 1 in descending t while the cumulative budget
@@ -326,58 +315,35 @@ def select_dd(x, clfdr, alpha: float, mu0: float) -> SelectionResult:
     refill are rolled back and the previous state is returned. Exhausting
     group 2 triggers one final refill; exhausting group 1 returns directly.
     """
-    c = _curve(x, clfdr, alpha, mu0)
-    decisions = np.zeros(c.x.size, dtype=np.int8)
-    decisions[c.g0] = 1
-    decisions[c.g2[: c.b_star]] = 1
-    decisions[c.g1[: c.a_star]] = 1
-    return _result(decisions, c.x, c.clfdr, alpha, mu0, c)
+    return _curve(x, clfdr, alpha, mu0)
 
 
-def select_clfdr_stepup(clfdrs, alpha: float) -> SelectionResult:
+def select_clfdr_stepup(clfdrs, alpha: float) -> np.ndarray:
     """Step-up on sorted clfdr values: largest prefix with running mean <= alpha.
 
-    All units tied with the cutoff value are included. The realized power
-    field is None because this procedure never sees the observations.
+    Returns the 0/1 decisions (int8). All units tied with the cutoff value
+    are included.
     """
-    _check_alpha(alpha)
-    cl = _check_ratio(clfdrs, "clfdrs")
-    m = cl.size
-    decisions = np.zeros(m, dtype=np.int8)
-    threshold = clfdr_stepup_threshold(cl, alpha)
-    if math.isfinite(threshold):
-        decisions[cl <= threshold] = 1
-    sel = np.flatnonzero(decisions)
-    cap = float(-np.sum(cl[sel] - alpha)) if sel.size else 0.0
-    return SelectionResult(decisions, None, cap)
+    threshold = clfdr_stepup_threshold(clfdrs, alpha)
+    return (np.asarray(clfdrs, dtype=float) <= threshold).astype(np.int8)
 
 
 def clfdr_stepup_threshold(clfdrs, alpha: float) -> float:
     """The clfdr cutoff realized by the step-up rule; -inf when nothing passes."""
     _check_alpha(alpha)
     cl = _check_ratio(clfdrs, "clfdrs")
-    if cl.size == 0:
-        return -math.inf
     srt = np.sort(cl)
-    means = np.cumsum(srt) / np.arange(1, cl.size + 1)
-    ok = np.flatnonzero(means <= alpha)
-    if ok.size == 0:
-        return -math.inf
-    return float(srt[ok[-1]])
+    ok = np.flatnonzero(np.cumsum(srt) / np.arange(1, cl.size + 1) <= alpha)
+    return float(srt[ok[-1]]) if ok.size else -math.inf
 
 
-def select_bh(pvalues, alpha: float) -> SelectionResult:
-    """Benjamini-Hochberg step-up on p-values."""
+def select_bh(pvalues, alpha: float) -> np.ndarray:
+    """Benjamini-Hochberg step-up on p-values; returns the 0/1 decisions (int8)."""
     _check_alpha(alpha)
     p = _check_ratio(pvalues, "pvalues")
-    m = p.size
-    decisions = np.zeros(m, dtype=np.int8)
-    if m:
-        srt = np.sort(p)
-        ok = np.flatnonzero(srt <= np.arange(1, m + 1) * alpha / m)
-        if ok.size:
-            decisions[p <= srt[ok[-1]]] = 1
-    return SelectionResult(decisions, None, None)
+    srt = np.sort(p)
+    ok = np.flatnonzero(srt <= np.arange(1, p.size + 1) * alpha / p.size)
+    return (p <= (srt[ok[-1]] if ok.size else -math.inf)).astype(np.int8)
 
 
 def calibrate_thresholds(x, clfdr, alpha: float, mu0: float) -> ThresholdPair:
@@ -644,20 +610,15 @@ def oracle_thresholds(model, alpha: float, mu0: float) -> ThresholdPair:
     return ThresholdPair(t1, -math.inf)
 
 
-def select_oracle(x, clfdr, thresholds: ThresholdPair, alpha: float, mu0: float) -> SelectionResult:
+def select_oracle(x, clfdr, thresholds: ThresholdPair, alpha: float, mu0: float) -> np.ndarray:
     """Fixed-cutoff rule: all of group 0, group 1 with t > t1, group 2 with t < t2.
 
-    Both comparisons are strict, so a unit whose score equals the cutoff is
-    not selected.
+    Returns the 0/1 decisions (int8). Both comparisons are strict, so a
+    unit whose score equals the cutoff is not selected. x and clfdr must
+    be one-dimensional and of equal length.
     """
-    _check_alpha(alpha)
-    xs = np.asarray(x, dtype=float)
-    t = score_arrays(xs, clfdr, mu0, alpha)
-    cl = np.asarray(clfdr, dtype=float)
-    grp = classify_groups(xs, cl, mu0, alpha)
-    sel = (
-        (grp == Group.G0)
-        | ((grp == Group.G1) & (t > thresholds.t1))
-        | ((grp == Group.G2) & (t < thresholds.t2))
-    )
-    return _result(sel.astype(np.int8), xs, cl, alpha, mu0)
+    xs, cl = _units(x, clfdr, alpha)
+    t = _scores(xs, cl, mu0, alpha)
+    gain, cheap = _masks(xs, cl, mu0, alpha)
+    sel = gain & (cheap | (t > thresholds.t1)) | cheap & ~gain & (t < thresholds.t2)
+    return sel.astype(np.int8)

@@ -24,7 +24,7 @@ Benjamini-Hochberg on p-values.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -240,8 +240,8 @@ def _run_one_rep(
     bh = select_bh(pvals, design.alpha)
 
     out = {}
-    for name, result in (("DD", dd), ("OR", orc), ("Clfdr", stepup), ("BH", bh)):
-        out[name] = _metrics(result.decisions, rep, design.mu0)
+    for name, decisions in (("DD", dd.decisions), ("OR", orc), ("Clfdr", stepup), ("BH", bh)):
+        out[name] = _metrics(decisions, rep, design.mu0)
     clfdr_mse = float(np.mean((clfdr_hat - clfdr_true) ** 2))
     return rep.seed_key, out, clfdr_mse
 
@@ -285,29 +285,6 @@ class ReplicationReport:
     seed_ledger: tuple
     clfdr_mse: tuple
     thresholds: ThresholdPair
-
-    def to_json_dict(self) -> dict:
-        return {
-            "design": self.design_label,
-            "config": self.config,
-            "oracle_thresholds": {"c1": self.thresholds.c1, "c2": self.thresholds.c2},
-            "summary": {m: asdict(s) for m, s in self.summary.items()},
-            "per_rep": {
-                m: [asdict(r) for r in recs] for m, recs in self.per_rep.items()
-            },
-            "seed_ledger": [list(k) for k in self.seed_ledger],
-            "clfdr_mse": list(self.clfdr_mse),
-        }
-
-    def tidy_rows(self):
-        """Long-format rows (design, method, metric, rep, value) for plotting."""
-        return [
-            {"design": self.design_label, "method": method, "metric": metric,
-             "rep": rep_index, "value": value}
-            for method, recs in self.per_rep.items()
-            for rep_index, rec in enumerate(recs)
-            for metric, value in asdict(rec).items()
-        ]
 
 
 def run_replications(

@@ -30,8 +30,8 @@ from hetsel import (
     UniformSigma,
     calibrate_thresholds,
 )
-from hetsel.cli import _envelope
-from hetsel.deconv import _KERNEL_BLOCK_PAIRS, _PRIOR_FIT_SCHEMA, _gauss
+from hetsel.cli import _PRIOR_FIT_SCHEMA, _envelope
+from hetsel.deconv import _KERNEL_BLOCK_PAIRS, _gauss
 
 
 def point_masses(locs, weights) -> TruePrior:
@@ -40,7 +40,7 @@ def point_masses(locs, weights) -> TruePrior:
 
 
 def fitted_prior_from_json(doc: dict) -> FittedPrior:
-    """Reads back one ``FittedPrior.to_json_dict`` document."""
+    """Reads back one fit of ``prior_fit.json`` (``hetsel.cli._prior_fit``)."""
     if doc.get("schema") != _PRIOR_FIT_SCHEMA:
         raise ValueError(
             f"unsupported prior fit schema {doc.get('schema')!r}; "

@@ -162,6 +162,24 @@ class TestSelectCommand:
         labels = classify_groups(x, clfdr, 0.0, 0.1)
         assert [r["group"] for r in rows] == [str(int(v)) for v in labels]
 
+    def test_reported_sums_are_over_the_selected_rows(self, direct_csv, tmp_path):
+        # Modified power, leftover budget and count of the step-wise
+        # selection, as both JSON files report them, are sums over the rows
+        # selection.csv marks as selected, in file order.
+        out = tmp_path / "out"
+        argv = ["select", "--input", str(direct_csv), "--output", str(out), "--mu0", "0.5"]
+        assert main(argv + ["--alpha", "0.1"]) == 0
+        with open(out / "selection.csv", newline="") as fh:
+            rows = [r for r in csv.DictReader(fh) if r["selected"] == "1"]
+        assert rows
+        x = np.array([float(r["x"]) for r in rows])
+        clfdr = np.array([float(r["clfdr"]) for r in rows])
+        summary = json.loads((out / "summary.json").read_text())
+        result = json.loads((out / "selection_result.json").read_text())
+        assert result["etp_star"] == summary["modified_power"]["dd"] == float(np.sum(x - 0.5))
+        assert result["capacity"] == float(-np.sum(clfdr - 0.1))
+        assert summary["n_selected"]["dd"] == len(rows)
+
     def test_deterministic(self, direct_csv, tmp_path):
         args = ["select", "--input", str(direct_csv), "--alpha", "0.1", "--mu0", "0"]
         assert main(args + ["--output", str(tmp_path / "a")]) == 0

@@ -39,6 +39,7 @@ from hetsel import (
     oracle_clfdr,
     silverman_bandwidths,
 )
+from hetsel.cli import _prior_fit
 from hetsel.deconv import _ORACLE_BLOCK_UNITS, _design_matrix, _log_add_into
 
 
@@ -654,7 +655,7 @@ class TestFitPriorPipeline:
         xs = rng.normal(size=100)
         sig = rng.uniform(0.5, 1.5, 100)
         fit = fit_prior(xs, sig, k=12)
-        doc = fit.to_json_dict()
+        doc = _prior_fit(fit)
         back = fitted_prior_from_json(json.loads(json.dumps(doc)))
         assert back.grid == fit.grid
         np.testing.assert_array_equal(back.weights, fit.weights)

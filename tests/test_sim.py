@@ -17,6 +17,7 @@ from hetsel import (
     joint_model,
     run_replications,
 )
+from hetsel.cli import _report_doc, _tidy_rows
 
 
 def _design(family, mu0, reps=2, seed=42, alpha=0.1):
@@ -140,8 +141,8 @@ class TestRunReplications:
         design = _design(UniformIndep(sigma_max=3.0, m=250), mu0=0.0, reps=2, seed=9)
         a = run_replications(design)
         b = run_replications(design)
-        assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
-            b.to_json_dict(), sort_keys=True
+        assert json.dumps(_report_doc(a), sort_keys=True) == json.dumps(
+            _report_doc(b), sort_keys=True
         )
 
     def test_summary_equals_mean_of_reps(self):
@@ -172,16 +173,16 @@ class TestRunReplications:
         design = _design(UniformIndep(sigma_max=3.0, m=150), mu0=0.0, reps=2, seed=3)
         report = run_replications(design)
         assert len(set(report.seed_ledger)) == 2
-        rows = report.tidy_rows()
-        assert {r["method"] for r in rows} == {"DD", "OR", "Clfdr", "BH"}
-        assert {r["metric"] for r in rows} == {"fdp", "etp", "etp_star", "n_selected"}
+        rows = list(_tidy_rows(report))
+        assert {r[1] for r in rows} == {"DD", "OR", "Clfdr", "BH"}
+        assert {r[2] for r in rows} == {"fdp", "etp", "etp_star", "n_selected"}
         assert len(rows) == 4 * 4 * 2
 
     def test_clfdr_mse_per_rep(self):
         design = _design(CorrelatedTwoGroup(sigma=1.0, m=300), mu0=1.0, reps=2, seed=5)
         report = run_replications(design, k=30)
         assert len(report.clfdr_mse) == 2
-        assert report.to_json_dict()["clfdr_mse"] == list(report.clfdr_mse)
+        assert _report_doc(report)["clfdr_mse"] == list(report.clfdr_mse)
         rep = generate(design, 1)
         fits = fit_prior_by_group(rep.x, rep.sigma, rep.group_ids, k=30)
         estimated = clfdr_by_group(fits, rep.group_ids, rep.x, rep.sigma, 1.0)
