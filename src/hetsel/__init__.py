@@ -28,7 +28,6 @@ from .deconv import (
     UniformSigma,
     build_grid,
     clfdr_by_group,
-    clfdr_from_fit,
     fit_prior,
     fit_prior_by_group,
     fit_weights,
@@ -37,14 +36,11 @@ from .deconv import (
     silverman_bandwidths,
 )
 from .selection import (
-    Group,
     SelectionCurve,
     ThresholdPair,
     calibrate_thresholds,
-    classify_groups,
     clfdr_stepup_threshold,
     oracle_thresholds,
-    score_arrays,
     select_bh,
     select_clfdr_stepup,
     select_dd,

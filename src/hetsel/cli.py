@@ -12,7 +12,8 @@ select       score units, run the prioritized selection, write CSV + summary
 rvalue       rank units by r-value under either definition
 simulate     run a replication study on one of the built-in designs
 
-Input CSVs are comma-separated with a header row, UTF-8, decimal points.
+Input CSVs are comma-separated with a header row, UTF-8 (a leading
+byte-order mark is skipped), decimal points.
 Two layouts are accepted: direct columns (id, x, sigma), or rate-comparison
 columns (id, y, y_prime, n, n_prime) which are preprocessed into an effect
 x = y - y_prime with a binomial standard error.
@@ -42,7 +43,7 @@ from .rvalue import (
     rvalue_vary_alpha,
     rvalue_vary_mu0,
 )
-from .selection import classify_groups, select_bh, select_clfdr_stepup, select_dd
+from .selection import select_bh, select_clfdr_stepup, select_dd
 from .sim import (
     CorrelatedTwoGroup,
     SimDesign,
@@ -130,7 +131,7 @@ def read_records(path):
     Extra columns after the recognized prefix are ignored, so the CSV the
     ``select`` command writes can be re-ingested directly.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip().lower() for h in next(reader)]
@@ -340,7 +341,6 @@ def _cmd_select(config: RunConfig) -> int:
     clfdr = clfdr_by_group(fits, groups, x, sigma, config.mu0)
     dd = select_dd(x, clfdr, config.alpha, config.mu0)
     s = np.tanh(dd.t)
-    label = classify_groups(x, clfdr, config.mu0, config.alpha)
     stepup = select_clfdr_stepup(clfdr, config.alpha)
     _, pvals = zvalue_pvalue(x, sigma, config.mu0)
     bh = select_bh(pvals, config.alpha)
@@ -349,7 +349,7 @@ def _cmd_select(config: RunConfig) -> int:
     _write_csv(
         os.path.join(config.output, "selection.csv"),
         ["id", "x", "sigma", "clfdr", "s", "group", "selected"],
-        zip(ids, *map(_text, (x, sigma, clfdr, s)), label.tolist(), dd.decisions.tolist()),
+        zip(ids, *map(_text, (x, sigma, clfdr, s)), dd.group.tolist(), dd.decisions.tolist()),
     )
 
     def power(decisions):
@@ -396,47 +396,43 @@ def _cmd_rvalue(config: RunConfig) -> int:
     if config.definition == "alpha":
         clfdr = clfdr_by_group(fits, groups, x, sigma, config.mu0)
         table = rvalue_vary_alpha(
-            ids,
-            x,
+            len(ids),
             dd_alpha_evaluator(x, clfdr, config.mu0),
             default_alpha_grid(config.grid_points),
-            sigma=sigma,
         )
     else:
         table = rvalue_vary_mu0(
-            ids,
-            x,
+            len(ids),
             dd_mu0_evaluator(x, _clfdr_table(fits, groups, x, sigma), config.alpha),
             default_mu0_grid(x, config.grid_points),
-            sigma=sigma,
         )
     os.makedirs(config.output, exist_ok=True)
-    _write_rvalues(config, table)
+    _write_rvalues(config, ids, x, sigma, table)
     return 0
 
 
-def _write_rvalues(config: RunConfig, table):
-    """Writes ``rvalues.csv`` and ``rvalues.json`` into ``config.output``.
+def _write_rvalues(config: RunConfig, ids, x, sigma, table):
+    """Writes the units ``ids``, ``x`` and ``sigma`` with their r-values from
+    ``table`` as ``rvalues.csv`` and ``rvalues.json`` into ``config.output``.
 
     Both files carry each float as the same ``repr`` text, encoded once; a
-    missing value (no sigma given, r infinite for a unit never selected,
-    r_prime NaN) is an empty CSV cell and a JSON null. The ids must be
-    strings, as ``read_records`` returns them.
+    missing value (r infinite for a unit never selected, r_prime NaN) is an
+    empty CSV cell and a JSON null. The ids must be strings, as
+    ``read_records`` returns them.
     """
-    x = _text(table.x)
-    sigma = [""] * len(table.ids) if table.sigma is None else _text(table.sigma)
+    x, sigma = _text(x), _text(sigma)
     r = _text(table.r, ~np.isfinite(table.r))
     r_prime = _text(table.r_prime, np.isnan(table.r_prime))
     _write_csv(
         os.path.join(config.output, "rvalues.csv"),
         ["id", "x", "sigma", "r", "r_prime", "definition", "grid_resolution"],
-        zip(table.ids, x, sigma, r, r_prime, repeat(table.definition),
+        zip(ids, x, sigma, r, r_prime, repeat(table.definition),
             repeat(repr(table.grid_resolution))),
     )
     cells = {
-        "id": list(map(encode_basestring_ascii, table.ids)),
+        "id": list(map(encode_basestring_ascii, ids)),
         "x": x,
-        "sigma": [v or "null" for v in sigma],
+        "sigma": sigma,
         "r": [v or "null" for v in r],
         "r_prime": [v or "null" for v in r_prime],
         "tied": ["true" if v else "false" for v in table.tied.tolist()],

@@ -9,7 +9,8 @@ of the null-region marginal mass to the full marginal at its observation.
 
 Two evaluation paths are provided:
 
-* ``clfdr_from_fit`` scores units against a fitted discrete prior;
+* ``clfdr_by_group`` scores units against the fitted discrete prior of
+  their group;
 * ``oracle_clfdr`` scores units against a known prior (point masses,
   uniform intervals, or normal components) using exact closed forms, for
   simulations where the generating distribution is available. Their
@@ -41,7 +42,6 @@ __all__ = [
     "silverman_bandwidths",
     "kernel_marginals",
     "fit_weights",
-    "clfdr_from_fit",
     "oracle_clfdr",
     "fit_prior",
     "fit_prior_by_group",
@@ -69,6 +69,10 @@ _REACH = 9.0
 _X_PAD = int(_REACH * _X_NODES_PER_BANDWIDTH) + 2
 
 _TINY = np.finfo(float).tiny
+# Units with ((x - node) / sigma)^2 at or above this at some node are scored
+# by _far_exponents: beyond it the rounding of z^2 (about eps z^2) passes
+# 2^-20 in the exponent.
+_FAR_Z2 = 2.0 ** 32
 
 
 def _gauss(z, h):
@@ -184,7 +188,10 @@ def build_grid(xs, k: int = 50) -> PriorGrid:
 
 
 def _rule_of_thumb(values: np.ndarray, m: int, name: str) -> float:
-    sd = float(np.std(values, ddof=1))
+    # A far outlier overflows the sum of squares; sd is then inf and the
+    # IQR sets the spread.
+    with np.errstate(over="ignore"):
+        sd = float(np.std(values, ddof=1))
     if sd <= 0:
         raise ValueError(f"zero spread in {name}: rule-of-thumb bandwidth vanishes")
     iqr = float(np.quantile(values, 0.75) - np.quantile(values, 0.25))
@@ -464,7 +471,8 @@ def _clfdr_table(fits: dict, group_ids, x, sigma):
     ratio. Then clfdr(mu0) = exp(L_ij - L_i,k-1), with j the last node
     <= mu0 (closed inequality), so a new mu0 costs one row lookup and the
     ratio keeps its value where both densities underflow. The prefix never
-    decreases, hence every value lies in [0, 1].
+    decreases, hence every value lies in [0, 1]. Units too many sigmas from
+    the nodes for z^2 to resolve them are scored by ``_far_exponents``.
     """
     xs = np.asarray(x, dtype=float)
     sg = np.asarray(sigma, dtype=float)
@@ -477,10 +485,15 @@ def _clfdr_table(fits: dict, group_ids, x, sigma):
             log_w = np.log(fit.weights)
         # In place: these k x m arrays set the peak memory of select and
         # rvalue. The arithmetic is that of log_w - 0.5 z^2, bit for bit.
-        z = (xs[idx][None, :] - nodes[:, None]) / sg[idx][None, :]
-        np.square(z, out=z)
+        with np.errstate(over="ignore"):
+            z = (xs[idx][None, :] - nodes[:, None]) / sg[idx][None, :]
+            np.square(z, out=z)
+        # z^2 is largest at an end node.
+        far = np.flatnonzero((z[0] >= _FAR_Z2) | (z[-1] >= _FAR_Z2))
         z *= -0.5
         z += log_w[:, None]
+        if far.size:
+            z[:, far] = _far_exponents(nodes, log_w, xs[idx][far], sg[idx][far])
         L = np.logaddexp.accumulate(z, axis=0, out=z)
         L -= L[-1]
         tables.append((idx, nodes, np.exp(L, out=L)))
@@ -495,18 +508,30 @@ def _clfdr_table(fits: dict, group_ids, x, sigma):
     return clfdr
 
 
-def clfdr_from_fit(fit: FittedPrior, x, sigma, mu0: float):
-    """Conditional local FDR under a fitted prior: f0(x) / f(x) in [0, 1].
+def _far_exponents(nodes, log_w, x, sigma):
+    """log w_j - ((x - node_j) / sigma)^2 / 2 up to a constant per unit, for
+    units so far from the nodes that z^2 rounds away the node spacing or
+    overflows.
 
-    f sums weighted Gaussian densities over all grid nodes; f0 over the nodes
-    with node <= mu0 (closed inequality). Evaluated in log space.
+    With r the nearest positive-weight node, the exponent is taken as
+    log w_j - (node_r - node_j)(2x - node_j - node_r) / (2 sigma^2), whose
+    factors keep their relative precision. Where the posterior is a point
+    mass to double precision, every other node then weighs exactly 0, so
+    the clfdr is its limit: 1 if node_r <= mu0 and 0 otherwise.
     """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    sg = np.atleast_1d(np.asarray(sigma, dtype=float))
-    xs, sg = np.broadcast_arrays(xs, sg)
-    out = _clfdr_table({0: fit}, np.zeros(xs.size, dtype=int), xs, sg)(mu0)
-    if np.ndim(x) == 0 and np.ndim(sigma) == 0:
-        return float(out[0])
+    pos = np.flatnonzero(np.isfinite(log_w))
+    n = nodes[pos]
+    i = np.searchsorted(n, x)
+    lo, hi = np.maximum(i - 1, 0), np.minimum(i, n.size - 1)
+    r = np.where(x - n[lo] <= n[hi] - x, lo, hi)
+    # Both factors share the sign of node_r - node_j, so q >= 0. A factor
+    # is 0 only at r itself or where x lies exactly midway between node_r
+    # and node_j, and q = 0 there too, also where the other factor is inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = (n[r] - n[:, None]) / sigma * (((x - n[:, None]) + (x - n[r])) / (2.0 * sigma))
+    q[np.isnan(q)] = 0.0
+    out = np.full((nodes.size, x.size), -np.inf)
+    out[pos] = log_w[pos, None] - q
     return out
 
 

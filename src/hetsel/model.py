@@ -168,7 +168,9 @@ def _erfc_nonneg(y, log: bool):
     out.put(idx, _scaled_to_erfc(_cody_ratio(ym, _ERFC_C, _ERFC_D), ym, log))
     idx = np.flatnonzero(~within)
     yb = y.take(idx)
-    inv_sq = np.reciprocal(np.square(yb))
+    # Past about 1.3e154, y^2 overflows and 1 / y^2 is 0, its limit.
+    with np.errstate(over="ignore"):
+        inv_sq = np.reciprocal(np.square(yb))
     r = _cody_ratio(inv_sq, _ERFC_P, _ERFC_Q)
     r *= inv_sq
     np.subtract(_INV_SQRT_PI, r, out=r)

@@ -9,7 +9,8 @@ threshold parameter in advance.
 The continuum definitions are approximated on a declared finite grid. The
 procedures here are not assumed nested in the varying parameter, so the
 extremum is taken over every grid point where the unit is selected rather
-than located by bisection.
+than located by bisection. A scan needs only the number of units and a
+replay hook; the units' ids, x and sigma stay with the caller.
 """
 from __future__ import annotations
 
@@ -36,27 +37,24 @@ VARY_MU0 = "mu0"
 
 @dataclass(frozen=True, eq=False)
 class RValueTable:
-    """Per-unit r-values and standardized ranks, one column per field, plus
-    the scan's metadata: the varied parameter ``definition``, the grid's
-    largest step ``grid_resolution`` and its size ``n_grid``. The table
-    knows no file format; ``hetsel.cli`` writes it as ``rvalues.csv`` and
-    ``rvalues.json``.
+    """Per-unit r-values and standardized ranks, one column per field in
+    the units' input order, plus the scan's metadata: the varied parameter
+    ``definition``, the grid's largest step ``grid_resolution`` and its
+    size ``n_grid``. The table holds only what the scan computed and knows
+    no file format; ``hetsel.cli`` writes it, next to the units' ids, x
+    and sigma, as ``rvalues.csv`` and ``rvalues.json``.
 
-    ``ids``, ``x`` and ``sigma`` (None when not given) are the units in
-    input order. ``r`` is +inf (vary-alpha) or -inf (vary-mu0) for units
-    never selected on the grid; those units carry no rank (``r_prime`` is
-    NaN). ``tied`` flags units sharing their r-value with another unit,
-    where the rank order fell back to the tie-break: larger score t at the
-    grid point of first selection, then input position. Ties are broken on
-    t, not on s = tanh(t), whose values collide long before t does.
+    ``r`` is +inf (vary-alpha) or -inf (vary-mu0) for units never selected
+    on the grid; those units carry no rank (``r_prime`` is NaN). ``tied``
+    flags units sharing their r-value with another unit, where the rank
+    order fell back to the tie-break: larger score t at the grid point of
+    first selection, then input position. Ties are broken on t, not on
+    s = tanh(t), whose values collide long before t does.
     """
 
     definition: str
     grid_resolution: float
     n_grid: int
-    ids: list
-    x: np.ndarray
-    sigma: np.ndarray | None
     r: np.ndarray
     r_prime: np.ndarray
     tied: np.ndarray
@@ -95,14 +93,13 @@ def _validate_grid(grid, definition):
     return g, float(np.max(np.abs(d)))
 
 
-def _scan(ids, evaluate, grid, sentinel):
+def _scan(m, evaluate, grid, sentinel):
     """First-selection scan: records the first grid point selecting each unit.
 
     The grid is ordered from most to least demanding, so the first selection
     realizes the extremum even for non-nested procedures (each point is
     evaluated regardless of earlier selections).
     """
-    m = len(ids)
     r = np.full(m, sentinel, dtype=float)
     t_at = np.full(m, -np.inf)
     for point in grid:
@@ -120,52 +117,48 @@ def _scan(ids, evaluate, grid, sentinel):
     return r, t_at
 
 
-def _build_table(ids, x, sigma, r, t_at, definition, resolution, n_grid):
-    m = len(ids)
+def _build_table(r, t_at, definition, resolution, n_grid):
     ranked = np.flatnonzero(np.isfinite(r))
-    r_prime = np.full(m, np.nan)
+    r_prime = np.full(r.size, np.nan)
     if ranked.size:
         # Importance order: ascending r for vary-alpha (selected at a smaller
         # level first), descending r for vary-mu0 (still selected at a higher
         # reference level). Ties break to larger score t, then input order.
         primary = r[ranked] if definition == VARY_ALPHA else -r[ranked]
         order = np.lexsort((ranked, -t_at[ranked], primary))
-        r_prime[ranked[order]] = np.arange(1, ranked.size + 1) / m
+        r_prime[ranked[order]] = np.arange(1, ranked.size + 1) / r.size
     uniq, counts = np.unique(r[ranked], return_counts=True)
     return RValueTable(
         definition=definition,
         grid_resolution=resolution,
         n_grid=n_grid,
-        ids=list(ids),
-        x=np.asarray(x, dtype=float),
-        sigma=None if sigma is None else np.asarray(sigma, dtype=float),
         r=r,
         r_prime=r_prime,
         tied=np.isin(r, uniq[counts > 1]),
     )
 
 
-def rvalue_vary_alpha(ids, x, evaluate, alpha_grid, sigma=None) -> RValueTable:
-    """R-values as the smallest grid alpha at which each unit is selected.
+def rvalue_vary_alpha(m: int, evaluate, alpha_grid) -> RValueTable:
+    """R-values of m units as the smallest grid alpha at which each is selected.
 
-    ``evaluate(alpha)`` must return a 0/1 selection vector, optionally
-    paired with the per-unit scores t used for rank tie-breaks. Units never
-    selected get r = +inf and no rank.
+    ``evaluate(alpha)`` must return a 0/1 selection vector of length m,
+    optionally paired with the per-unit scores t used for rank tie-breaks.
+    Units never selected get r = +inf and no rank.
     """
     grid, resolution = _validate_grid(alpha_grid, VARY_ALPHA)
-    r, t_at = _scan(ids, evaluate, grid, math.inf)
-    return _build_table(ids, x, sigma, r, t_at, VARY_ALPHA, resolution, grid.size)
+    r, t_at = _scan(m, evaluate, grid, math.inf)
+    return _build_table(r, t_at, VARY_ALPHA, resolution, grid.size)
 
 
-def rvalue_vary_mu0(ids, x, evaluate, mu0_grid, sigma=None) -> RValueTable:
-    """R-values as the largest grid mu0 at which each unit is selected.
+def rvalue_vary_mu0(m: int, evaluate, mu0_grid) -> RValueTable:
+    """R-values of m units as the largest grid mu0 at which each is selected.
 
     The grid must descend, conventionally from above max(x) to below
     min(x). Units never selected get r = -inf and no rank.
     """
     grid, resolution = _validate_grid(mu0_grid, VARY_MU0)
-    r, t_at = _scan(ids, evaluate, grid, -math.inf)
-    return _build_table(ids, x, sigma, r, t_at, VARY_MU0, resolution, grid.size)
+    r, t_at = _scan(m, evaluate, grid, -math.inf)
+    return _build_table(r, t_at, VARY_MU0, resolution, grid.size)
 
 
 def _replay_dd(x, clfdr, alpha: float, mu0: float):

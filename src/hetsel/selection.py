@@ -12,25 +12,23 @@ is kept for reporting, because distinct t values collide in s long before
 tanh saturates to exactly 1.0.
 
 Every procedure returns 0/1 decisions (int8), the step-wise rule as part of
-its ``SelectionCurve``. Sums over a selection, such as its modified power
-or leftover budget, are left to the caller.
+its ``SelectionCurve``, which also holds the scores ``t`` and the ordered
+groups, and builds the units' group labels and the audit trail when they
+are read. Sums over a selection, such as its modified power or leftover
+budget, are left to the caller.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
 from .deconv import oracle_clfdr
 
 __all__ = [
-    "Group",
     "ThresholdPair",
     "SelectionCurve",
-    "classify_groups",
-    "score_arrays",
     "select_dd",
     "select_clfdr_stepup",
     "clfdr_stepup_threshold",
@@ -39,13 +37,6 @@ __all__ = [
     "oracle_thresholds",
     "select_oracle",
 ]
-
-class Group(IntEnum):
-    G0 = 0  # x >= mu0 and clfdr <= alpha: free gain, always selected
-    G1 = 1  # x >= mu0 and clfdr > alpha: power gain, budget cost
-    G2 = 2  # x < mu0 and clfdr <= alpha: budget gain, power cost
-    G3 = 3  # x < mu0 and clfdr > alpha: never selected
-
 
 @dataclass(frozen=True)
 class ThresholdPair:
@@ -92,34 +83,15 @@ def _check_ratio(values, name):
 
 
 def _masks(xs, cl, mu0: float, alpha: float):
-    # gain: x - mu0 >= 0; cheap: clfdr - alpha <= 0. A NaN input fails
-    # its mask.
+    # gain: x - mu0 >= 0; cheap: clfdr - alpha <= 0. Both boundaries are
+    # closed towards groups 0 and 2. A NaN input fails its mask.
     return xs - mu0 >= 0, cl - alpha <= 0
 
 
-def classify_groups(x, clfdr, mu0: float, alpha: float) -> np.ndarray:
-    """Group labels from the signs of (x - mu0, clfdr - alpha).
-
-    Both boundaries are closed towards groups 0 and 2: x = mu0 counts as a
-    gain and clfdr = alpha as free budget.
-    """
-    gain, cheap = _masks(np.asarray(x, dtype=float), np.asarray(clfdr, dtype=float), mu0, alpha)
-    return (2 * ~gain + ~cheap).astype(np.int8)
-
-
-def score_arrays(x, clfdr, mu0: float, alpha: float) -> np.ndarray:
-    """Value-to-cost ratio t = (x - mu0) / (clfdr - alpha).
-
-    Where clfdr equals alpha exactly, t is +inf for x > mu0, -inf for
-    x < mu0 and 0 at x = mu0. x and clfdr broadcast against each other;
-    scalars give a 0-d array.
-    """
-    xs, cl = np.broadcast_arrays(np.asarray(x, dtype=float), _check_ratio(clfdr, "clfdr"))
-    return _scores(xs.ravel(), cl.ravel(), mu0, alpha).reshape(xs.shape)
-
-
 def _scores(xs, cl, mu0: float, alpha: float) -> np.ndarray:
-    # score_arrays without the clfdr check, on 1-d arrays of equal length.
+    # t = (x - mu0) / (clfdr - alpha) on 1-d arrays of equal length. Where
+    # clfdr equals alpha exactly, t is +inf for x > mu0, -inf for x < mu0
+    # and 0 at x = mu0.
     num = xs - mu0
     den = cl - alpha
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -150,11 +122,13 @@ class SelectionCurve:
     group-1 budget prefix sums with a leading zero. The rule stops at
     ``b_star`` for ``stop``, selecting ``decisions`` (0/1, int8).
 
-    ``trace`` replays the rule along the curve each time it is read, so
-    callers that only need the decisions pay nothing for it. Each step is
-    a dict ``{"step", "unit", "etp_star", "capacity"}``: what happened, to
-    which unit (None at a checkpoint), and the running modified power and
-    budget.
+    ``group`` and ``trace`` are built each time they are read, so callers
+    that only need the decisions pay nothing for them. ``group`` labels
+    each unit 0-3 (int8) by the signs of (x - mu0, clfdr - alpha); x = mu0
+    counts as a gain and clfdr = alpha as free budget. Each step of
+    ``trace`` is a dict ``{"step", "unit", "etp_star", "capacity"}``: what
+    happened, to which unit (None at a checkpoint), and the running
+    modified power and budget.
     """
 
     x: np.ndarray
@@ -178,6 +152,12 @@ class SelectionCurve:
         return int(self.a_of_b[self.b_star])
 
     @property
+    def group(self) -> np.ndarray:
+        label = np.full(self.x.size, 3, dtype=np.int8)
+        label[self.g0], label[self.g1], label[self.g2] = 0, 1, 2
+        return label
+
+    @property
     def trace(self) -> list:
         return _trace(self)
 
@@ -192,12 +172,23 @@ def _units(x, clfdr, alpha: float):
     return xs, cl
 
 
-def _curve(x, clfdr, alpha: float, mu0: float) -> SelectionCurve:
-    """Scores and groups the units, then searches the curve for its stop.
+def select_dd(x, clfdr, alpha: float, mu0: float) -> SelectionCurve:
+    """Step-wise prioritized selection; returns its curve, whose
+    ``decisions`` are the selection and whose ``trace`` is the audit trail.
 
-    The search stops at the first b where group 1 is used up (checked
-    first) or where buying the next group-2 unit would strictly lower the
-    modified power, whichever comes first; otherwise at b = n2.
+    Seeds the selection with every group-0 unit, then alternates between
+    two moves: fill group 1 in descending t while the cumulative budget
+    sum(clfdr - alpha) over new additions fits within the current capacity,
+    and buy one group-2 unit (ascending t) to enlarge the capacity. After
+    each refill the realized modified power is compared with the previous
+    value; on the first strict decline the last group-2 purchase and its
+    refill are rolled back and the previous state is returned. Exhausting
+    group 2 triggers one final refill; exhausting group 1 returns directly.
+
+    The moves are not replayed one by one: the curve is searched for its
+    stop. It stops at the first b where group 1 is used up (checked first)
+    or where buying the next group-2 unit would strictly lower the modified
+    power, whichever comes first; otherwise at b = n2.
     """
     xs, cl = _units(x, clfdr, alpha)
     t = _scores(xs, cl, mu0, alpha)
@@ -302,22 +293,6 @@ def _trace(c: SelectionCurve) -> list:
     return trace
 
 
-def select_dd(x, clfdr, alpha: float, mu0: float) -> SelectionCurve:
-    """Step-wise prioritized selection; returns its curve, whose
-    ``decisions`` are the selection and whose ``trace`` is the audit trail.
-
-    Seeds the selection with every group-0 unit, then alternates between
-    two moves: fill group 1 in descending t while the cumulative budget
-    sum(clfdr - alpha) over new additions fits within the current capacity,
-    and buy one group-2 unit (ascending t) to enlarge the capacity. After
-    each refill the realized modified power is compared with the previous
-    value; on the first strict decline the last group-2 purchase and its
-    refill are rolled back and the previous state is returned. Exhausting
-    group 2 triggers one final refill; exhausting group 1 returns directly.
-    """
-    return _curve(x, clfdr, alpha, mu0)
-
-
 def select_clfdr_stepup(clfdrs, alpha: float) -> np.ndarray:
     """Step-up on sorted clfdr values: largest prefix with running mean <= alpha.
 
@@ -346,17 +321,16 @@ def select_bh(pvalues, alpha: float) -> np.ndarray:
     return (p <= (srt[ok[-1]] if ok.size else -math.inf)).astype(np.int8)
 
 
-def calibrate_thresholds(x, clfdr, alpha: float, mu0: float) -> ThresholdPair:
-    """Empirical score cutoffs at the stop of the step-wise curve search.
+def calibrate_thresholds(c: SelectionCurve) -> ThresholdPair:
+    """Empirical score cutoffs at the stop of a step-wise curve.
 
     The group-1 cutoff is the first excluded group-1 score and the group-2
     cutoff the first excluded group-2 score, so the fixed-cutoff rule
-    reproduces the step-wise selection on these data. Infinite sentinels
+    reproduces the curve's selection on its data. Infinite sentinels
     encode "select none" (+inf for group 1, -inf for group 2) and "select
-    all" (the opposite signs). An input with empty groups 1 and 2 yields
+    all" (the opposite signs). A curve with empty groups 1 and 2 yields
     (+inf, -inf), meaning group 0 only.
     """
-    c = _curve(x, clfdr, alpha, mu0)
     a_star, b_star = c.a_star, c.b_star
     if a_star == 0:
         t1 = math.inf

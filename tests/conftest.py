@@ -20,7 +20,6 @@ from hetsel import (
     BandwidthPair,
     ConstantSigma,
     FittedPrior,
-    Group,
     JointModel,
     NormalComponent,
     PointMass,
@@ -29,6 +28,7 @@ from hetsel import (
     UniformInterval,
     UniformSigma,
     calibrate_thresholds,
+    select_dd,
 )
 from hetsel.cli import _PRIOR_FIT_SCHEMA, _envelope
 from hetsel.deconv import _KERNEL_BLOCK_PAIRS, _gauss
@@ -64,10 +64,11 @@ def fitted_prior_from_json(doc: dict) -> FittedPrior:
 def oracle_thresholds_mc(model, alpha, mu0, n_mc, seed):
     """Monte Carlo reference for ``oracle_thresholds``: draws n_mc units
     from ``model``, scores them by their exact clfdr and runs the empirical
-    curve search of ``calibrate_thresholds``."""
+    curve search of ``select_dd`` and reads its cutoffs with
+    ``calibrate_thresholds``."""
     rng = np.random.default_rng(seed)
     x, sigma, _, group = model.sample(rng, int(n_mc))
-    return calibrate_thresholds(x, model.clfdr(x, sigma, group, mu0), alpha, mu0)
+    return calibrate_thresholds(select_dd(x, model.clfdr(x, sigma, group, mu0), alpha, mu0))
 
 
 INSTANCE_FAMILIES = {
@@ -116,14 +117,14 @@ def coherent_instance(rng, m, mu0=0.0, family=None):
 
 
 def classify_group(x, clfdr, mu0, alpha):
-    """Scalar oracle of ``classify_groups``: the group label of one unit."""
+    """Scalar oracle of ``SelectionCurve.group``: the group label of one unit."""
     if x - mu0 >= 0:
-        return Group.G0 if clfdr - alpha <= 0 else Group.G1
-    return Group.G2 if clfdr - alpha <= 0 else Group.G3
+        return 0 if clfdr - alpha <= 0 else 1
+    return 2 if clfdr - alpha <= 0 else 3
 
 
 def score(x, clfdr, mu0, alpha):
-    """Scalar oracle of ``score_arrays``: the score t of one unit."""
+    """Scalar oracle of ``SelectionCurve.t``: the score t of one unit."""
     if not 0.0 <= clfdr <= 1.0:
         raise ValueError("clfdr must lie in [0, 1]")
     num = x - mu0
@@ -134,19 +135,19 @@ def score(x, clfdr, mu0, alpha):
 
 
 def classify_groups_select(x, clfdr, mu0, alpha):
-    """Reference for ``classify_groups``: ``np.select`` over the three
+    """Reference for ``SelectionCurve.group``: ``np.select`` over the three
     labelled sign patterns, group 3 by default."""
     gain = np.asarray(x, dtype=float) - mu0 >= 0
     cheap = np.asarray(clfdr, dtype=float) - alpha <= 0
     return np.select(
         [gain & cheap, gain & ~cheap, ~gain & cheap],
-        [Group.G0, Group.G1, Group.G2],
-        default=Group.G3,
+        [0, 1, 2],
+        default=3,
     ).astype(np.int8)
 
 
 def score_arrays_where(x, clfdr, mu0, alpha):
-    """Reference for ``score_arrays``: the sentinels chosen by ``np.where``
+    """Reference for ``SelectionCurve.t``: the sentinels chosen by ``np.where``
     before dividing by a denominator with its zeros replaced by 1."""
     num = np.asarray(x, dtype=float) - mu0
     den = np.asarray(clfdr, dtype=float) - alpha
@@ -268,7 +269,7 @@ def kernel_marginal(i, x, sigma, bandwidths):
 
 
 def clfdr_linear(fit, x, sigma, mu0):
-    """Linear-space reference for ``clfdr_from_fit``: the ratio of the null
+    """Linear-space reference for ``clfdr_by_group``: the ratio of the null
     and full weighted node densities, summed as densities. Valid in the bulk
     only; both sums underflow to 0 far outside the grid."""
     xs, sg = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(sigma, dtype=float))
@@ -346,18 +347,16 @@ def write_json_reference(path, doc):
         fh.write("\n")
 
 
-def write_rvalues_reference(config, table):
+def write_rvalues_reference(config, ids, x, sigma, table):
     """Reference for ``rvalues.csv`` and ``rvalues.json`` in ``config.output``:
     ``csv.writer`` over repr cells, and ``json.dump`` of the envelope around
-    one entry dict per unit, None where sigma is not given, r is infinite or
-    r_prime is NaN."""
-    sigma = [None] * len(table.ids) if table.sigma is None else table.sigma.tolist()
+    one entry dict per unit, None where r is infinite or r_prime is NaN."""
     entries = [
-        {"id": uid, "x": x, "sigma": sg, "r": rv if math.isfinite(rv) else None,
+        {"id": uid, "x": xv, "sigma": sg, "r": rv if math.isfinite(rv) else None,
          "r_prime": None if math.isnan(rp) else rp, "tied": tied}
-        for uid, x, sg, rv, rp, tied in zip(
-            table.ids, table.x.tolist(), sigma, table.r.tolist(), table.r_prime.tolist(),
-            table.tied.tolist(),
+        for uid, xv, sg, rv, rp, tied in zip(
+            ids, np.asarray(x, dtype=float).tolist(), np.asarray(sigma, dtype=float).tolist(),
+            table.r.tolist(), table.r_prime.tolist(), table.tied.tolist(),
         )
     ]
     doc = _envelope("rvalues", config, {
@@ -376,7 +375,7 @@ def write_rvalues_reference(config, table):
         writer = csv.writer(fh)
         writer.writerow(["id", "x", "sigma", "r", "r_prime", "definition", "grid_resolution"])
         writer.writerows(
-            [e["id"], repr(e["x"]), cell(e["sigma"]), cell(e["r"]), cell(e["r_prime"]),
+            [e["id"], repr(e["x"]), repr(e["sigma"]), cell(e["r"]), cell(e["r_prime"]),
              table.definition, resolution]
             for e in doc["entries"]
         )

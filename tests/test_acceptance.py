@@ -25,7 +25,7 @@ from hetsel import (
     UniformIndep,
     UniformSigma,
     calibrate_thresholds,
-    clfdr_from_fit,
+    clfdr_by_group,
     clfdr_stepup_threshold,
     default_alpha_grid,
     default_mu0_grid,
@@ -173,7 +173,7 @@ def test_criterion_5_deconvolution_consistency():
             )
             rep = generate(design, 0)
             fit = fit_prior(rep.x, rep.sigma)
-            estimated = clfdr_from_fit(fit, rep.x, rep.sigma, 0.0)
+            estimated = clfdr_by_group({0: fit}, np.zeros(m), rep.x, rep.sigma, 0.0)
             exact = joint_model(design.family).clfdr(
                 rep.x, rep.sigma, rep.group_ids, 0.0
             )
@@ -261,7 +261,7 @@ def test_criterion_7_agreeability():
         for a in agrid:
             a = float(a)
             dd_sel.append(select_dd(x, cl, a, mu0_base).decisions.astype(bool))
-            pair = calibrate_thresholds(x_mc, cl_mc, a, mu0_base)
+            pair = calibrate_thresholds(select_dd(x_mc, cl_mc, a, mu0_base))
             or_sel.append(select_oracle(x, cl, pair, a, mu0_base).astype(bool))
         total_viol += _agreeability_violations(x, dd_sel, dom_fixed, agrid, True)
         total_viol += _agreeability_violations(x, or_sel, dom_fixed, agrid, True)
@@ -279,7 +279,7 @@ def test_criterion_7_agreeability():
             v = float(v)
             dd_sel.append(select_dd(x, cl_path[i], alpha0, v).decisions.astype(bool))
             pair = calibrate_thresholds(
-                x_mc, model.clfdr(x_mc, s_mc, g_mc, v), alpha0, v
+                select_dd(x_mc, model.clfdr(x_mc, s_mc, g_mc, v), alpha0, v)
             )
             or_sel.append(select_oracle(x, cl_path[i], pair, alpha0, v).astype(bool))
         total_viol += _agreeability_violations(x, dd_sel, dom_path, mgrid, False)
@@ -302,7 +302,7 @@ def test_criterion_8_pcer_reduction():
     _, p = zvalue_pvalue(x, sigma, 0.0)
     grid = np.unique(np.concatenate([p, np.geomspace(1e-5, 0.999, 50)]))
     grid = grid[(grid > 0) & (grid < 1)]
-    table = rvalue_vary_alpha(list(range(300)), x, lambda a: p <= a, grid)
+    table = rvalue_vary_alpha(300, lambda a: p <= a, grid)
     r = table.r
     exact = np.array_equal(r, p)
     _report(

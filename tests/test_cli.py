@@ -4,12 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hetsel import __version__, classify_groups, fit_prior, score_arrays
+from hetsel import __version__, fit_prior, select_dd
 from hetsel.cli import ayp_standard_error, main, read_records, trim_by_se_percentile
 
 
@@ -113,6 +114,19 @@ class TestIngestion:
         with pytest.raises(ValueError, match="unrecognized header"):
             read_records(path)
 
+    @pytest.mark.parametrize(
+        "lines", [["id,x,sigma", "a,1.5,0.3"], ["id,y,y_prime,n,n_prime", "a,0.8,0.6,400,100"]]
+    )
+    def test_byte_order_mark_is_skipped(self, tmp_path, lines):
+        # Excel's "CSV UTF-8" starts the file with U+FEFF.
+        text = "\n".join(lines) + "\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        ids, x, sigma = read_records(marked)
+        assert marked.read_bytes()[:3] == b"\xef\xbb\xbf" and ids == ["a"]
+        assert (x.tolist(), sigma.tolist()) == tuple(v.tolist() for v in read_records(plain)[1:])
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -157,9 +171,10 @@ class TestSelectCommand:
             rows = list(csv.DictReader(fh))
         x = np.array([float(r["x"]) for r in rows])
         clfdr = np.array([float(r["clfdr"]) for r in rows])
-        s = np.tanh(score_arrays(x, clfdr, 0.0, 0.1))
+        curve = select_dd(x, clfdr, 0.1, 0.0)
+        s = np.tanh(curve.t)
         assert [r["s"] for r in rows] == [repr(float(v)) for v in s]
-        labels = classify_groups(x, clfdr, 0.0, 0.1)
+        labels = curve.group
         assert [r["group"] for r in rows] == [str(int(v)) for v in labels]
 
     def test_reported_sums_are_over_the_selected_rows(self, direct_csv, tmp_path):
@@ -217,6 +232,22 @@ class TestSelectCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ValueError"
 
+    def test_far_outliers_score_their_limit(self, direct_csv, tmp_path):
+        # A unit 1e17 sigma above every node has clfdr 0 (group 0), not the
+        # value z^2 rounds to; at 1e300 sigma z^2 overflows, and the command
+        # still runs without a numpy warning.
+        with open(direct_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        for far in ("1e17", "1e300"):
+            path, out = tmp_path / f"{far}.csv", tmp_path / far
+            _write_direct_csv(path, rows[1:] + [["far", far, "1.0"]])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["select", "--input", str(path), "--output", str(out), "--mu0", "0"]) == 0
+            with open(out / "selection.csv", newline="") as fh:
+                last = list(csv.DictReader(fh))[-1]
+            assert (last["id"], float(last["x"])) == ("far", float(far))
+            assert (last["clfdr"], last["group"], last["selected"]) == ("0.0", "0", "1")
 
     def test_unfittable_sigma_group_is_named(self, direct_csv, tmp_path, capsys):
         sigma = sorted(read_records(direct_csv)[2].tolist())

@@ -29,7 +29,7 @@ from hetsel import (
     TwoComponent,
     UniformIndep,
     build_grid,
-    clfdr_from_fit,
+    clfdr_by_group,
     fit_prior,
     fit_prior_by_group,
     fit_weights,
@@ -369,26 +369,29 @@ class TestFitWeights:
 
 
 class TestClfdrFromFit:
+    """``clfdr_by_group`` under one fitted prior."""
+
     def _fit(self, nodes, weights):
         grid = PriorGrid(left=nodes[0], eta=nodes[1] - nodes[0], k=len(nodes))
         return FittedPrior(grid=grid, weights=np.asarray(weights), objective=0.0, kkt_gap=0.0)
 
     def test_all_nodes_null(self):
         fit = self._fit([-3.0, -2.0, -1.0], [0.2, 0.5, 0.3])
-        assert clfdr_from_fit(fit, 0.3, 1.0, mu0=0.0) == 1.0
+        assert clfdr_by_group({0: fit}, [0], [0.3], [1.0], 0.0)[0] == 1.0
 
     def test_no_nodes_null(self):
         fit = self._fit([1.0, 2.0, 3.0], [0.2, 0.5, 0.3])
-        assert clfdr_from_fit(fit, 0.3, 1.0, mu0=0.0) == 0.0
+        assert clfdr_by_group({0: fit}, [0], [0.3], [1.0], 0.0)[0] == 0.0
 
     def test_symmetric_half(self):
         fit = self._fit([-1.0, 1.0], [0.5, 0.5])
-        assert_allclose(clfdr_from_fit(fit, 0.0, 1.0, mu0=0.0), 0.5)
+        assert_allclose(clfdr_by_group({0: fit}, [0], [0.0], [1.0], 0.0)[0], 0.5)
 
     def test_bounded_random(self):
         rng = np.random.default_rng(12)
         fit = self._fit(np.linspace(-4, 4, 9).tolist(), rng.dirichlet(np.ones(9)))
-        vals = clfdr_from_fit(fit, rng.normal(size=100, scale=5), rng.uniform(0.3, 3, 100), mu0=0.4)
+        x, sigma = rng.normal(size=100, scale=5), rng.uniform(0.3, 3, 100)
+        vals = clfdr_by_group({0: fit}, np.zeros(100), x, sigma, 0.4)
         assert np.all((vals >= 0) & (vals <= 1))
 
     def test_matches_linear_space_in_bulk(self):
@@ -397,7 +400,7 @@ class TestClfdrFromFit:
         fit = fit_prior(x, sigma)
         for mu0 in (-2.5, -1.0, 0.0, 0.7, 1.9):
             assert_allclose(
-                clfdr_from_fit(fit, x, sigma, mu0),
+                clfdr_by_group({0: fit}, np.zeros(x.size), x, sigma, mu0),
                 clfdr_linear(fit, x, sigma, mu0),
                 rtol=0,
                 atol=1e-14,
@@ -408,21 +411,39 @@ class TestClfdrFromFit:
         # two underflowed sums read 0, making the outlier free budget.
         rng = np.random.default_rng(19)
         fit = self._fit(np.linspace(-4.0, 2.6, 50).tolist(), rng.dirichlet(np.ones(50)))
-        assert clfdr_from_fit(fit, -40.0, 0.5, mu0=0.0) == pytest.approx(1.0, abs=1e-12)
+        got = clfdr_by_group({0: fit}, [0], [-40.0], [0.5], 0.0)[0]
+        assert got == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_tails(self, seed):
         # Far left the null nodes dominate, far right the non-null ones. With
         # node spacing >= 0.2 and sigma <= 3, the other side weighs less
-        # than exp(-60) at |x| = 1e3 sigma.
+        # than exp(-60) at |x| = 1e3 sigma. From |x| = 1e17 sigma on, z^2 no
+        # longer resolves the nodes (and overflows past about 1.3e154
+        # sigma); the posterior is a point mass there, and so it is at a
+        # sigma of 1e-160 near any node: the clfdr is exactly its limit.
         rng = np.random.default_rng(20 + seed)
         eta = rng.uniform(0.2, 1.0)
         nodes = (rng.uniform(-5, 5) + eta * np.arange(rng.integers(2, 60))).tolist()
         fit = self._fit(nodes, rng.dirichlet(np.ones(len(nodes))))
         mu0 = float(rng.uniform(nodes[0], nodes[-1]))
         sigma = rng.uniform(0.1, 3.0, 20)
-        assert_allclose(clfdr_from_fit(fit, -1e3 * sigma, sigma, mu0), 1.0, rtol=0, atol=1e-10)
-        assert_allclose(clfdr_from_fit(fit, 1e3 * sigma, sigma, mu0), 0.0, rtol=0, atol=1e-10)
+        zeros = np.zeros(sigma.size)
+        assert_allclose(clfdr_by_group({0: fit}, zeros, -1e3 * sigma, sigma, mu0), 1.0,
+                        rtol=0, atol=1e-10)
+        assert_allclose(clfdr_by_group({0: fit}, zeros, 1e3 * sigma, sigma, mu0), 0.0,
+                        rtol=0, atol=1e-10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for far in (1e17, 1e300):
+                assert np.all(clfdr_by_group({0: fit}, zeros, -far * sigma, sigma, mu0) == 1.0)
+                assert np.all(clfdr_by_group({0: fit}, zeros, far * sigma, sigma, mu0) == 0.0)
+            near = np.asarray(nodes) + rng.uniform(-0.4, 0.4, len(nodes)) * eta
+            tiny = np.full(near.size, 1e-160)
+            got = clfdr_by_group({0: fit}, np.zeros(near.size), near, tiny, mu0)
+            assert got.tolist() == (np.asarray(nodes) <= mu0).astype(float).tolist()
+            got = clfdr_by_group({0: fit}, [0, 0], [-1e300, 1e300], [1e-160, 1e-160], mu0)
+            assert got.tolist() == [1.0, 0.0]
 
 
 class TestOracleClfdr:
@@ -486,7 +507,7 @@ class TestOracleClfdr:
         sig = rng.uniform(0.4, 2.5, 50)
         assert_allclose(
             oracle_clfdr(prior, xs, sig, 0.2),
-            clfdr_from_fit(fit, xs, sig, 0.2),
+            clfdr_by_group({0: fit}, np.zeros(xs.size), xs, sig, 0.2),
             rtol=0,
             atol=1e-12,
         )

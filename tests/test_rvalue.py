@@ -37,18 +37,14 @@ class TestVaryAlpha:
         rng = np.random.default_rng(0)
         p = np.unique(np.round(rng.random(50), 3))
         grid = np.unique(np.concatenate([p, np.geomspace(1e-3, 0.97, 60)]))
-        table = rvalue_vary_alpha(
-            list(range(p.size)), 1 - p, lambda a: p <= a, grid
-        )
+        table = rvalue_vary_alpha(p.size, lambda a: p <= a, grid)
         assert np.array_equal(table.r, p)
 
     def test_never_selected_gets_sentinel(self):
         x = np.array([2.0, -1.0])
         cl = np.array([0.05, 0.9])  # second unit stays group 3 at every level
         grid = default_alpha_grid(40)
-        table = rvalue_vary_alpha(
-            ["a", "b"], x, dd_alpha_evaluator(x, cl, 0.0), grid
-        )
+        table = rvalue_vary_alpha(2, dd_alpha_evaluator(x, cl, 0.0), grid)
         # The first unit enters once its clfdr fits the budget: the first
         # grid level at or above 0.05 turns it into a group-0 selection.
         assert table.r[0] == grid[grid >= 0.05].min()
@@ -61,21 +57,28 @@ class TestVaryAlpha:
         coarse = default_alpha_grid(25)
         fine = np.unique(np.concatenate([coarse, default_alpha_grid(73)]))
         ev = dd_alpha_evaluator(x, cl, 0.0)
-        r_coarse = rvalue_vary_alpha(range(150), x, ev, coarse).r
-        r_fine = rvalue_vary_alpha(range(150), x, ev, fine).r
+        r_coarse = rvalue_vary_alpha(150, ev, coarse).r
+        r_fine = rvalue_vary_alpha(150, ev, fine).r
         assert np.all(r_fine <= r_coarse + 1e-15)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            rvalue_vary_alpha([0], [1.0], lambda a: np.array([True]), [])
+            rvalue_vary_alpha(1, lambda a: np.array([True]), [])
         with pytest.raises(ValueError):
-            rvalue_vary_alpha([0], [1.0], lambda a: np.array([True]), [0.3, 0.1])
+            rvalue_vary_alpha(1, lambda a: np.array([True]), [0.3, 0.1])
         with pytest.raises(ValueError):
-            rvalue_vary_alpha([0], [1.0], lambda a: np.array([True]), [0.0, 0.5])
+            rvalue_vary_alpha(1, lambda a: np.array([True]), [0.0, 0.5])
         with pytest.raises(ValueError, match="at least 2 points"):
-            rvalue_vary_alpha([0], [1.0], lambda a: np.array([True]), [0.1])
+            rvalue_vary_alpha(1, lambda a: np.array([True]), [0.1])
         with pytest.raises(ValueError, match="at least 2 points"):
-            rvalue_vary_mu0([0], [1.0], lambda m: np.array([True]), [0.5])
+            rvalue_vary_mu0(1, lambda m: np.array([True]), [0.5])
+
+    def test_selection_of_the_wrong_length(self):
+        # The hook must return one decision per unit, in both definitions.
+        with pytest.raises(ValueError, match="wrong length"):
+            rvalue_vary_alpha(2, lambda a: np.array([True]), [0.1, 0.2])
+        with pytest.raises(ValueError, match="wrong length"):
+            rvalue_vary_mu0(1, lambda m: (np.array([True, False]), np.zeros(2)), [1.0, 0.0])
 
 
 class TestVaryMu0:
@@ -86,7 +89,7 @@ class TestVaryMu0:
         def rule(mu0):
             return np.array([mu0 <= x[0] - 1.0])
 
-        table = rvalue_vary_mu0([7], x, rule, grid)
+        table = rvalue_vary_mu0(1, rule, grid)
         assert table.r[0] == grid[grid <= 3.0].max()
         assert table.r_prime[0] == 1.0
 
@@ -97,7 +100,7 @@ class TestVaryMu0:
         def rule(mu0):
             return np.array([mu0 <= 4.0, mu0 <= 0.5])
 
-        table = rvalue_vary_mu0(["hi", "lo"], x, rule, grid)
+        table = rvalue_vary_mu0(2, rule, grid)
         assert table.r_prime.tolist() == [0.5, 1.0]
         assert table.r[0] > table.r[1]
 
@@ -110,8 +113,8 @@ class TestVaryMu0:
         ev = dd_mu0_evaluator(x, clfdr_fn, 0.1)
         coarse = default_mu0_grid(x, 20)
         fine = np.unique(np.concatenate([coarse, default_mu0_grid(x, 59)]))[::-1]
-        r_coarse = rvalue_vary_mu0(range(120), x, ev, coarse).r
-        r_fine = rvalue_vary_mu0(range(120), x, ev, fine).r
+        r_coarse = rvalue_vary_mu0(120, ev, coarse).r
+        r_fine = rvalue_vary_mu0(120, ev, fine).r
         assert np.all(r_fine >= r_coarse - 1e-15)
 
     def test_row_shuffle_only_permutes_the_table(self):
@@ -128,23 +131,18 @@ class TestVaryMu0:
                 return oracle_clfdr(TWO_INTERVAL, xs, sg, mu0)
 
             return rvalue_vary_mu0(
-                order.tolist(),
-                xs,
-                dd_mu0_evaluator(xs, clfdr_fn, 0.1),
-                default_mu0_grid(x, 100),
-                sigma=sg,
+                order.size, dd_mu0_evaluator(xs, clfdr_fn, 0.1), default_mu0_grid(x, 100)
             )
 
         base = table(np.arange(1000))
         shuffled = table(perm)
-        assert shuffled.ids == perm.tolist()
         assert base.tied.sum() > 100
         for column in ("r", "r_prime", "tied"):
             np.testing.assert_array_equal(getattr(shuffled, column), getattr(base, column)[perm])
 
     def test_descending_grid_required(self):
         with pytest.raises(ValueError):
-            rvalue_vary_mu0([0], [1.0], lambda m: np.array([True]), [0.0, 1.0])
+            rvalue_vary_mu0(1, lambda m: np.array([True]), [0.0, 1.0])
 
     def test_tied_units_flagged(self):
         x = np.array([3.0, 2.0, 1.0])
@@ -153,7 +151,7 @@ class TestVaryMu0:
         def rule(mu0):
             return np.array([True, True, mu0 <= 0.5])
 
-        table = rvalue_vary_mu0(list("abc"), x, rule, grid)
+        table = rvalue_vary_mu0(3, rule, grid)
         assert table.tied.tolist() == [True, True, False]
         # Without scores the tie breaks by input position.
         assert table.r_prime[0] < table.r_prime[1]
@@ -167,11 +165,7 @@ class TestVaryMu0:
             return oracle_clfdr(TWO_INTERVAL, x, sigma, mu0)
 
         table = rvalue_vary_mu0(
-            range(2000),
-            x,
-            dd_mu0_evaluator(x, clfdr_fn, 0.1),
-            default_mu0_grid(x, 150),
-            sigma=sigma,
+            2000, dd_mu0_evaluator(x, clfdr_fn, 0.1), default_mu0_grid(x, 150)
         )
         rp = table.r_prime
         _, p = zvalue_pvalue(x, sigma, 0.0)
@@ -181,8 +175,9 @@ class TestVaryMu0:
 
 
 def _output_tables():
-    """R-value tables covering the writers' cases, by name."""
+    """(ids, x, sigma, r-value table) covering the writers' cases, by name."""
     x = np.array([2.0, -1.0, 0.3])
+    sg = np.array([1.0, 2.0, 0.5])
     cl = np.array([0.05, 0.9, 0.2])
     ids = ["a,b", 'q"q', "\u00e9t\u00e9"]  # CSV quoting, JSON \u escapes
     alpha_grid = default_alpha_grid(30)
@@ -194,29 +189,22 @@ def _output_tables():
 
     xs, sigma = _instance(5, 150)
     seeded_ids = [f"u{i:03d}" for i in range(150)]
+    one = (["only"], np.array([4.0]), np.array([1.0]))
     return {
-        "alpha": rvalue_vary_alpha(
-            ids, x, dd_alpha_evaluator(x, cl, 0.0), alpha_grid, sigma=[1.0, 2.0, 0.5]
-        ),
-        "alpha-no-sigma": rvalue_vary_alpha(ids, x, dd_alpha_evaluator(x, cl, 0.0), alpha_grid),
-        "mu0": rvalue_vary_mu0(ids, x, mu0_rule, mu0_grid, sigma=[1.0, 2.0, 0.5]),
-        "mu0-no-sigma": rvalue_vary_mu0(ids, x, mu0_rule, mu0_grid),
-        "m1-selected": rvalue_vary_mu0(["only"], [4.0], lambda m: np.array([m <= 0.0]), mu0_grid),
-        "m1-never": rvalue_vary_alpha(["only"], [4.0], lambda a: np.array([False]), alpha_grid),
-        "seeded-alpha": rvalue_vary_alpha(
-            seeded_ids,
-            xs,
+        "alpha": (ids, x, sg, rvalue_vary_alpha(3, dd_alpha_evaluator(x, cl, 0.0), alpha_grid)),
+        "mu0": (ids, x, sg, rvalue_vary_mu0(3, mu0_rule, mu0_grid)),
+        "m1-selected": (*one, rvalue_vary_mu0(1, lambda m: np.array([m <= 0.0]), mu0_grid)),
+        "m1-never": (*one, rvalue_vary_alpha(1, lambda a: np.array([False]), alpha_grid)),
+        "seeded-alpha": (seeded_ids, xs, sigma, rvalue_vary_alpha(
+            150,
             dd_alpha_evaluator(xs, oracle_clfdr(TWO_INTERVAL, xs, sigma, 0.0), 0.0),
             alpha_grid,
-            sigma=sigma,
-        ),
-        "seeded-mu0": rvalue_vary_mu0(
-            seeded_ids,
-            xs,
+        )),
+        "seeded-mu0": (seeded_ids, xs, sigma, rvalue_vary_mu0(
+            150,
             dd_mu0_evaluator(xs, lambda m: oracle_clfdr(TWO_INTERVAL, xs, sigma, m), 0.1),
             default_mu0_grid(xs, 40),
-            sigma=sigma,
-        ),
+        )),
     }
 
 
@@ -224,20 +212,21 @@ class TestTableOutputs:
     def test_csv_and_json(self, tmp_path):
         # Both artifacts are byte-identical to csv.writer over repr cells and
         # json.dump of one entry dict per unit, on every case of _output_tables.
-        tables = _output_tables()
+        cases = _output_tables()
         for name, sentinel in (("alpha", math.inf), ("mu0", -math.inf)):
-            never = tables[name].r == sentinel
-            assert never.any() and np.isnan(tables[name].r_prime[never]).all()
-        assert tables["alpha-no-sigma"].sigma is None and tables["m1-never"].r[0] == math.inf
-        for name, table in tables.items():
+            table = cases[name][3]
+            never = table.r == sentinel
+            assert never.any() and np.isnan(table.r_prime[never]).all()
+        assert cases["m1-never"][3].r[0] == math.inf
+        for name, (ids, x, sigma, table) in cases.items():
             new, ref = tmp_path / name / "new", tmp_path / name / "ref"
             new.mkdir(parents=True)
             ref.mkdir()
             config = RunConfig(
                 command="rvalue", output=str(new), alpha=0.1, mu0=0.0, definition=table.definition
             )
-            _write_rvalues(config, table)
-            write_rvalues_reference(replace(config, output=str(ref)), table)
+            _write_rvalues(config, ids, x, sigma, table)
+            write_rvalues_reference(replace(config, output=str(ref)), ids, x, sigma, table)
             for artifact in ("rvalues.csv", "rvalues.json"):
                 got, want = (new / artifact).read_bytes(), (ref / artifact).read_bytes()
                 assert got == want, (name, artifact)

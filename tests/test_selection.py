@@ -20,16 +20,13 @@ from conftest import (
 )
 from hetsel import (
     ConstantSigma,
-    Group,
     JointModel,
     ThresholdPair,
     TruePrior,
     UniformSigma,
     calibrate_thresholds,
-    classify_groups,
     clfdr_stepup_threshold,
     oracle_thresholds,
-    score_arrays,
     select_bh,
     select_clfdr_stepup,
     select_dd,
@@ -61,49 +58,36 @@ class TestClassify:
         x = [1.0, -1.0, 0.0, 2.0, -2.0]
         cl = [0.05, 0.3, 0.1, 0.4, 0.02]
         # The third unit sits on both boundaries, which are closed.
-        expect = [Group.G0, Group.G3, Group.G0, Group.G1, Group.G2]
-        assert classify_groups(x, cl, 0.0, 0.1).tolist() == expect
+        expect = [0, 3, 0, 1, 2]
+        assert select_dd(x, cl, 0.1, 0.0).group.tolist() == expect
 
     def test_vector_agrees_with_scalar(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=100)
         cl = rng.random(100)
-        got = classify_groups(x, cl, 0.2, 0.15)
-        expect = [int(classify_group(x[i], cl[i], 0.2, 0.15)) for i in range(100)]
+        got = select_dd(x, cl, 0.15, 0.2).group
+        expect = [classify_group(x[i], cl[i], 0.2, 0.15) for i in range(100)]
         assert got.tolist() == expect
 
 
 class TestScore:
     def test_hand_value(self):
-        t = score_arrays([1.0], [0.6], 0.0, 0.1)
+        t = select_dd([1.0], [0.6], 0.1, 0.0).t
         assert_allclose(t[0], 2.0)
         assert_allclose(np.tanh(t[0]), math.tanh(2.0), rtol=0, atol=1e-15)
 
     def test_zero_numerator(self):
-        t = score_arrays([0.5], [0.3], 0.5, 0.1)
+        t = select_dd([0.5], [0.3], 0.1, 0.5).t
         assert (t[0], np.tanh(t[0])) == (0.0, 0.0)
 
     def test_boundary_infinite(self):
-        t = score_arrays([1.0, -1.0], [0.1, 0.1], 0.0, 0.1)
+        t = select_dd([1.0, -1.0], [0.1, 0.1], 0.1, 0.0).t
         assert t.tolist() == [math.inf, -math.inf]
         assert np.tanh(t).tolist() == [1.0, -1.0]
 
-    def test_scalar_and_broadcast_shapes(self):
-        # Scalars give a 0-d array, the sentinel included; a scalar clfdr
-        # broadcasts over an array of x, with the sentinel at every unit.
-        for x, cl in ((1.0, 0.1), (-1.0, 0.1), (0.0, 0.1), (1.0, 0.6)):
-            got = score_arrays(x, cl, 0.0, 0.1)
-            assert isinstance(got, np.ndarray) and got.shape == ()
-            assert got == score_arrays_where(x, cl, 0.0, 0.1)
-        x = np.array([[1.0, -1.0, 0.0], [2.0, 0.5, -0.3]])
-        for cl in (0.1, np.array([0.1, 0.4, 0.1])):
-            got = score_arrays(x, cl, 0.0, 0.1)
-            assert got.shape == (2, 3)
-            assert np.array_equal(got, score_arrays_where(x, cl, 0.0, 0.1))
-
     def test_invalid_clfdr(self):
         with pytest.raises(ValueError):
-            score_arrays([1.0], [1.5], 0.0, 0.1)
+            select_dd([1.0], [1.5], 0.1, 0.0)
         with pytest.raises(ValueError):
             score(1.0, 1.5, 0.0, 0.1)
 
@@ -111,7 +95,7 @@ class TestScore:
         rng = np.random.default_rng(11)
         x = np.round(rng.normal(size=200), 1)
         cl = np.round(rng.random(200), 1)  # hits clfdr == alpha exactly
-        t = score_arrays(x, cl, 0.2, 0.3)
+        t = select_dd(x, cl, 0.3, 0.2).t
         for i in range(200):
             t_ref = score(x[i], cl[i], 0.2, 0.3)
             assert t[i] == t_ref
@@ -123,14 +107,13 @@ def _assert_replay_matches_references(x, cl, mu0, alpha):
     np.select / np.where references, bit for bit."""
     labels = classify_groups_select(x, cl, mu0, alpha)
     t = score_arrays_where(x, cl, mu0, alpha)
-    got_labels = classify_groups(x, cl, mu0, alpha)
+    curve = select_dd(x, cl, alpha, mu0)
+    got_labels = curve.group
     assert got_labels.dtype == np.int8 and np.array_equal(got_labels, labels)
-    curve = selection_module._curve(x, cl, alpha, mu0)
-    for got in (score_arrays(x, cl, mu0, alpha), curve.t):
-        assert np.array_equal(got, t) and np.array_equal(np.signbit(got), np.signbit(t))
-    g1 = sorted(np.flatnonzero(labels == Group.G1), key=lambda i: (-t[i], -x[i], i))
-    g2 = sorted(np.flatnonzero(labels == Group.G2), key=lambda i: (t[i], -x[i], i))
-    assert np.array_equal(curve.g0, np.flatnonzero(labels == Group.G0))
+    assert np.array_equal(curve.t, t) and np.array_equal(np.signbit(curve.t), np.signbit(t))
+    g1 = sorted(np.flatnonzero(labels == 1), key=lambda i: (-t[i], -x[i], i))
+    g2 = sorted(np.flatnonzero(labels == 2), key=lambda i: (t[i], -x[i], i))
+    assert np.array_equal(curve.g0, np.flatnonzero(labels == 0))
     assert np.array_equal(curve.g1, np.array(g1, dtype=int))
     assert np.array_equal(curve.g2, np.array(g2, dtype=int))
 
@@ -139,23 +122,15 @@ class TestReplayReferences:
     def test_x_equal_to_mu0(self):
         x = np.array([0.5, 0.5, 0.5, 1.0, 0.0, 0.5, -0.5])
         cl = np.array([0.05, 0.1, 0.3, 0.3, 0.02, 0.9, 0.01])
-        assert classify_groups(x, cl, 0.5, 0.1).tolist() == [0, 0, 1, 1, 2, 1, 2]
+        assert select_dd(x, cl, 0.1, 0.5).group.tolist() == [0, 0, 1, 1, 2, 1, 2]
         _assert_replay_matches_references(x, cl, 0.5, 0.1)
 
     def test_clfdr_equal_to_alpha(self):
         # The sentinels: +inf above mu0, -inf below, 0 at mu0.
         x = np.array([1.0, -1.0, 0.0, 2.0, 0.5, -0.3])
         cl = np.array([0.1, 0.1, 0.1, 0.1, 0.4, 0.05])
-        assert score_arrays(x, cl, 0.0, 0.1)[:4].tolist() == [math.inf, -math.inf, 0.0, math.inf]
+        assert select_dd(x, cl, 0.1, 0.0).t[:4].tolist() == [math.inf, -math.inf, 0.0, math.inf]
         _assert_replay_matches_references(x, cl, 0.0, 0.1)
-
-    def test_nan_clfdr_unchecked_labels(self):
-        # classify_groups does not check clfdr: a NaN is never cheap.
-        x = np.array([1.0, -1.0, 0.0, math.nan, math.nan])
-        cl = np.array([math.nan, math.nan, math.nan, 0.05, math.nan])
-        got = classify_groups(x, cl, 0.0, 0.1)
-        assert got.tolist() == [1, 3, 1, 2, 3]
-        assert np.array_equal(got, classify_groups_select(x, cl, 0.0, 0.1))
 
     def test_mu0_sweep(self):
         model = INSTANCE_FAMILIES["two-interval"]
@@ -202,10 +177,10 @@ class TestSelectDD:
             x, sigma, cl, _ = coherent_instance(rng, int(rng.integers(5, 60)))
             alpha = float(rng.uniform(0.05, 0.4))
             res = select_dd(x, cl, alpha, 0.0)
-            groups = classify_groups(x, cl, 0.0, alpha)
+            groups = res.group
             sel = res.decisions.astype(bool)
-            assert np.all(sel[groups == Group.G0])
-            assert not np.any(sel[groups == Group.G3])
+            assert np.all(sel[groups == 0])
+            assert not np.any(sel[groups == 3])
 
     def test_capacity_feasible_at_every_checkpoint(self):
         rng = np.random.default_rng(2)
@@ -225,9 +200,9 @@ class TestSelectDD:
             alpha = float(rng.uniform(0.1, 0.4))
             res = select_dd(x, cl, alpha, 0.0)
             sel = set(np.flatnonzero(res.decisions).tolist())
-            t = score_arrays(x, cl, 0.0, alpha)
-            groups = classify_groups(x, cl, 0.0, alpha)
-            for grp, descending in ((Group.G1, True), (Group.G2, False)):
+            t = res.t
+            groups = res.group
+            for grp, descending in ((1, True), (2, False)):
                 members = np.flatnonzero(groups == grp).tolist()
                 members.sort(key=lambda i: (-t[i] if descending else t[i], -x[i], i))
                 chosen = [i in sel for i in members]
@@ -332,7 +307,7 @@ class TestBH:
 class TestThresholds:
     def test_degenerate_pair_without_groups_1_and_2(self):
         # Only group 0 and group 3 present.
-        pair = calibrate_thresholds([1.0, -1.0], [0.05, 0.9], 0.1, 0.0)
+        pair = calibrate_thresholds(select_dd([1.0, -1.0], [0.05, 0.9], 0.1, 0.0))
         assert (pair.t1, pair.t2) == (math.inf, -math.inf)
         assert (pair.c1, pair.c2) == (1.0, -1.0)
 
@@ -343,10 +318,22 @@ class TestThresholds:
         for _ in range(20):
             x, sigma, cl, _ = coherent_instance(rng, 100, family="group2-rich")
             alpha = 0.25
-            pair = calibrate_thresholds(x, cl, alpha, 0.0)
+            pair = calibrate_thresholds(select_dd(x, cl, alpha, 0.0))
             chosen = select_oracle(x, cl, pair, alpha, 0.0)
             best = enumerate_prefix_best(x, cl, alpha, 0.0)
             assert np.sum(x[chosen == 1]) >= best - 1e-9
+
+    @pytest.mark.parametrize("family", sorted(INSTANCE_FAMILIES))
+    def test_cutoffs_reproduce_the_stepwise_selection(self, family):
+        # The fixed-cutoff rule at the cutoffs read off a curve selects
+        # exactly the units the curve selects.
+        rng = np.random.default_rng(sorted(INSTANCE_FAMILIES).index(family))
+        for _ in range(200):
+            x, sigma, cl, _ = coherent_instance(rng, int(rng.integers(1, 120)), family=family)
+            for alpha in (0.05, 0.1, 0.2, 0.3):
+                curve = select_dd(x, cl, alpha, 0.0)
+                pair = calibrate_thresholds(curve)
+                assert np.array_equal(select_oracle(x, cl, pair, alpha, 0.0), curve.decisions)
 
     def test_population_cutoffs_are_deterministic(self):
         model = joint_model(UniformIndep(sigma_max=3.0, m=1000))
@@ -422,7 +409,7 @@ class TestThresholds:
 
 class TestSelectOracle:
     def test_strict_inequality_at_cutoff(self):
-        t = score_arrays([1.0], [0.6], 0.0, 0.1)
+        t = select_dd([1.0], [0.6], 0.1, 0.0).t
         pair = ThresholdPair(t1=float(t[0]), t2=-math.inf)
         res = select_oracle([1.0], [0.6], pair, 0.1, 0.0)
         assert res.sum() == 0
@@ -443,7 +430,7 @@ class TestSelectOracle:
         # Scores tanh-saturate at t around 19; the pair must still separate
         # units by their value-to-cost ratio.
         x, cl = [30.0, 25.0], [0.2, 0.2]
-        s = np.tanh(score_arrays(x, cl, 0.0, 0.1))
+        s = np.tanh(select_dd(x, cl, 0.1, 0.0).t)
         assert s.tolist() == [1.0, 1.0]
         pair = ThresholdPair(t1=280.0, t2=-math.inf)
         res = select_oracle(x, cl, pair, 0.1, 0.0)
@@ -452,7 +439,7 @@ class TestSelectOracle:
     def test_tanh_collision_below_saturation(self):
         # t = 18.967 lies above the cutoff 18.895, but both map to the same
         # s = 0.9999999999999999 < 1.0, so a comparison on s drops the unit.
-        t = score_arrays([1.8967], [0.2], 0.0, 0.1)
+        t = select_dd([1.8967], [0.2], 0.1, 0.0).t
         s = np.tanh(t)
         pair = ThresholdPair(t1=18.895, t2=-math.inf)
         assert t[0] > pair.t1 and s[0] == pair.c1 == 0.9999999999999999
