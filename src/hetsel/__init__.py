@@ -4,7 +4,12 @@ The package estimates the effect-size prior nonparametrically, scores each
 unit by its conditional local FDR, selects units by trading observed effect
 size against error budget, and ranks them by r-values. A simulation harness
 and a small CLI tie the pieces together.
+
+The names of ``hetsel.rvalue`` and ``hetsel.sim`` are served on first use
+(PEP 562), so a command that does not rank or simulate does not load them.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
@@ -46,24 +51,39 @@ from .selection import (
     select_dd,
     select_oracle,
 )
-from .rvalue import (
-    RValueTable,
-    dd_alpha_evaluator,
-    dd_mu0_evaluator,
-    default_alpha_grid,
-    default_mu0_grid,
-    rvalue_vary_alpha,
-    rvalue_vary_mu0,
-)
-from .sim import (
-    CorrelatedTwoGroup,
-    MethodSummary,
-    Replicate,
-    ReplicationReport,
-    SimDesign,
-    TwoComponent,
-    UniformIndep,
-    generate,
-    joint_model,
-    run_replications,
-)
+_LAZY = {
+    "rvalue": (
+        "RValueTable",
+        "dd_alpha_evaluator",
+        "dd_mu0_evaluator",
+        "default_alpha_grid",
+        "default_mu0_grid",
+        "rvalue_vary_alpha",
+        "rvalue_vary_mu0",
+    ),
+    "sim": (
+        "CorrelatedTwoGroup",
+        "MethodSummary",
+        "Replicate",
+        "ReplicationReport",
+        "SimDesign",
+        "TwoComponent",
+        "UniformIndep",
+        "generate",
+        "joint_model",
+        "run_replications",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME})

@@ -33,24 +33,9 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .deconv import _clfdr_table, clfdr_by_group, fit_prior_by_group
+from .deconv import _clfdr_table, _quantiles, clfdr_by_group, fit_prior_by_group
 from .model import zvalue_pvalue
-from .rvalue import (
-    dd_alpha_evaluator,
-    dd_mu0_evaluator,
-    default_alpha_grid,
-    default_mu0_grid,
-    rvalue_vary_alpha,
-    rvalue_vary_mu0,
-)
 from .selection import select_bh, select_clfdr_stepup, select_dd
-from .sim import (
-    CorrelatedTwoGroup,
-    SimDesign,
-    TwoComponent,
-    UniformIndep,
-    run_replications,
-)
 
 __all__ = [
     "RunConfig",
@@ -62,6 +47,9 @@ __all__ = [
 ]
 
 _DIRECT_HEADER = ["id", "x", "sigma"]
+# Lines per block of read_records, and rows per block of _write_csv: the
+# text of one block stays small at any number of units.
+_BLOCK_LINES = 4096
 _AYP_HEADER = ["id", "y", "y_prime", "n", "n_prime"]
 _PRIOR_FIT_SCHEMA = "hetsel/prior-fit/v2"
 
@@ -117,7 +105,7 @@ def trim_by_se_percentile(ids, x, sigma, lower: float, upper: float):
     if not (0.0 <= lower < upper <= 1.0):
         raise ValueError("need 0 <= lower < upper <= 1")
     sig = np.asarray(sigma, dtype=float)
-    lo, hi = np.quantile(sig, [lower, upper])
+    lo, hi = _quantiles(sig, [lower, upper])
     keep = (lo <= sig) & (sig <= hi)
     if not keep.any():
         raise ValueError("percentile trim removed every record")
@@ -130,6 +118,12 @@ def read_records(path):
 
     Extra columns after the recognized prefix are ignored, so the CSV the
     ``select`` command writes can be re-ingested directly.
+
+    The file is read in blocks of lines. A block of the direct layout that
+    is plain comma-separated text is split with ``str.split`` and parsed
+    with ``float``; any other block, and every block of the rate layout,
+    goes through ``csv.reader`` line by line (``_scan_lines``). Both give
+    the same records and the same errors.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -139,41 +133,114 @@ def read_records(path):
             raise ValueError(f"{path}: empty file, header row required") from None
         if header[: len(_DIRECT_HEADER)] == _DIRECT_HEADER:
             ayp = False
-            width = len(_DIRECT_HEADER)
         elif header[: len(_AYP_HEADER)] == _AYP_HEADER:
             ayp = True
-            width = len(_AYP_HEADER)
         else:
             raise ValueError(
                 f"{path}: unrecognized header {header!r}; expected a prefix "
                 f"{_DIRECT_HEADER} or {_AYP_HEADER}"
             )
-        ids, x_col, sigma_col = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+        ids, x_parts, sigma_parts = [], [], []
+        lineno = 2
+        while True:
+            block, error = [], None
             try:
-                if len(row) < width:
-                    raise ValueError(f"expected at least {width} fields")
-                if ayp:
-                    rid, y, yp, n, npr = row[:width]
-                    x = float(y) - float(yp)
-                    sigma = ayp_standard_error(
-                        float(y), float(yp), int(n), int(npr)
-                    )
-                else:
-                    rid, xs, ss = row[:width]
-                    x, sigma = float(xs), float(ss)
-                if not (sigma > 0 and math.isfinite(sigma) and math.isfinite(x)):
-                    raise ValueError("need sigma > 0 and finite x")
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            ids.append(rid)
-            x_col.append(x)
-            sigma_col.append(sigma)
+                # extend keeps the lines read before a decode error.
+                block.extend(islice(fh, _BLOCK_LINES))
+            except UnicodeDecodeError as exc:
+                error = exc
+            if not block and error is None:
+                break
+            records = None if ayp or error else _split_direct(block)
+            if records is None:
+                records = _scan_lines(path, block, fh, error, ayp, lineno)
+            ids.extend(records[0])
+            x_parts.append(records[1])
+            sigma_parts.append(records[2])
+            lineno += records[3]
     if not ids:
         raise ValueError(f"{path}: no data rows")
-    return ids, np.array(x_col, dtype=float), np.array(sigma_col, dtype=float)
+    return ids, np.concatenate(x_parts), np.concatenate(sigma_parts)
+
+
+def _split_direct(block):
+    """``(ids, x, sigma, count)`` of a block of direct-layout lines, one
+    record per line, as ``_scan_lines`` returns them. None when the block
+    needs ``csv.reader``: it holds a quote, NUL or lone CR, a line of
+    another width or longer than the csv field limit, or a value that
+    ``_scan_lines`` would reject."""
+    text = "".join(block)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    if '"' in text or "\0" in text or "\r" in text:
+        return None
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    widths = set(map(str.count, lines, repeat(",", len(lines))))
+    if len(widths) != 1 or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    n = widths.pop() + 1
+    if n < len(_DIRECT_HEADER):
+        return None
+    cells = ",".join(lines).split(",")
+    try:
+        x = np.fromiter(map(float, cells[1::n]), float, len(lines))
+        sigma = np.fromiter(map(float, cells[2::n]), float, len(lines))
+    except ValueError:
+        return None
+    if not (np.isfinite(x).all() and np.isfinite(sigma).all() and (sigma > 0).all()):
+        return None
+    return cells[0::n], x, sigma, len(lines)
+
+
+def _scan_lines(path, block, fh, error, ayp, lineno):
+    """``(ids, x, sigma, count)`` of the ``count`` csv records of
+    ``block``, the first numbered ``lineno``. A record still open at the
+    end of the block reads on from ``fh``. ``error``, a decode error met
+    while reading the block, is raised where the reader reaches it."""
+    left = len(block)
+
+    def lines():
+        nonlocal left
+        for line in block:
+            left -= 1
+            yield line
+        if error is not None:
+            raise error
+        # Not "yield from": closing this generator would close the file.
+        for line in fh:
+            yield line
+
+    width = len(_AYP_HEADER if ayp else _DIRECT_HEADER)
+    ids, x_col, sigma_col = [], [], []
+    count = 0
+    for row in csv.reader(lines()):
+        count += 1
+        if not row:
+            if not left and error is None:
+                break
+            continue
+        try:
+            if len(row) < width:
+                raise ValueError(f"expected at least {width} fields")
+            if ayp:
+                rid, y, yp, n, npr = row[:width]
+                x = float(y) - float(yp)
+                sigma = ayp_standard_error(float(y), float(yp), int(n), int(npr))
+            else:
+                rid, xs, ss = row[:width]
+                x, sigma = float(xs), float(ss)
+            if not (sigma > 0 and math.isfinite(sigma) and math.isfinite(x)):
+                raise ValueError("need sigma > 0 and finite x")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno + count - 1}: {exc}") from None
+        ids.append(rid)
+        x_col.append(x)
+        sigma_col.append(sigma)
+        if not left and error is None:
+            break
+    return ids, np.array(x_col, dtype=float), np.array(sigma_col, dtype=float), count
 
 
 def _group_ids(sigma: np.ndarray, cuts) -> np.ndarray:
@@ -290,12 +357,38 @@ def _text(values, missing=None) -> list:
     return out
 
 
-def _write_csv(path, header, rows):
-    """Writes a header row and ``rows`` with ``csv.writer``'s defaults."""
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(values) -> list:
+    """JSON text of each float in ``values``, as ``json.dump`` writes it."""
+    out = _text(values)
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        out[i] = _JSON_NON_FINITE[out[i]]
+    return out
+
+
+def _write_csv(path, header, columns):
+    """Writes a header row and the rows of ``columns``, equal-length lists
+    of str cells, as ``csv.writer`` writes them with its defaults.
+
+    When no cell needs quoting (none holds a comma, a quote, CR or LF;
+    checked once per column), blocks of rows are joined directly;
+    otherwise ``csv.writer`` writes them.
+    """
+    plain = len(header) > 1 and not any(
+        any(c in text for c in ',"\r\n') for text in map("".join, (header, *columns))
+    )
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        if not plain:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(zip(*columns))
+            return
+        fh.write(",".join(header) + "\r\n")
+        rows = map(",".join, zip(*columns))
+        while block := list(islice(rows, _BLOCK_LINES)):
+            fh.write("\r\n".join(block) + "\r\n")
 
 
 def _prepare(config: RunConfig):
@@ -349,7 +442,8 @@ def _cmd_select(config: RunConfig) -> int:
     _write_csv(
         os.path.join(config.output, "selection.csv"),
         ["id", "x", "sigma", "clfdr", "s", "group", "selected"],
-        zip(ids, *map(_text, (x, sigma, clfdr, s)), dd.group.tolist(), dd.decisions.tolist()),
+        [ids, *map(_text, (x, sigma, clfdr, s)),
+         *(list(map(int.__repr__, v.tolist())) for v in (dd.group, dd.decisions))],
     )
 
     def power(decisions):
@@ -377,11 +471,20 @@ def _cmd_select(config: RunConfig) -> int:
         },
     )
     _write_json(os.path.join(config.output, "summary.json"), summary)
+    trace = dd.trace_columns
+    units = list(map(int.__repr__, trace["unit"].tolist()))
+    for i in np.flatnonzero(trace["unit"] < 0).tolist():
+        units[i] = "null"
     result = {
-        "selected_ids": [ids[i] for i in selected.tolist()],
+        "selected_ids": list(compress(ids, dd.decisions.tolist())),
         "etp_star": power(dd.decisions),
         "capacity": float(-np.sum(clfdr[selected] - config.alpha)) if selected.size else 0.0,
-        "trace": dd.trace,
+        "trace": _Rows({
+            "step": list(map(encode_basestring_ascii, trace["step"])),
+            "unit": units,
+            "etp_star": _json_floats(trace["etp_star"]),
+            "capacity": _json_floats(trace["capacity"]),
+        }),
     }
     _write_json(
         os.path.join(config.output, "selection_result.json"),
@@ -391,6 +494,16 @@ def _cmd_select(config: RunConfig) -> int:
 
 
 def _cmd_rvalue(config: RunConfig) -> int:
+    # Imported here, so the other commands do not load the module.
+    from .rvalue import (
+        dd_alpha_evaluator,
+        dd_mu0_evaluator,
+        default_alpha_grid,
+        default_mu0_grid,
+        rvalue_vary_alpha,
+        rvalue_vary_mu0,
+    )
+
     ids, x, sigma, groups = _prepare(config)
     fits = fit_prior_by_group(x, sigma, groups, k=config.k)
     if config.definition == "alpha":
@@ -421,21 +534,29 @@ def _write_rvalues(config: RunConfig, ids, x, sigma, table):
     ``read_records`` returns them.
     """
     x, sigma = _text(x), _text(sigma)
-    r = _text(table.r, ~np.isfinite(table.r))
-    r_prime = _text(table.r_prime, np.isnan(table.r_prime))
+    # r takes at most n_grid finite values: each distinct bit pattern is
+    # encoded once.
+    bits, inverse = np.unique(table.r.view(np.int64), return_inverse=True)
+    values = bits.view(float)
+    distinct = _text(values, ~np.isfinite(values))
+    r = np.array(distinct, dtype=object)[inverse]
+    r_json = np.array([v or "null" for v in distinct], dtype=object)[inverse]
+    r_prime = np.array(_text(table.r_prime), dtype=object)
+    missing = np.isnan(table.r_prime)
+    m = len(ids)
     _write_csv(
         os.path.join(config.output, "rvalues.csv"),
         ["id", "x", "sigma", "r", "r_prime", "definition", "grid_resolution"],
-        zip(ids, x, sigma, r, r_prime, repeat(table.definition),
-            repeat(repr(table.grid_resolution))),
+        [ids, x, sigma, r.tolist(), np.where(missing, "", r_prime).tolist(),
+         [table.definition] * m, [repr(table.grid_resolution)] * m],
     )
     cells = {
         "id": list(map(encode_basestring_ascii, ids)),
         "x": x,
         "sigma": sigma,
-        "r": [v or "null" for v in r],
-        "r_prime": [v or "null" for v in r_prime],
-        "tied": ["true" if v else "false" for v in table.tied.tolist()],
+        "r": r_json.tolist(),
+        "r_prime": np.where(missing, "null", r_prime).tolist(),
+        "tied": np.where(table.tied, "true", "false").tolist(),
     }
     doc = {
         "definition": table.definition,
@@ -447,6 +568,9 @@ def _write_rvalues(config: RunConfig, ids, x, sigma, table):
 
 
 def _cmd_simulate(config: RunConfig) -> int:
+    # Imported here, so the other commands do not load the module.
+    from .sim import CorrelatedTwoGroup, SimDesign, TwoComponent, UniformIndep, run_replications
+
     size = {} if config.m is None else {"m": config.m}
     if config.design == "two-component":
         if config.sigma2 is None:
@@ -480,7 +604,8 @@ def _cmd_simulate(config: RunConfig) -> int:
     _write_csv(
         os.path.join(config.output, "report_tidy.csv"),
         ["design", "method", "metric", "rep", "value"],
-        _tidy_rows(report),
+        # The metrics are ints and floats, whose str is csv.writer's text.
+        [list(map(str, column)) for column in zip(*_tidy_rows(report))],
     )
     return 0
 

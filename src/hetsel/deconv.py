@@ -170,6 +170,35 @@ class FittedPrior:
         object.__setattr__(self, "weights", w)
 
 
+def _quantiles(values, qs) -> np.ndarray:
+    """``np.quantile(values, qs)`` for a 1-d float array and a list of
+    probabilities, bit for bit, with numpy's default linear method.
+
+    The order statistics come from the same ``np.partition`` call, at the
+    virtual index (n - 1) q, and are interpolated as numpy's ``_lerp``
+    does: a + (b - a) t, or b - (b - a)(1 - t) where t >= 0.5. A NaN
+    makes every quantile NaN. Unlike ``np.quantile``, this never calls
+    ``np.unique``, which imports ``numpy.ma``.
+    """
+    v = (values.size - 1) * np.asarray(qs, dtype=float)
+    below = np.floor(v)
+    above = below + 1.0
+    top = v >= values.size - 1
+    below[top] = above[top] = -1.0
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    kth = np.sort(np.concatenate(([0, -1], below, above)))
+    kth = kth[np.concatenate(([True], kth[1:] != kth[:-1]))]
+    part = np.partition(values, kth)
+    a, b = part[below], part[above]
+    t = v - below
+    diff = b - a
+    out = a + diff * t
+    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+    if np.isnan(part[-1]):
+        out[:] = part[-1]
+    return out
+
+
 def build_grid(xs, k: int = 50) -> PriorGrid:
     """Grid spanning the empirical 1% and 99% quantiles of the observations.
 
@@ -179,9 +208,12 @@ def build_grid(xs, k: int = 50) -> PriorGrid:
     x = np.asarray(xs, dtype=float)
     if k < 2:
         raise ValueError("grid needs at least 2 nodes")
-    if np.unique(x).size < 2:
+    # At least 2 distinct values, NaN counting as one and -0.0 as 0.0, as
+    # np.unique counts them.
+    ends = np.sort(x)[[0, -1]] if x.size else None
+    if ends is None or not (ends[0] < ends[1] or (ends[1] != ends[1] and ends[0] == ends[0])):
         raise ValueError("need at least 2 distinct observations to build a grid")
-    lo, hi = np.quantile(x, [0.01, 0.99])
+    lo, hi = _quantiles(x, [0.01, 0.99])
     if not hi > lo:
         raise ValueError("degenerate support: 1% and 99% quantiles coincide")
     return PriorGrid(left=float(lo), eta=float((hi - lo) / (k - 1)), k=int(k))
@@ -194,7 +226,7 @@ def _rule_of_thumb(values: np.ndarray, m: int, name: str) -> float:
         sd = float(np.std(values, ddof=1))
     if sd <= 0:
         raise ValueError(f"zero spread in {name}: rule-of-thumb bandwidth vanishes")
-    iqr = float(np.quantile(values, 0.75) - np.quantile(values, 0.25))
+    iqr = float(_quantiles(values, [0.75])[0] - _quantiles(values, [0.25])[0])
     spread = min(sd, iqr) if iqr > 0 else sd
     return 0.9 * spread / (1.34 * m ** 0.2)
 
@@ -269,7 +301,7 @@ def _smoothed_grid(xs, ws, h):
         base = offset[s] + node.astype(np.int64) - 1
         for e, w in enumerate(_cubic_weights(t - node)):
             values += np.bincount(base + e, w * ws[lo:lo + chunk], minlength=values.size)
-    for n in np.unique(length).tolist():
+    for n in np.unique(length, return_counts=True)[0].tolist():
         rows = np.flatnonzero(length == n)
         first = offset[rows[0]]
         block = values[first:first + rows.size * n].reshape(rows.size, n)
@@ -345,7 +377,8 @@ def kernel_marginals(x, sigma, bandwidths: BandwidthPair):
     num = np.zeros(m)
     den = np.zeros(m)
     chunk = _KERNEL_BLOCK_PAIRS // 8
-    for b in np.unique(np.unique(first)[:, None] + np.arange(4)).tolist():
+    stencil = np.unique(first, return_counts=True)[0][:, None] + np.arange(4)
+    for b in np.unique(stencil, return_counts=True)[0].tolist():
         # Units with first = b - 3, ..., b form one run of the sigma order,
         # and b is node 3, ..., 0 of their stencils.
         bounds = np.searchsorted(first, [b - 3, b - 2, b - 1, b, b + 1])
@@ -892,8 +925,9 @@ def fit_prior_by_group(x, sigma, group_ids, *, k: int = 50) -> dict:
     sg = np.asarray(sigma, dtype=float)
     gids = np.asarray(group_ids)
     fits = {}
-    for g in np.unique(gids):
-        mask = gids == g
+    labels, inverse = np.unique(gids, return_inverse=True)
+    for i, g in enumerate(labels):
+        mask = inverse == i
         key = g.item() if hasattr(g, "item") else g
         try:
             fits[key] = fit_prior(xs[mask], sg[mask], k=k)

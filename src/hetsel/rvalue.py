@@ -127,14 +127,15 @@ def _build_table(r, t_at, definition, resolution, n_grid):
         primary = r[ranked] if definition == VARY_ALPHA else -r[ranked]
         order = np.lexsort((ranked, -t_at[ranked], primary))
         r_prime[ranked[order]] = np.arange(1, ranked.size + 1) / r.size
-    uniq, counts = np.unique(r[ranked], return_counts=True)
+    # Counts from the inverse, not np.isin, which can import numpy.ma.
+    _, inverse, counts = np.unique(r, return_inverse=True, return_counts=True)
     return RValueTable(
         definition=definition,
         grid_resolution=resolution,
         n_grid=n_grid,
         r=r,
         r_prime=r_prime,
-        tied=np.isin(r, uniq[counts > 1]),
+        tied=np.isfinite(r) & (counts[inverse] > 1),
     )
 
 

@@ -122,13 +122,15 @@ class SelectionCurve:
     group-1 budget prefix sums with a leading zero. The rule stops at
     ``b_star`` for ``stop``, selecting ``decisions`` (0/1, int8).
 
-    ``group`` and ``trace`` are built each time they are read, so callers
-    that only need the decisions pay nothing for them. ``group`` labels
-    each unit 0-3 (int8) by the signs of (x - mu0, clfdr - alpha); x = mu0
-    counts as a gain and clfdr = alpha as free budget. Each step of
-    ``trace`` is a dict ``{"step", "unit", "etp_star", "capacity"}``: what
-    happened, to which unit (None at a checkpoint), and the running
-    modified power and budget.
+    ``group``, ``trace`` and ``trace_columns`` are built each time they
+    are read, so callers that only need the decisions pay nothing for
+    them. ``group`` labels each unit 0-3 (int8) by the signs of (x - mu0,
+    clfdr - alpha); x = mu0 counts as a gain and clfdr = alpha as free
+    budget. Each step of ``trace`` is a dict ``{"step", "unit",
+    "etp_star", "capacity"}``: what happened, to which unit (None at a
+    checkpoint), and the running modified power and budget.
+    ``trace_columns`` holds the same steps as one column per key, with
+    ``unit`` -1 at a checkpoint.
     """
 
     x: np.ndarray
@@ -158,8 +160,17 @@ class SelectionCurve:
         return label
 
     @property
-    def trace(self) -> list:
+    def trace_columns(self) -> dict:
         return _trace(self)
+
+    @property
+    def trace(self) -> list:
+        cols = _trace(self)
+        return [
+            {"step": step, "unit": None if unit < 0 else unit, "etp_star": e, "capacity": k}
+            for step, unit, e, k in zip(cols["step"], cols["unit"].tolist(),
+                                        cols["etp_star"].tolist(), cols["capacity"].tolist())
+        ]
 
 
 def _units(x, clfdr, alpha: float):
@@ -231,66 +242,72 @@ def select_dd(x, clfdr, alpha: float, mu0: float) -> SelectionCurve:
     )
 
 
-def _trace(c: SelectionCurve) -> list:
-    """Replays the step-wise rule along its curve as trace rows (dicts).
+# Step names of the trace, by code; the last is the stop, named by reason.
+_STEPS = ("seed_group0", "add_group1", "store_etp", "add_group2",
+          "rollback_group1", "rollback_group2")
 
-    Running sums accumulate unit by unit in the order the rule visits the
-    units; the stored checkpoints are the curve's own values at each b.
+
+def _trace(c: SelectionCurve) -> dict:
+    """Replays the step-wise rule along its curve as columns: ``step``
+    (names), ``unit`` (int64, -1 at a checkpoint), ``etp_star`` and
+    ``capacity`` (float64).
+
+    The running sums accumulate unit by unit in the order the rule visits
+    the units, as one cumulative sum each, so every value is the same
+    sequence of additions a step-by-step replay makes. The checkpoints
+    store the curve's own values at each b.
     """
     x, cl, alpha, mu0 = c.x, c.clfdr, c.alpha, c.mu0
-    trace: list[dict] = []
     if x.size == 0:
-        return trace
-    running_etp = 0.0
-    running_cap = 0.0
+        return {"step": [], "unit": np.empty(0, dtype=np.int64),
+                "etp_star": np.empty(0), "capacity": np.empty(0)}
+    decline = c.stop == "power_decline"
+    last = c.b_star + decline
+    a = c.a_of_b[:last + 1]
+    before = np.concatenate(([0], a[:-1]))
+    # Per b: the group-2 purchase (none at b = 0), the group-1 refill and
+    # its checkpoint, after the group-0 seeds.
+    bought = np.arange(last + 1) > 0
+    size = bought + (a - before) + 1
+    start = c.g0.size + np.cumsum(size) - size
+    checks = start + size - 1
+    n1 = int(a[-1])
+    refill_b = np.searchsorted(a, np.arange(n1), side="right")
+    refill_pos = start[refill_b] + bought[refill_b] + np.arange(n1) - before[refill_b]
+    back = np.arange(n1 - 1, c.a_star - 1, -1) if decline else np.empty(0, dtype=np.int64)
+    end = c.g0.size + int(size.sum())
+    total = end + (back.size + 1 if decline else 0) + 1
 
-    def step(kind: str, unit, etp_star, capacity):
-        trace.append({"step": kind, "unit": unit, "etp_star": etp_star, "capacity": capacity})
-
-    def checkpoint(kind: str, b: int):
-        a = int(c.a_of_b[b])
-        step(kind, None, float(c.etp_b[b]), float(c.cap_b[b]) - float(c.cost1[a]))
-
-    for i in c.g0:
-        running_etp += x[i] - mu0
-        running_cap += alpha - cl[i]
-        step("seed_group0", int(i), running_etp, running_cap)
-
-    def refill(b: int):
-        nonlocal running_etp, running_cap
-        a_from = int(c.a_of_b[b - 1]) if b else 0
-        for i in c.g1[a_from : int(c.a_of_b[b])]:
-            running_etp += x[i] - mu0
-            running_cap -= cl[i] - alpha
-            step("add_group1", int(i), running_etp, running_cap)
-        checkpoint("store_etp", b)
-
-    def buy(b: int):
-        nonlocal running_etp, running_cap
-        nxt = int(c.g2[b - 1])
-        running_etp += x[nxt] - mu0
-        running_cap += alpha - cl[nxt]
-        step("add_group2", nxt, running_etp, running_cap)
-        refill(b)
-
-    refill(0)
-    for b in range(1, c.b_star + 1):
-        buy(b)
-    if c.stop == "power_decline":
+    code = np.full(total, 2, dtype=np.int8)
+    unit = np.full(total, -1, dtype=np.int64)
+    code[:c.g0.size], unit[:c.g0.size] = 0, c.g0
+    code[start[1:]], unit[start[1:]] = 3, c.g2[:last]
+    code[refill_pos], unit[refill_pos] = 1, c.g1[:n1]
+    if decline:
         # The losing purchase and its refill stay in the trace, followed by
         # their rollback; the previous state is the one returned.
-        b = c.b_star + 1
-        buy(b)
-        for i in c.g1[c.a_star : int(c.a_of_b[b])][::-1]:
-            running_etp -= x[i] - mu0
-            running_cap += cl[i] - alpha
-            step("rollback_group1", int(i), running_etp, running_cap)
-        nxt = int(c.g2[b - 1])
-        running_etp -= x[nxt] - mu0
-        running_cap -= alpha - cl[nxt]
-        step("rollback_group2", nxt, running_etp, running_cap)
-    checkpoint(f"stop_{c.stop}", c.b_star)
-    return trace
+        code[end:end + back.size], unit[end:end + back.size] = 4, c.g1[back]
+        code[end + back.size], unit[end + back.size] = 5, c.g2[last - 1]
+    code[-1] = 6
+    steps = list(map((*_STEPS, f"stop_{c.stop}").__getitem__, code.tolist()))
+
+    moves = np.flatnonzero(unit >= 0)
+    kind, who = code[moves], unit[moves]
+    # Groups 0 and 2 add budget (cap += alpha - clfdr), group 1 spends it
+    # (cap -= clfdr - alpha); a rollback subtracts what its step added.
+    undo = kind >= 4
+    gain = x[who] - mu0
+    d_etp = np.where(undo, -gain, gain)
+    d_cap = np.where((kind == 1) | (kind == 4), -(cl[who] - alpha), alpha - cl[who])
+    d_cap = np.where(undo, -d_cap, d_cap)
+    etp_star, capacity = np.empty(total), np.empty(total)
+    etp_star[moves] = np.cumsum(np.concatenate(([0.0], d_etp)))[1:]
+    capacity[moves] = np.cumsum(np.concatenate(([0.0], d_cap)))[1:]
+    b = np.append(np.arange(last + 1), c.b_star)
+    at = np.append(checks, total - 1)
+    etp_star[at] = c.etp_b[b]
+    capacity[at] = c.cap_b[b] - c.cost1[c.a_of_b[b]]
+    return {"step": steps, "unit": unit, "etp_star": etp_star, "capacity": capacity}
 
 
 def select_clfdr_stepup(clfdrs, alpha: float) -> np.ndarray:

@@ -380,3 +380,74 @@ def write_rvalues_reference(config, ids, x, sigma, table):
             for e in doc["entries"]
         )
     write_json_reference(os.path.join(config.output, "rvalues.json"), doc)
+
+
+def trace_reference(c):
+    """The trace of a ``SelectionCurve`` replayed step by step in Python:
+    running sums added unit by unit in the order the rule visits the units,
+    checkpoints read off the curve."""
+    x, cl, alpha, mu0 = c.x, c.clfdr, c.alpha, c.mu0
+    trace = []
+    if x.size == 0:
+        return trace
+    run = {"etp": 0.0, "cap": 0.0}
+
+    def step(kind, unit, d_etp=None, d_cap=None):
+        if d_etp is not None:
+            run["etp"] += d_etp
+            run["cap"] += d_cap
+        trace.append({"step": kind, "unit": unit, "etp_star": run["etp"], "capacity": run["cap"]})
+
+    def checkpoint(kind, b):
+        a = int(c.a_of_b[b])
+        trace.append({"step": kind, "unit": None, "etp_star": float(c.etp_b[b]),
+                      "capacity": float(c.cap_b[b]) - float(c.cost1[a])})
+
+    def refill(b):
+        for i in c.g1[(int(c.a_of_b[b - 1]) if b else 0):int(c.a_of_b[b])]:
+            step("add_group1", int(i), x[i] - mu0, -(cl[i] - alpha))
+        checkpoint("store_etp", b)
+
+    def buy(b):
+        i = int(c.g2[b - 1])
+        step("add_group2", i, x[i] - mu0, alpha - cl[i])
+        refill(b)
+
+    for i in c.g0:
+        step("seed_group0", int(i), x[i] - mu0, alpha - cl[i])
+    refill(0)
+    for b in range(1, c.b_star + 1):
+        buy(b)
+    if c.stop == "power_decline":
+        b = c.b_star + 1
+        buy(b)
+        for i in c.g1[c.a_star:int(c.a_of_b[b])][::-1]:
+            step("rollback_group1", int(i), -(x[i] - mu0), cl[i] - alpha)
+        i = int(c.g2[b - 1])
+        step("rollback_group2", i, -(x[i] - mu0), -(alpha - cl[i]))
+    checkpoint(f"stop_{c.stop}", c.b_star)
+    return trace
+
+
+def read_records_reference(path):
+    """``(ids, x, sigma)`` of a direct-layout input CSV by ``csv.reader``,
+    one record at a time, with the same line-numbered errors."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        ids, x_col, sigma_col = [], [], []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                if len(row) < 3:
+                    raise ValueError("expected at least 3 fields")
+                rid, x, sigma = row[0], float(row[1]), float(row[2])
+                if not (sigma > 0 and math.isfinite(sigma) and math.isfinite(x)):
+                    raise ValueError("need sigma > 0 and finite x")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            ids.append(rid)
+            x_col.append(x)
+            sigma_col.append(sigma)
+    return ids, np.array(x_col, dtype=float), np.array(sigma_col, dtype=float)

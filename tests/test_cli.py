@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import hetsel.cli as cli_module
+from conftest import read_records_reference
 from hetsel import __version__, fit_prior, select_dd
 from hetsel.cli import ayp_standard_error, main, read_records, trim_by_se_percentile
 
@@ -126,6 +128,44 @@ class TestIngestion:
         ids, x, sigma = read_records(marked)
         assert marked.read_bytes()[:3] == b"\xef\xbb\xbf" and ids == ["a"]
         assert (x.tolist(), sigma.tolist()) == tuple(v.tolist() for v in read_records(plain)[1:])
+
+    @pytest.mark.parametrize("block_lines", [1, 2, 3, 4096])
+    def test_blocks_read_as_the_line_scan(self, tmp_path, block_lines, monkeypatch):
+        # Plain blocks are split, the others scanned by csv.reader; a quoted
+        # id spanning lines can cross a block boundary.
+        monkeypatch.setattr(cli_module, "_BLOCK_LINES", block_lines)
+        path = tmp_path / "mixed.csv"
+        path.write_bytes(
+            b"id,x,sigma\r\na,1.5,0.3\r\nb,-2,1e-3,extra\n\n\"c\nd\",0.25,2\n"
+            b"\"e,f\",1,1\ng,  3 ,1_0\nh,4.5,0.5"
+        )
+        ids, x, sigma = read_records(path)
+        want = read_records_reference(path)
+        assert ids == want[0] == ["a", "b", "c\nd", "e,f", "g", "h"]
+        assert (x.tobytes(), sigma.tobytes()) == (want[1].tobytes(), want[2].tobytes())
+
+    @pytest.mark.parametrize("bad, message", [("oops", "could not convert"), ("nan", "finite x")])
+    def test_error_in_a_later_block_keeps_its_line(self, tmp_path, bad, message):
+        rows = [[f"u{i}", repr(0.001 * i), "1.0"] for i in range(9000)]
+        rows[6000][1] = bad
+        path = tmp_path / "late.csv"
+        _write_direct_csv(path, rows)
+        with pytest.raises(ValueError, match=f":6002: .*{message}"):
+            read_records(path)
+
+    @pytest.mark.parametrize("bad_line", [b"b,oops,1\n", b"b,2,1\n"])
+    def test_decode_error_comes_where_the_line_scan_meets_it(self, tmp_path, bad_line):
+        # Undecodable bytes past the first decoded chunk: a bad line before
+        # them is reported first, else the decode error itself.
+        filler = b"".join(b"u%d,1,1\n" % i for i in range(1000))
+        path = tmp_path / "bytes.csv"
+        path.write_bytes(b"id,x,sigma\na,1,1\n" + bad_line + filler + b"c,\xff,1\n" + filler)
+        with pytest.raises(ValueError) as want:
+            read_records_reference(path)
+        with pytest.raises(ValueError) as got:
+            read_records(path)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+        assert ("could not convert" in str(got.value)) == (b"oops" in bad_line)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -554,6 +594,38 @@ codes.append(main(["simulate", "--design", "uniform", "--sigma-max", "3", "--m",
                    "--reps", "1", "--seed", "3", "--output", out + "/sim"]))
 print(json.dumps({"codes": codes, "scipy": before, "scipy_after": "scipy" in sys.modules}))
 """
+
+
+_LAZY_SCRIPT = """
+import json, sys
+import hetsel.cli
+loaded = sorted(m for m in ("hetsel.sim", "hetsel.rvalue") if m in sys.modules)
+from hetsel.cli import main
+data, out = sys.argv[1], sys.argv[2]
+codes = [main(["select", "--input", data, "--output", out + "/sel", "--mu0", "0"])]
+after_select = "numpy.ma" in sys.modules
+codes.append(main(["rvalue", "--input", data, "--output", out + "/rv", "--definition", "mu0",
+                   "--alpha", "0.1", "--grid-points", "20"]))
+import hetsel
+print(json.dumps({"codes": codes, "loaded": loaded, "ma_select": after_select,
+                  "ma_rvalue": "numpy.ma" in sys.modules,
+                  "lazy_name": hetsel.run_replications.__module__}))
+"""
+
+
+def test_commands_load_only_what_runs(direct_csv, tmp_path):
+    # import hetsel.cli loads neither the simulation nor the r-value
+    # module, select and rvalue --definition mu0 never import numpy.ma,
+    # and the package still serves the lazily loaded names.
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_SCRIPT, str(direct_csv), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report == {"codes": [0, 0], "loaded": [], "ma_select": False, "ma_rvalue": False,
+                      "lazy_name": "hetsel.sim"}
 
 
 def test_commands_do_not_load_scipy(direct_csv, tmp_path):

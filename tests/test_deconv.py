@@ -40,7 +40,7 @@ from hetsel import (
     silverman_bandwidths,
 )
 from hetsel.cli import _prior_fit
-from hetsel.deconv import _ORACLE_BLOCK_UNITS, _design_matrix, _log_add_into
+from hetsel.deconv import _ORACLE_BLOCK_UNITS, _design_matrix, _log_add_into, _quantiles
 
 
 def assert_simplex_kkt(grid, x, sigma, marginals, w, rtol=1e-8):
@@ -134,6 +134,28 @@ class TestBuildGrid:
             build_grid(np.arange(10.0), k=1)
         with pytest.raises(ValueError):
             PriorGrid(left=0.0, eta=1.0, k=1)
+
+
+QUANTILE_SAMPLES = {
+    "n1": [2.5],
+    "n1-negative-zero": [-0.0],
+    "n2": [3.0, -1.0],
+    "n2-signed-zeros": [0.0, -0.0],
+    "ties": [1.0, 2.0, 2.0, 2.0, 3.0, 3.0],
+    "signed-zero-ties": [-0.0, 0.0, -0.0, 0.0, 0.5, -1.0, 0.0, -0.0],
+    "nan": [1.0, float("nan"), 2.0],
+    "normal-101": np.random.default_rng(9).standard_normal(101).tolist(),
+}
+
+
+@pytest.mark.parametrize("qs", [[0.0, 1.0], [0.01, 0.99], [0.25, 0.75], [0.5], [1.0], [0.3, 0.7]])
+@pytest.mark.parametrize("name", sorted(QUANTILE_SAMPLES))
+def test_quantiles_match_numpy_bit_for_bit(name, qs):
+    values = np.array(QUANTILE_SAMPLES[name])
+    with np.errstate(invalid="ignore"):
+        want = np.quantile(values, qs)
+        got = _quantiles(values, qs)
+    assert got.tobytes() == want.tobytes()
 
 
 class TestSilvermanBandwidths:

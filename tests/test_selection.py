@@ -17,6 +17,7 @@ from conftest import (
     score_arrays_where,
     stepup_bh_reference,
     stepup_clfdr_reference,
+    trace_reference,
 )
 from hetsel import (
     ConstantSigma,
@@ -223,6 +224,33 @@ class TestSelectDD:
                 elif st["step"] in ("rollback_group1", "rollback_group2"):
                     picked.remove(st["unit"])
             assert picked == set(np.flatnonzero(res.decisions).tolist())
+
+    @pytest.mark.parametrize("family", sorted(INSTANCE_FAMILIES))
+    def test_trace_columns_match_the_replay(self, family):
+        # The columns' running sums are cumulative sums of the replay's
+        # steps: the same additions, so the same bits. Every stop reason
+        # and x exactly at mu0 occur among the instances.
+        rng = np.random.default_rng(5)
+        stops = set()
+        for trial in range(120):
+            x, sigma, cl, _ = coherent_instance(rng, int(rng.integers(0, 60)), family=family)
+            if trial % 3 == 0 and x.size:
+                x[rng.integers(0, x.size, 2)] = 0.0
+            alpha = float(rng.choice([0.05, 0.1, 0.3]))
+            res = select_dd(x, cl, alpha, 0.0)
+            stops.add(res.stop)
+            got, want = res.trace, trace_reference(res)
+            assert [(st["step"], st["unit"]) for st in got] == [
+                (st["step"], st["unit"]) for st in want
+            ]
+            for key in ("etp_star", "capacity"):
+                assert [float(st[key]).hex() for st in got] == [
+                    float(st[key]).hex() for st in want
+                ]
+            cols = res.trace_columns
+            assert cols["step"] == [st["step"] for st in got]
+            assert cols["unit"].tolist() == [-1 if st["unit"] is None else st["unit"] for st in got]
+        assert len(stops) >= 2, stops
 
     def test_not_nested_in_alpha(self):
         # A unit can leave the selection when the level is relaxed: at the
