@@ -89,6 +89,31 @@ def _tied_x():
     return _with_bandwidths(x, sigma)
 
 
+def _sigma_spike(m=4000):
+    """80% of sigma within 1e-9 of 1.0, the rest U(0.5, 3): h_sigma is about
+    1e-10, so the occupied sigma rows are thousands, most far apart."""
+    rng = np.random.default_rng(5)
+    sigma = rng.uniform(0.5, 3.0, m)
+    spike = rng.random(m) < 0.8
+    sigma[spike] = 1.0 + rng.uniform(-1e-9, 1e-9, int(spike.sum()))
+    return _with_bandwidths(rng.uniform(-3.0, 2.0, m) + sigma * rng.standard_normal(m), sigma)
+
+
+def _sigma_from_001():
+    """sigma ~ U(0.01, 3): near 0.01 a step of h_sigma / 4 would be larger
+    than sigma itself."""
+    rng = np.random.default_rng(6)
+    sigma = rng.uniform(0.01, 3.0, 4000)
+    return _with_bandwidths(rng.uniform(-3.0, 2.0, 4000) + sigma * rng.standard_normal(4000), sigma)
+
+
+def _one_tiny_sigma():
+    """One unit at sigma = 0.001 among sigma ~ U(0.5, 3)."""
+    x, sigma = _benchmark_like(4000, seed=14)
+    sigma[7] = 0.001
+    return _with_bandwidths(x, sigma)
+
+
 def _few(m):
     x = np.array([0.4, -1.1, 2.3])[:m]
     sigma = np.array([1.5, 0.6, 2.7])[:m]
@@ -103,6 +128,9 @@ KERNEL_CASES = {
     "correlated-group": lambda: _simulation_case(CorrelatedTwoGroup(1.0, 5000), 1.0, False),
     "t3-heavy-tails": _heavy_tailed,
     "30-tied-x": _tied_x,
+    "sigma-spike-at-1": _sigma_spike,
+    "sigma-from-0.01": _sigma_from_001,
+    "one-sigma-0.001": _one_tiny_sigma,
     "m1": lambda: _few(1),
     "m2": lambda: _few(2),
     "m3": lambda: _few(3),
@@ -246,11 +274,15 @@ class TestKernelMarginals:
         assert np.all(got > 0)
         assert_allclose(got, kernel_marginals_exact(xs, sig, bw), rtol=KERNEL_RTOL, atol=0)
 
-    @pytest.mark.parametrize("where, value", [("x", 1e6), ("x", 1e18), ("sigma", 1e3)])
+    @pytest.mark.parametrize(
+        "where, value", [("x", 1e6), ("x", 1e18), ("sigma", 1e3), ("sigma", 1e-3)]
+    )
     def test_far_outlier_costs_no_range(self, where, value):
         # One unit at x = 1e6 or sigma = 1e3: a grid spanning the range
         # would need about 1e10 cells, the binned grids do not. At
-        # x = 1e18 one x node spacing is below the unit's float spacing.
+        # x = 1e18 one x node spacing is below the unit's float spacing;
+        # at sigma = 1e-3 its x bandwidth is 500 times narrower than the
+        # others'.
         xs, sig = _benchmark_like(10_000, seed=11)
         (xs if where == "x" else sig)[17] = value
         bw = silverman_bandwidths(xs, sig)
