@@ -422,7 +422,10 @@ def _smoothed_tiles(tl, e_x, e_unit, row0, w_sigma, u, run_u, h_s):
     e_x, e_unit = e_x[where], e_unit[where]
     G = np.zeros(int((tl.n_src * tl.length).sum()))
     four = np.arange(4)[:, None]
-    # Blocks of entries, 16 cells each: a unit's 4 rows times 4 x nodes.
+    # The stencil slots that carry weight for some unit: with every unit on
+    # a node (sigma constant), three of the four are empty.
+    slots = np.flatnonzero(w_sigma.any(axis=1))[:, None]
+    # Blocks of entries, up to 16 cells each: a unit's 4 rows times 4 x nodes.
     chunk = _KERNEL_BLOCK_PAIRS // 16
     for lo in range(0, e_x.size, chunk):
         t = tile[lo:lo + chunk]
@@ -430,15 +433,15 @@ def _smoothed_tiles(tl, e_x, e_unit, row0, w_sigma, u, run_u, h_s):
         pos = (e_x[lo:lo + chunk] - tl.x0[t]) / tl.dx[t] + _X_PAD
         node = np.floor(pos)
         w_x = np.array(_cubic_weights(pos - node))
-        rows = row0[units] + four
-        # Rows outside the tile are the unit's rows in another run.
-        inside = (rows >= tl.lo[t]) & (rows <= tl.hi[t])
+        rows = row0[units] + slots
+        # A unit's rows outside the tile lie in another run.
+        w_rows = w_sigma[slots, units] * ((rows >= tl.lo[t]) & (rows <= tl.hi[t]))
         first = int(tl.g_off[t[0]])
         base = (tl.g_off[t] - first - 1 + node.astype(np.int64)
                 + (np.clip(rows, tl.lo[t], tl.hi[t]) - tl.lo[t]) * tl.length[t])
         cells = np.bincount(
             (base[:, None, :] + four[None]).ravel(),
-            ((w_sigma[:, units] * inside)[:, None, :] * w_x[None, :, :]).ravel(),
+            (w_rows[:, None, :] * w_x[None, :, :]).ravel(),
         )
         G[first:first + cells.size] += cells
 
@@ -478,6 +481,8 @@ def _read_tiles(tl, H, xs, row0, w_sigma, r_first, r_count):
     Units are in x order, so a unit's index is its x rank.
     """
     m = xs.size
+    # The stencil slots that carry weight for some unit.
+    slots = np.flatnonzero(w_sigma.any(axis=1)).tolist()
     # Tiles are sorted by run, then x: key run * (m + 1) + the x rank of
     # their start.
     start = np.searchsorted(xs, tl.x0 - _X_PAD * tl.dx)
@@ -503,7 +508,7 @@ def _read_tiles(tl, H, xs, row0, w_sigma, r_first, r_count):
             base = tl.h_off[t] + row * tl.length[t] + node.astype(np.int64) - 1
             w_x = _cubic_weights(pos - node)
             total = np.zeros(units.size)
-            for e in range(4):
+            for e in slots:
                 cell = base + e * tl.length[t]
                 value = w_x[0] * H[cell]
                 for f in range(1, 4):

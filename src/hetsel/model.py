@@ -59,8 +59,8 @@ def _as_binary(a, name):
     arr = np.asarray(a)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
-    vals = np.unique(arr)
-    if not np.all(np.isin(vals, (0, 1))):
+    # Compared entry by entry: np.unique would import numpy.ma.
+    if not np.all((arr == 0) | (arr == 1)):
         raise ValueError(f"{name} entries must be 0 or 1")
     return arr.astype(np.int8)
 
