@@ -274,9 +274,10 @@ def _trace(c: SelectionCurve) -> dict:
     n1 = int(a[-1])
     refill_b = np.searchsorted(a, np.arange(n1), side="right")
     refill_pos = start[refill_b] + bought[refill_b] + np.arange(n1) - before[refill_b]
-    back = np.arange(n1 - 1, c.a_star - 1, -1) if decline else np.empty(0, dtype=np.int64)
+    # Rolled back after a decline, last first (none otherwise: n1 = a*).
+    back = np.arange(n1 - 1, c.a_star - 1, -1)
     end = c.g0.size + int(size.sum())
-    total = end + (back.size + 1 if decline else 0) + 1
+    total = end + back.size + decline + 1
 
     code = np.full(total, 2, dtype=np.int8)
     unit = np.full(total, -1, dtype=np.int64)
