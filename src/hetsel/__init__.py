@@ -5,53 +5,54 @@ unit by its conditional local FDR, selects units by trading observed effect
 size against error budget, and ranks them by r-values. A simulation harness
 and a small CLI tie the pieces together.
 
-The names of ``hetsel.rvalue`` and ``hetsel.sim`` are served on first use
-(PEP 562), so a command that does not rank or simulate does not load them.
+Every public name is served on first use (PEP 562), so ``import hetsel``
+loads no numpy, and a command that does not rank or simulate does not load
+``hetsel.rvalue`` or ``hetsel.sim``.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-from .model import (
-    MetricsRecord,
-    etp,
-    etp_star,
-    fdp,
-    zvalue_pvalue,
-)
-from .deconv import (
-    BandwidthPair,
-    ConstantSigma,
-    FittedPrior,
-    JointModel,
-    NormalComponent,
-    PointMass,
-    PriorGrid,
-    TruePrior,
-    UniformInterval,
-    UniformSigma,
-    build_grid,
-    clfdr_by_group,
-    fit_prior,
-    fit_prior_by_group,
-    fit_weights,
-    kernel_marginals,
-    oracle_clfdr,
-    silverman_bandwidths,
-)
-from .selection import (
-    SelectionCurve,
-    ThresholdPair,
-    calibrate_thresholds,
-    clfdr_stepup_threshold,
-    oracle_thresholds,
-    select_bh,
-    select_clfdr_stepup,
-    select_dd,
-    select_oracle,
-)
 _LAZY = {
+    "model": (
+        "MetricsRecord",
+        "etp",
+        "etp_star",
+        "fdp",
+        "zvalue_pvalue",
+    ),
+    "deconv": (
+        "BandwidthPair",
+        "ConstantSigma",
+        "FittedPrior",
+        "JointModel",
+        "NormalComponent",
+        "PointMass",
+        "PriorGrid",
+        "TruePrior",
+        "UniformInterval",
+        "UniformSigma",
+        "build_grid",
+        "clfdr_by_group",
+        "fit_prior",
+        "fit_prior_by_group",
+        "fit_weights",
+        "kernel_marginals",
+        "oracle_clfdr",
+        "silverman_bandwidths",
+    ),
+    "selection": (
+        "SelectionCurve",
+        "ThresholdPair",
+        "calibrate_thresholds",
+        "clfdr_stepup_threshold",
+        "oracle_thresholds",
+        "select_bh",
+        "select_clfdr_stepup",
+        "select_dd",
+        "select_oracle",
+    ),
     "rvalue": (
         "RValueTable",
         "dd_alpha_evaluator",

@@ -30,6 +30,13 @@ from dataclasses import asdict, dataclass, fields
 from itertools import compress, islice, repeat
 from json.encoder import encode_basestring_ascii
 
+# One BLAS thread per process, set before numpy loads OpenBLAS: simulate
+# runs its replicates in forked processes, and two processes with two
+# spinning BLAS threads each on two CPUs are slower than one process. A
+# user's OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is kept.
+if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import numpy as np
 
 from . import __version__

@@ -698,18 +698,57 @@ def fit_weights(grid: PriorGrid, x, sigma, marginals) -> FittedPrior:
     )
 
 
-def _clfdr_table(fits: dict, group_ids, x, sigma):
-    """Builds once the map mu0 -> clfdr of fixed units under fitted priors.
+def _log_prefix_rows(fit: FittedPrior, x, sigma):
+    """Walks one fit's nodes in ascending order and yields, after node j,
+    the running log-sum-exp of the units' log weighted node densities,
+        L_j = log sum_{l <= j} w_l exp(-((x - node_l) / sigma)^2 / 2),
+    as one row over the units; the unit factor 1 / (sqrt(2 pi) sigma)
+    cancels in the clfdr and is left out. The prefix never decreases, so
+    exp(L_j - L_last) lies in [0, 1].
 
-    Each unit is scored under the fit of its group. For each fit the
-    running log-sum-exp across the ascending nodes,
-        L_ij = log sum_{l <= j} w_l exp(-((x_i - node_l) / sigma_i)^2 / 2),
-    is taken once; the unit factor 1 / (sqrt(2 pi) sigma_i) cancels in the
-    ratio. Then clfdr(mu0) = exp(L_ij - L_i,k-1), with j the last node
-    <= mu0 (closed inequality), so a new mu0 costs one row lookup and the
-    ratio keeps its value where both densities underflow. The prefix never
-    decreases, hence every value lies in [0, 1]. Units too many sigmas from
-    the nodes for z^2 to resolve them are scored by ``_far_exponents``.
+    The row is one buffer that the next step updates in place: a caller
+    that keeps a row copies it. Units too many sigmas from the nodes for
+    z^2 to resolve them take their exponents from ``_far_exponents``.
+    """
+    nodes = fit.grid.nodes
+    with np.errstate(divide="ignore"):
+        log_w = np.log(fit.weights)
+    # z^2 is largest at an end node.
+    with np.errstate(over="ignore"):
+        ends = (x[None, :] - nodes[[0, -1]][:, None]) / sigma[None, :]
+        np.square(ends, out=ends)
+    far = np.flatnonzero((ends[0] >= _FAR_Z2) | (ends[1] >= _FAR_Z2))
+    if far.size:
+        far_z = _far_exponents(nodes, log_w, x[far], sigma[far])
+    acc = np.empty(x.size)
+    z = np.empty(x.size)
+    for j in range(nodes.size):
+        # The arithmetic is that of log w_j - 0.5 z^2, bit for bit.
+        with np.errstate(over="ignore"):
+            np.subtract(x, nodes[j], out=z)
+            z /= sigma
+            np.square(z, out=z)
+        z *= -0.5
+        z += log_w[j]
+        if far.size:
+            z[far] = far_z[j]
+        if j:
+            np.logaddexp(acc, z, out=acc)
+        else:
+            np.copyto(acc, z)
+        yield acc
+
+
+def _clfdr_table(fits: dict, group_ids, x, sigma):
+    """Builds once the map mu0 -> clfdr of fixed units under fitted priors,
+    for a scan over many mu0.
+
+    Each unit is scored under the fit of its group. The rows L_j of
+    ``_log_prefix_rows`` are stacked into a k x m table once; then
+    clfdr(mu0) = exp(L_j - L_last), with j the last node <= mu0 (closed
+    inequality), so a new mu0 costs one row lookup and the ratio keeps its
+    value where both densities underflow. ``clfdr_by_group`` takes one mu0
+    from the same walk without the table.
     """
     xs = np.asarray(x, dtype=float)
     sg = np.asarray(sigma, dtype=float)
@@ -717,23 +756,12 @@ def _clfdr_table(fits: dict, group_ids, x, sigma):
     tables = []
     for g, fit in fits.items():
         idx = np.flatnonzero(gids == g)
-        nodes = fit.grid.nodes
-        with np.errstate(divide="ignore"):
-            log_w = np.log(fit.weights)
-        # In place: these k x m arrays set the peak memory of select and
-        # rvalue. The arithmetic is that of log_w - 0.5 z^2, bit for bit.
-        with np.errstate(over="ignore"):
-            z = (xs[idx][None, :] - nodes[:, None]) / sg[idx][None, :]
-            np.square(z, out=z)
-        # z^2 is largest at an end node.
-        far = np.flatnonzero((z[0] >= _FAR_Z2) | (z[-1] >= _FAR_Z2))
-        z *= -0.5
-        z += log_w[:, None]
-        if far.size:
-            z[:, far] = _far_exponents(nodes, log_w, xs[idx][far], sg[idx][far])
-        L = np.logaddexp.accumulate(z, axis=0, out=z)
+        # This k x m table sets the peak memory of rvalue.
+        L = np.empty((fit.grid.nodes.size, idx.size))
+        for j, row in enumerate(_log_prefix_rows(fit, xs[idx], sg[idx])):
+            L[j] = row
         L -= L[-1]
-        tables.append((idx, nodes, np.exp(L, out=L)))
+        tables.append((idx, fit.grid.nodes, np.exp(L, out=L)))
 
     def clfdr(mu0: float) -> np.ndarray:
         out = np.empty(xs.shape, dtype=float)
@@ -1145,5 +1173,25 @@ def fit_prior_by_group(x, sigma, group_ids, *, k: int = 50) -> dict:
 
 
 def clfdr_by_group(fits: dict, group_ids, x, sigma, mu0: float) -> np.ndarray:
-    """Evaluates each unit's conditional local FDR under its group's fit."""
-    return _clfdr_table(fits, group_ids, x, sigma)(mu0)
+    """Evaluates each unit's conditional local FDR under its group's fit.
+
+    One walk of ``_log_prefix_rows`` per group keeps the running row at the
+    last node j <= mu0 and returns exp(L_j - L_last): the values of
+    ``_clfdr_table(...)(mu0)`` bit for bit, without its k x m table.
+    """
+    xs = np.asarray(x, dtype=float)
+    sg = np.asarray(sigma, dtype=float)
+    gids = np.asarray(group_ids)
+    out = np.empty(xs.shape, dtype=float)
+    for g, fit in fits.items():
+        idx = np.flatnonzero(gids == g)
+        j = int(np.searchsorted(fit.grid.nodes, mu0, side="right")) - 1
+        if j < 0:
+            out[idx] = 0.0
+            continue
+        for i, row in enumerate(_log_prefix_rows(fit, xs[idx], sg[idx])):
+            if i == j:
+                L_j = row.copy()
+        L_j -= row
+        out[idx] = np.exp(L_j, out=L_j)
+    return out

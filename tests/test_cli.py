@@ -640,3 +640,67 @@ def test_commands_do_not_load_scipy(direct_csv, tmp_path):
     assert report["scipy"] == []
     # simulate's known-prior oracle uses numpy's erfc kernel, not scipy.
     assert not report["scipy_after"]
+
+
+_BLAS_SCRIPT = """
+import json, os, sys
+import hetsel
+numpy_after_hetsel = "numpy" in sys.modules
+import hetsel.cli
+print(json.dumps({"numpy": numpy_after_hetsel,
+                  "openblas": os.environ.get("OPENBLAS_NUM_THREADS"),
+                  "omp": os.environ.get("OMP_NUM_THREADS")}))
+"""
+
+
+def _env_without_blas_settings(**settings):
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    return dict(env, PYTHONPATH=os.path.abspath(src), **settings)
+
+
+@pytest.mark.parametrize("settings, want", [
+    ({}, {"openblas": "1", "omp": None}),
+    ({"OPENBLAS_NUM_THREADS": "2"}, {"openblas": "2", "omp": None}),
+    ({"OMP_NUM_THREADS": "2"}, {"openblas": None, "omp": "2"}),
+])
+def test_cli_runs_blas_on_one_thread_unless_told(settings, want):
+    # import hetsel loads no numpy, so hetsel.cli can still set the BLAS
+    # thread count before numpy loads OpenBLAS.
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLAS_SCRIPT], env=_env_without_blas_settings(**settings),
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"numpy": False, **want}
+
+
+def _artifacts(directory):
+    out = {}
+    for root, _, files in os.walk(directory):
+        for name in files:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, directory)] = fh.read()
+    return out
+
+
+def test_artifacts_do_not_depend_on_blas_threads(direct_csv, tmp_path):
+    # With two BLAS threads simulate also runs its replicates serially.
+    runs = [
+        ["select", "--input", str(direct_csv), "--mu0", "0"],
+        ["simulate", "--design", "correlated", "--sigma", "1", "--m", "400", "--reps", "3",
+         "--seed", "5"],
+    ]
+    got = []
+    for settings in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
+        out = tmp_path / f"blas{len(got)}"
+        env = _env_without_blas_settings(**settings)
+        for i, argv in enumerate(runs):
+            subprocess.run(
+                [sys.executable, "-m", "hetsel.cli", *argv, "--output", str(out / str(i))],
+                env=env, capture_output=True, timeout=300, check=True,
+            )
+        got.append(_artifacts(out))
+    assert len(got[0]) == 5
+    assert got[0] == got[1]

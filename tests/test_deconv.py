@@ -40,7 +40,15 @@ from hetsel import (
     silverman_bandwidths,
 )
 from hetsel.cli import _prior_fit
-from hetsel.deconv import _ORACLE_BLOCK_UNITS, _design_matrix, _log_add_into, _quantiles
+from hetsel.deconv import (
+    _FAR_Z2,
+    _ORACLE_BLOCK_UNITS,
+    _clfdr_table,
+    _design_matrix,
+    _far_exponents,
+    _log_add_into,
+    _quantiles,
+)
 
 
 def assert_simplex_kkt(grid, x, sigma, marginals, w, rtol=1e-8):
@@ -498,6 +506,91 @@ class TestClfdrFromFit:
             assert got.tolist() == (np.asarray(nodes) <= mu0).astype(float).tolist()
             got = clfdr_by_group({0: fit}, [0, 0], [-1e300, 1e300], [1e-160, 1e-160], mu0)
             assert got.tolist() == [1.0, 0.0]
+
+
+def _accumulated_table(fit, x, sigma):
+    """The k x m prefix table exp(L_j - L_last) built in whole-array passes,
+    with one np.logaddexp.accumulate over the nodes."""
+    nodes = fit.grid.nodes
+    with np.errstate(divide="ignore"):
+        log_w = np.log(fit.weights)
+    with np.errstate(over="ignore"):
+        z = np.square((x[None, :] - nodes[:, None]) / sigma[None, :])
+    far = np.flatnonzero((z[0] >= _FAR_Z2) | (z[-1] >= _FAR_Z2))
+    z = -0.5 * z + log_w[:, None]
+    if far.size:
+        z[:, far] = _far_exponents(nodes, log_w, x[far], sigma[far])
+    L = np.logaddexp.accumulate(z, axis=0)
+    return np.exp(L - L[-1])
+
+
+class TestStreamedClfdr:
+    """``clfdr_by_group`` walks the nodes once per group and keeps one row;
+    ``_clfdr_table`` stacks the rows of the same walk. Both must give the
+    whole-array prefix table's values bit for bit."""
+
+    def _case(self):
+        rng = np.random.default_rng(31)
+        fits, xs, sigmas, groups = {}, [], [], []
+        for g, (left, eta, k) in enumerate(((-3.0, 0.25, 30), (-1.7, 0.4, 17))):
+            weights = rng.dirichlet(np.ones(k))
+            weights[[3, k - 4]] = 0.0  # zero-weight nodes have log w = -inf
+            grid = PriorGrid(left=left, eta=eta, k=k)
+            fits[g] = FittedPrior(grid=grid, weights=weights / weights.sum(),
+                                  objective=0.0, kkt_gap=0.0)
+            nodes = grid.nodes
+            x = np.concatenate([
+                rng.normal(0.5, 2.0, 200),
+                [1e17, -1e17, 1e300, -1e300],
+                (nodes[:-1] + nodes[1:]) / 2,  # midway between nodes...
+            ])
+            sigma = np.concatenate([
+                rng.uniform(0.2, 3.0, 200),
+                np.ones(4),
+                np.full(k - 1, 5e-324),  # ...at the smallest sigma
+            ])
+            xs.append(x)
+            sigmas.append(sigma)
+            groups.append(np.full(x.size, g))
+        # Interleave the groups' units.
+        order = rng.permutation(sum(x.size for x in xs))
+        return (fits, np.concatenate(groups)[order], np.concatenate(xs)[order],
+                np.concatenate(sigmas)[order])
+
+    def test_every_mu0_place(self):
+        fits, groups, x, sigma = self._case()
+        n0, n1 = fits[0].grid.nodes, fits[1].grid.nodes
+        mu0s = [
+            n0[0] - 1.0,  # below the first node of both groups
+            float(n1[0]),  # on group 1's first node, between two of group 0's
+            float(n0[0]),  # on group 0's first node, below group 1's
+            float(n0[7]),  # on a node
+            float(n1[5]),
+            (n0[10] + n0[11]) / 2,  # between two nodes
+            float(n0[-1]),  # on the last node
+            float(n1[-1]),
+            n0[-1] + 5.0,  # above the last node of both groups
+        ]
+        table = _clfdr_table(fits, groups, x, sigma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mu0 in mu0s:
+                got = clfdr_by_group(fits, groups, x, sigma, mu0)
+                assert np.array_equal(got, table(mu0)), mu0
+        for g, fit in fits.items():
+            idx = np.flatnonzero(groups == g)
+            ref = _accumulated_table(fit, x[idx], sigma[idx])
+            for mu0 in mu0s:
+                j = int(np.searchsorted(fit.grid.nodes, mu0, side="right")) - 1
+                want = ref[j] if j >= 0 else np.zeros(idx.size)
+                assert np.array_equal(table(mu0)[idx], want), (g, mu0)
+
+    def test_far_units_take_their_limits(self):
+        fits, groups, x, sigma = self._case()
+        got = clfdr_by_group(fits, groups, x, sigma, 0.0)
+        assert np.all(got[x == 1e300] == 0.0) and np.all(got[x == -1e300] == 1.0)
+        assert np.all(got[x == 1e17] == 0.0) and np.all(got[x == -1e17] == 1.0)
+        assert np.all((got >= 0.0) & (got <= 1.0))
 
 
 class TestOracleClfdr:

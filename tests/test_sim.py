@@ -1,4 +1,10 @@
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -203,3 +209,138 @@ class TestRunReplications:
         assert "replication 0" in message
         assert "seed key (42, 0, 0)" in message
         assert "synthetic failure" in message
+
+
+def _share_among(monkeypatch, n):
+    """Makes ``_replicates`` share the replicates among min(reps, n)
+    processes, as on n usable CPUs. Without this the test process's BLAS
+    threads would keep it serial."""
+    import hetsel.sim as sim_module
+
+    monkeypatch.setattr(sim_module, "_process_count", lambda reps: min(reps, n))
+
+
+_PROCESS_COUNT_SCRIPT = """
+import json, os, threading
+import hetsel.cli
+from hetsel.sim import _process_count
+alone = [_process_count(1), _process_count(64)]
+stop = threading.Event()
+thread = threading.Thread(target=stop.wait)
+thread.start()
+beside_a_thread = _process_count(64)
+stop.set()
+thread.join()
+print(json.dumps({"alone": alone, "beside_a_thread": beside_a_thread,
+                  "cpus": len(os.sched_getaffinity(0))}))
+"""
+
+
+def test_process_count_is_one_beside_other_threads():
+    # hetsel.cli runs BLAS on one thread, so the process has no other.
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROCESS_COUNT_SCRIPT], env=dict(env, PYTHONPATH=os.path.abspath(src)),
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got == {"alone": [1, got["cpus"]], "beside_a_thread": 1, "cpus": got["cpus"]}
+
+
+class TestForkedReplicates:
+    """``run_replications`` forks min(reps, usable CPUs) - 1 workers."""
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("reps", [1, 2, 3, 5])
+    @pytest.mark.parametrize(
+        "family, mu0",
+        [(UniformIndep(sigma_max=3.0, m=200), 0.0), (CorrelatedTwoGroup(sigma=1.0, m=300), 1.0)],
+    )
+    def test_equals_serial_loop(self, monkeypatch, family, mu0, reps, cpus):
+        import hetsel.sim as sim_module
+
+        _share_among(monkeypatch, cpus)
+        design = _design(family, mu0=mu0, reps=reps, seed=23)
+        report = run_replications(design, k=30)
+        assert multiprocessing.active_children() == []
+        model = joint_model(family)
+        serial = [
+            sim_module._run_one_rep(design, r, model, report.thresholds, 30) for r in range(reps)
+        ]
+        assert report.seed_ledger == tuple(key for key, _, _ in serial)
+        assert report.clfdr_mse == tuple(mse for _, _, mse in serial)
+        for method, recs in report.per_rep.items():
+            assert recs == [out[method][0] for _, out, _ in serial]
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_lowest_failing_replicate_is_raised(self, monkeypatch, cpus):
+        import hetsel.sim as sim_module
+
+        _share_among(monkeypatch, cpus)
+        design = _design(UniformIndep(sigma_max=3.0, m=150), mu0=0.0, reps=4)
+        failing = {generate(design, r).x[0] for r in (1, 2)}
+        fit = sim_module.fit_prior_by_group
+
+        def flaky(x, *args, **kwargs):
+            if x[0] in failing:
+                raise ValueError("synthetic failure")
+            return fit(x, *args, **kwargs)
+
+        monkeypatch.setattr(sim_module, "fit_prior_by_group", flaky)
+        with pytest.raises(RuntimeError) as info:
+            run_replications(design)
+        message = str(info.value)
+        assert "replication 1 " in message
+        assert "seed key (42, 0, 1)" in message
+        assert "synthetic failure" in message
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exit_is_an_error(self, monkeypatch):
+        import hetsel.sim as sim_module
+
+        _share_among(monkeypatch, 2)
+        parent = os.getpid()
+        fit = sim_module.fit_prior_by_group
+
+        def dies_in_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            return fit(*args, **kwargs)
+
+        def hung(signum, frame):
+            raise TimeoutError("run_replications did not return")
+
+        monkeypatch.setattr(sim_module, "fit_prior_by_group", dies_in_worker)
+        design = _design(UniformIndep(sigma_max=3.0, m=150), mu0=0.0, reps=4)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(120)
+        try:
+            with pytest.raises(RuntimeError) as info:
+                run_replications(design)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert "replications [1, 3]" in str(info.value)
+        assert "exited with code 3" in str(info.value)
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_terminates_the_workers(self, monkeypatch):
+        import hetsel.sim as sim_module
+
+        _share_among(monkeypatch, 3)
+        parent = os.getpid()
+
+        def interrupted_here(*args, **kwargs):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        monkeypatch.setattr(sim_module, "fit_prior_by_group", interrupted_here)
+        design = _design(UniformIndep(sigma_max=3.0, m=150), mu0=0.0, reps=3)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            run_replications(design)
+        assert time.perf_counter() - start < 30
+        assert multiprocessing.active_children() == []
