@@ -7,7 +7,7 @@ and a small CLI tie the pieces together.
 
 Every public name is served on first use (PEP 562), so ``import hetsel``
 loads no numpy, and a command that does not rank or simulate does not load
-``hetsel.rvalue`` or ``hetsel.sim``.
+``hetsel.rvalue``, ``hetsel.sim`` or the known law in ``hetsel.law``.
 """
 
 import importlib
@@ -24,15 +24,8 @@ _LAZY = {
     ),
     "deconv": (
         "BandwidthPair",
-        "ConstantSigma",
         "FittedPrior",
-        "JointModel",
-        "NormalComponent",
-        "PointMass",
         "PriorGrid",
-        "TruePrior",
-        "UniformInterval",
-        "UniformSigma",
         "build_grid",
         "clfdr_by_group",
         "fit_prior",
@@ -41,6 +34,15 @@ _LAZY = {
         "kernel_marginals",
         "oracle_clfdr",
         "silverman_bandwidths",
+    ),
+    "law": (
+        "ConstantSigma",
+        "JointModel",
+        "NormalComponent",
+        "PointMass",
+        "TruePrior",
+        "UniformInterval",
+        "UniformSigma",
     ),
     "selection": (
         "SelectionCurve",

@@ -128,9 +128,10 @@ def read_records(path):
 
     The file is read in blocks of lines. A block of the direct layout that
     is plain comma-separated text is split with ``str.split`` and parsed
-    with ``float``; any other block, and every block of the rate layout,
-    goes through ``csv.reader`` line by line (``_scan_lines``). Both give
-    the same records and the same errors.
+    with ``float``. The first other block (one that holds a quote, is cut
+    short by a decode error, or is of the rate layout) and the rest of the
+    file go through ``csv.reader`` line by line (``_scan_lines``). Both
+    give the same records and the same errors.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -160,19 +161,21 @@ def read_records(path):
                 break
             records = None if ayp or error else _split_direct(block)
             if records is None:
+                # csv.reader reads this block and the rest of the file, so
+                # the next block is empty.
                 records = _scan_lines(path, block, fh, error, ayp, lineno)
             ids.extend(records[0])
             x_parts.append(records[1])
             sigma_parts.append(records[2])
-            lineno += records[3]
+            lineno += len(block)
     if not ids:
         raise ValueError(f"{path}: no data rows")
     return ids, np.concatenate(x_parts), np.concatenate(sigma_parts)
 
 
 def _split_direct(block):
-    """``(ids, x, sigma, count)`` of a block of direct-layout lines, one
-    record per line, as ``_scan_lines`` returns them. None when the block
+    """``(ids, x, sigma)`` of a block of direct-layout lines, one record
+    per line, as ``_scan_lines`` returns them. None when the block
     needs ``csv.reader``: it holds a quote, NUL or lone CR, a line of
     another width or longer than the csv field limit, or a value that
     ``_scan_lines`` would reject."""
@@ -198,21 +201,17 @@ def _split_direct(block):
         return None
     if not (np.isfinite(x).all() and np.isfinite(sigma).all() and (sigma > 0).all()):
         return None
-    return cells[0::n], x, sigma, len(lines)
+    return cells[0::n], x, sigma
 
 
 def _scan_lines(path, block, fh, error, ayp, lineno):
-    """``(ids, x, sigma, count)`` of the ``count`` csv records of
-    ``block``, the first numbered ``lineno``. A record still open at the
-    end of the block reads on from ``fh``. ``error``, a decode error met
-    while reading the block, is raised where the reader reaches it."""
-    left = len(block)
+    """``(ids, x, sigma)`` of the csv records of ``block`` and then of the
+    rest of ``fh``, the first numbered ``lineno``. ``error``, a decode
+    error met while reading the block, is raised where the reader reaches
+    it instead of ``fh``."""
 
     def lines():
-        nonlocal left
-        for line in block:
-            left -= 1
-            yield line
+        yield from block
         if error is not None:
             raise error
         # Not "yield from": closing this generator would close the file.
@@ -221,12 +220,8 @@ def _scan_lines(path, block, fh, error, ayp, lineno):
 
     width = len(_AYP_HEADER if ayp else _DIRECT_HEADER)
     ids, x_col, sigma_col = [], [], []
-    count = 0
-    for row in csv.reader(lines()):
-        count += 1
+    for count, row in enumerate(csv.reader(lines())):
         if not row:
-            if not left and error is None:
-                break
             continue
         try:
             if len(row) < width:
@@ -241,13 +236,11 @@ def _scan_lines(path, block, fh, error, ayp, lineno):
             if not (sigma > 0 and math.isfinite(sigma) and math.isfinite(x)):
                 raise ValueError("need sigma > 0 and finite x")
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno + count - 1}: {exc}") from None
+            raise ValueError(f"{path}:{lineno + count}: {exc}") from None
         ids.append(rid)
         x_col.append(x)
         sigma_col.append(sigma)
-        if not left and error is None:
-            break
-    return ids, np.array(x_col, dtype=float), np.array(sigma_col, dtype=float), count
+    return ids, np.array(x_col, dtype=float), np.array(sigma_col, dtype=float)
 
 
 def _group_ids(sigma: np.ndarray, cuts) -> np.ndarray:

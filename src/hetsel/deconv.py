@@ -11,33 +11,22 @@ Two evaluation paths are provided:
 
 * ``clfdr_by_group`` scores units against the fitted discrete prior of
   their group;
-* ``oracle_clfdr`` scores units against a known prior (point masses,
-  uniform intervals, or normal components) using exact closed forms, for
-  simulations where the generating distribution is available. Their
-  normal tails come from the numpy erfc kernel in ``model`` (Cody's
-  rational approximations), so the oracle needs numpy only.
+* ``oracle_clfdr`` combines the null and non-null marginal masses of any
+  prior that states them, for simulations where the generating
+  distribution is known. The known law itself, with its closed forms,
+  lives in ``hetsel.law``, which only the simulations load.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Union
 
 import numpy as np
-
-from .model import _log_ndtr
 
 __all__ = [
     "PriorGrid",
     "BandwidthPair",
     "FittedPrior",
-    "PointMass",
-    "UniformInterval",
-    "NormalComponent",
-    "TruePrior",
-    "ConstantSigma",
-    "UniformSigma",
-    "JointModel",
     "build_grid",
     "silverman_bandwidths",
     "kernel_marginals",
@@ -53,11 +42,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Elements per kernel_marginals block: 2**18 doubles, 2 MB per temporary,
 # small enough to stay in cache instead of streaming through memory.
 _KERNEL_BLOCK_PAIRS = 2 ** 18
-# Units per JointModel.clfdr block: the oracle's dozen or so temporaries of
-# 2**16 doubles (512 kB each) stay near the cache instead of streaming
-# through memory on a large replicate (measured at 1e6 units, where 2**16
-# and 2**18 were equally fast).
-_ORACLE_BLOCK_UNITS = 2 ** 16
 # Binned kernel_marginals grids, set by its 1e-3 relative-error gate.
 # sigma nodes are evenly spaced in v(sigma) = log(sinh(k sigma)) / rho with
 # rho = _SIGMA_NODE_RATIO and k = rho / (_SIGMA_NODE_STEP h_sigma): h_sigma / 4
@@ -96,21 +80,6 @@ def _gauss(z, h):
     np.exp(z, out=z)
     z /= _SQRT_2PI * h
     return z
-
-
-def _log_interval_mass(z_lo, z_hi):
-    """log P(z_lo <= Z <= z_hi) for standard normal Z, z_lo <= z_hi.
-
-    An interval right of zero is mirrored to the left, where both log CDFs
-    keep full relative precision, so the difference is accurate in either
-    tail and underflows only in the log.
-    """
-    right = z_lo > 0
-    lo = np.where(right, -z_hi, z_lo)
-    hi = np.where(right, -z_lo, z_hi)
-    log_hi = _log_ndtr(hi)
-    with np.errstate(divide="ignore"):
-        return log_hi + np.log(-np.expm1(_log_ndtr(lo) - log_hi))
 
 
 @dataclass(frozen=True)
@@ -380,10 +349,10 @@ class _Tiles:
 def _tiles(e_x, e_run, e_lo, e_hi, run_dx, u, reach) -> _Tiles:
     """Cuts entries (a unit in one run: x, run, first and last row), sorted
     by run and then x, into tiles: a new tile at each new run and at each x
-    gap wider than two pads."""
-    cut = np.flatnonzero(
-        (e_run[1:] != e_run[:-1]) | (np.diff(e_x) > 2 * _X_PAD * run_dx[e_run[1:]])
-    ) + 1
+    gap wider than two pads. A gap that overflows is infinite and cuts."""
+    with np.errstate(over="ignore"):
+        gap = np.diff(e_x)
+    cut = np.flatnonzero((e_run[1:] != e_run[:-1]) | (gap > 2 * _X_PAD * run_dx[e_run[1:]])) + 1
     first = np.concatenate(([0], cut))
     last = np.append(cut, e_x.size) - 1
     run = e_run[first]
@@ -499,7 +468,10 @@ def _read_tiles(tl, H, xs, row0, w_sigma, r_first, r_count):
             ok = t >= 0
             t = np.maximum(t, 0)
             row = row0[units] - tl.a[t]
-            pos = (xs[units] - tl.x0[t]) / tl.dx[t] + _X_PAD
+            # A unit too far from the tile for pos to be finite fails the
+            # range test below.
+            with np.errstate(over="ignore"):
+                pos = (xs[units] - tl.x0[t]) / tl.dx[t] + _X_PAD
             ok &= (tl.run[t] == run) & (units < stop[t])
             ok &= (row >= 0) & (row + 4 <= tl.b[t] - tl.a[t])
             ok &= (pos >= 1.0) & (pos < tl.size[t] - 2)
@@ -800,205 +772,12 @@ def _far_exponents(nodes, log_w, x, sigma):
     return out
 
 
-# ---------------------------------------------------------------------------
-# Known priors (for simulations) and exact conditional local FDR.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PointMass:
-    loc: float
-
-
-@dataclass(frozen=True)
-class UniformInterval:
-    low: float
-    high: float
-
-    def __post_init__(self):
-        if not self.high > self.low:
-            raise ValueError("uniform component needs high > low")
-
-
-@dataclass(frozen=True)
-class NormalComponent:
-    mean: float
-    sd: float
-
-    def __post_init__(self):
-        if not self.sd > 0:
-            raise ValueError("normal component needs sd > 0")
-
-
-PriorComponent = Union[PointMass, UniformInterval, NormalComponent]
-
-
-@dataclass(frozen=True)
-class TruePrior:
-    """Known effect-size prior: a finite weighted mixture of components."""
-
-    weights: tuple
-    components: tuple
-
-    def __post_init__(self):
-        w = tuple(float(v) for v in self.weights)
-        if len(w) != len(self.components) or len(w) == 0:
-            raise ValueError("weights and components must align and be nonempty")
-        if any(v < 0 for v in w) or abs(sum(w) - 1.0) > 1e-9:
-            raise ValueError("component weights must be nonnegative and sum to 1")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "components", tuple(self.components))
-
-    @classmethod
-    def uniform_mixture(cls, pieces) -> "TruePrior":
-        """pieces: iterable of (weight, low, high)."""
-        ws, comps = zip(*[(w, UniformInterval(lo, hi)) for w, lo, hi in pieces])
-        return cls(ws, comps)
-
-    @classmethod
-    def normal_mixture(cls, pieces) -> "TruePrior":
-        """pieces: iterable of (weight, mean, sd)."""
-        ws, comps = zip(*[(w, NormalComponent(m, s)) for w, m, s in pieces])
-        return cls(ws, comps)
-
-    def reach(self, sigma, sds: float):
-        """Per sigma, the x interval (lo, hi) that reaches ``sds`` standard
-        deviations of the marginal beyond every component."""
-        sg = np.asarray(sigma, dtype=float)
-        lo, hi = [], []
-        for comp in self.components:
-            if isinstance(comp, PointMass):
-                left = right = comp.loc
-                sd = sg
-            elif isinstance(comp, UniformInterval):
-                left, right, sd = comp.low, comp.high, sg
-            else:
-                left = right = comp.mean
-                sd = np.hypot(sg, comp.sd)
-            lo.append(left - sds * sd)
-            hi.append(right + sds * sd)
-        return np.min(lo, axis=0), np.max(hi, axis=0)
-
-    def log_masses(self, x, sigma, mu0: float):
-        """(log f0, log f1): the null (mu <= mu0) and non-null parts of the
-        marginal density of x at sigma, summed over the components in log
-        space. x and sigma must have the same shape."""
-        parts = zip(self.weights, self.components)
-        w, comp = next(parts)
-        log_null, log_alt = _component_log_masses(comp, w, x, sigma, mu0)
-        for w, comp in parts:
-            d0, d1 = _component_log_masses(comp, w, x, sigma, mu0)
-            _log_add_into(log_null, d0)
-            _log_add_into(log_alt, d1)
-        return log_null, log_alt
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        which = rng.choice(len(self.components), size=n, p=np.asarray(self.weights))
-        out = np.empty(n, dtype=float)
-        for j, comp in enumerate(self.components):
-            mask = which == j
-            cnt = int(mask.sum())
-            if cnt == 0:
-                continue
-            if isinstance(comp, PointMass):
-                out[mask] = comp.loc
-            elif isinstance(comp, UniformInterval):
-                out[mask] = rng.uniform(comp.low, comp.high, size=cnt)
-            else:
-                out[mask] = comp.mean + comp.sd * rng.standard_normal(cnt)
-        return out
-
-
-def _component_log_masses(comp, w: float, x, sigma, mu0: float):
-    """(null, non-null) log marginal contributions of one weighted component.
-
-    The null part integrates the component over mu <= mu0 and the non-null
-    part over mu > mu0; a part the component does not reach is -inf. Both
-    arrays are new, so the caller may overwrite them.
-    """
-    with np.errstate(divide="ignore"):
-        log_w = np.log(w)
-    none = np.full(x.shape, -np.inf)
-    if isinstance(comp, PointMass):
-        z = (x - comp.loc) / sigma
-        dens = log_w - 0.5 * np.square(z) - np.log(_SQRT_2PI * sigma)
-        return (dens, none) if comp.loc <= mu0 else (none, dens)
-    if isinstance(comp, UniformInterval):
-        log_scale = log_w - math.log(comp.high - comp.low)
-
-        def piece(low, high):
-            if not high > low:
-                return none
-            return log_scale + _log_interval_mass((x - high) / sigma, (x - low) / sigma)
-
-        return (
-            piece(comp.low, min(comp.high, mu0)),
-            piece(max(comp.low, mu0), comp.high),
-        )
-    # Normal component: the convolution is normal, and the posterior of the
-    # effect is normal, so each part adds the log of one normal tail. With
-    # total variance v = sigma^2 + sd^2, the posterior has mean
-    # m + sd^2 (x - m) / v and sd sigma sd / sqrt(v), so mu0 sits at
-    # z = ((mu0 - m) v - sd^2 (x - m)) / (sigma sd sqrt(v)). The smaller
-    # tail is log Phi(-|z|), the larger its complement.
-    # In place, the log density is log w - (x - m)^2 / (2 v) - log(2 pi v) / 2.
-    sd2 = comp.sd ** 2
-    dev = x - comp.mean
-    tv = np.square(sigma)
-    tv += sd2
-    dens = np.square(dev)
-    dens *= 0.5
-    dens /= tv
-    np.subtract(log_w, dens, out=dens)
-    z = np.multiply(tv, 2.0 * math.pi)
-    np.log(z, out=z)
-    z *= 0.5
-    dens -= z
-    np.multiply(tv, mu0 - comp.mean, out=z)
-    dev *= sd2
-    z -= dev
-    np.sqrt(tv, out=tv)
-    tv *= sigma
-    tv *= comp.sd
-    z /= tv
-    below = z < 0
-    np.abs(z, out=z)
-    np.negative(z, out=z)
-    small = _log_ndtr(z)
-    large = np.exp(small, out=z)
-    np.negative(large, out=large)
-    np.log1p(large, out=large)
-    null = np.where(below, small, large)
-    null += dens
-    alt = np.where(below, large, small)
-    alt += dens
-    return null, alt
-
-
-def _log_add_into(acc, terms):
-    """acc <- log(exp(acc) + exp(terms)) in place; ``terms`` is overwritten.
-
-    Whole-array passes of max + log1p(exp(min - max)): np.logaddexp calls
-    exp and log1p one element at a time, about 30 ns each. Where both are
-    -inf, min - max is NaN and is taken as 0, so the sum stays -inf.
-    """
-    hi = np.maximum(acc, terms)
-    np.minimum(acc, terms, out=terms)
-    with np.errstate(invalid="ignore"):
-        terms -= hi
-    np.fmin(terms, 0.0, out=terms)
-    np.exp(terms, out=terms)
-    np.log1p(terms, out=terms)
-    np.add(hi, terms, out=acc)
-
-
-def oracle_clfdr(prior: TruePrior, x, sigma, mu0: float):
+def oracle_clfdr(prior, x, sigma, mu0: float):
     """Exact conditional local FDR under a known prior.
 
-    Point masses reduce to finite sums, uniform components to differences of
-    normal CDFs, normal components to Gaussian convolution identities with a
-    CDF truncation term; no generic quadrature is involved. The null and
-    non-null marginals are summed in log space and combined as
+    ``prior.log_masses(x, sigma, mu0)`` gives (log f0, log f1), the null
+    (mu <= mu0) and non-null parts of the marginal density, as new arrays
+    (``law.TruePrior`` states them in closed form). They are combined as
     1 / (1 + exp(log f1 - log f0)), so the result lies in [0, 1] and keeps
     its value where both densities underflow.
     """
@@ -1014,120 +793,6 @@ def oracle_clfdr(prior: TruePrior, x, sigma, mu0: float):
     if np.ndim(x) == 0 and np.ndim(sigma) == 0:
         return float(out[0])
     return out
-
-
-# ---------------------------------------------------------------------------
-# Sigma laws and the joint (sigma, mu) model of the simulation designs.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConstantSigma:
-    value: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.value) and self.value > 0):
-            raise ValueError(f"sigma must be positive and finite, got {self.value!r}")
-
-    def sample(self, rng, n):
-        return np.full(n, self.value, dtype=float)
-
-    def nodes(self, n: int, breaks=()):
-        """Quadrature of the law: its one value, with weight 1."""
-        return np.array([float(self.value)]), np.array([1.0])
-
-
-@dataclass(frozen=True)
-class UniformSigma:
-    low: float
-    high: float
-
-    def __post_init__(self):
-        if not (0 < self.low < self.high and math.isfinite(self.high)):
-            raise ValueError(
-                f"need 0 < low < high < inf, got low={self.low!r}, high={self.high!r}"
-            )
-
-    def sample(self, rng, n):
-        return rng.uniform(self.low, self.high, size=n)
-
-    def nodes(self, n: int, breaks=()):
-        """Quadrature of the law: n Gauss-Legendre nodes on each piece of
-        (low, high) that the points ``breaks`` cut it into, with weights
-        summing to 1."""
-        from numpy.polynomial.legendre import leggauss
-
-        u, w = leggauss(n)
-        edges = np.concatenate(([self.low], np.sort(breaks), [self.high]))
-        half = 0.5 * np.diff(edges)
-        nodes = edges[:-1, None] + half[:, None] * (u + 1.0)
-        weights = half[:, None] * w / (self.high - self.low)
-        return nodes.ravel(), weights.ravel()
-
-
-@dataclass(frozen=True)
-class JointModel:
-    """Sampleable joint law of (sigma, mu): a mixture of sigma-groups.
-
-    Each group pairs a sigma law with the effect prior holding in that
-    group, so designs where the effect distribution depends on sigma are
-    expressed as several groups. ``clfdr`` evaluates the exact conditional
-    local FDR using each unit's group prior.
-    """
-
-    group_weights: tuple
-    sigma_laws: tuple
-    priors: tuple
-
-    def __post_init__(self):
-        ws = tuple(float(w) for w in self.group_weights)
-        if not (len(ws) == len(self.sigma_laws) == len(self.priors)) or not ws:
-            raise ValueError("group weights, sigma laws and priors must align")
-        if any(w < 0 for w in ws) or abs(sum(ws) - 1.0) > 1e-9:
-            raise ValueError("group weights must be nonnegative and sum to 1")
-        object.__setattr__(self, "group_weights", ws)
-
-    @classmethod
-    def independent(cls, prior: TruePrior, sigma_law) -> "JointModel":
-        return cls((1.0,), (sigma_law,), (prior,))
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.priors)
-
-    def sample(self, rng: np.random.Generator, n: int):
-        """Returns (x, sigma, mu, group_index); draws are vectorized per group."""
-        if self.n_groups == 1:
-            group = np.zeros(n, dtype=int)
-        else:
-            group = rng.choice(self.n_groups, size=n, p=np.asarray(self.group_weights))
-        sigma = np.empty(n, dtype=float)
-        mu = np.empty(n, dtype=float)
-        for g in range(self.n_groups):
-            mask = group == g
-            cnt = int(mask.sum())
-            if cnt == 0:
-                continue
-            sigma[mask] = self.sigma_laws[g].sample(rng, cnt)
-            mu[mask] = self.priors[g].sample(rng, cnt)
-        x = mu + sigma * rng.standard_normal(n)
-        return x, sigma, mu, group
-
-    def clfdr(self, x, sigma, group, mu0: float) -> np.ndarray:
-        """Exact clfdr of each unit under its group's prior, evaluated over
-        contiguous blocks of units so the temporaries stay in cache."""
-        xs = np.asarray(x, dtype=float)
-        sg = np.asarray(sigma, dtype=float)
-        gp = np.asarray(group, dtype=int)
-        out = np.empty(xs.shape, dtype=float)
-        for start in range(0, xs.shape[0], _ORACLE_BLOCK_UNITS):
-            block = slice(start, start + _ORACLE_BLOCK_UNITS)
-            xb, sb, gb, ob = xs[block], sg[block], gp[block], out[block]
-            for g in range(self.n_groups):
-                idx = np.flatnonzero(gb == g)
-                if idx.size:
-                    ob.put(idx, oracle_clfdr(self.priors[g], xb.take(idx), sb.take(idx), mu0))
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,8 @@ __all__ = [
 
 VARY_ALPHA = "alpha"
 VARY_MU0 = "mu0"
+# Ends of the default alpha grid.
+_ALPHA_LOW, _ALPHA_HIGH = 1e-4, 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,20 +62,24 @@ class RValueTable:
     tied: np.ndarray
 
 
-def default_alpha_grid(n: int = 200, low: float = 1e-4, high: float = 0.5) -> np.ndarray:
-    """Log-spaced ascending grid of FDR levels."""
-    if not (0 < low < high < 1):
-        raise ValueError("need 0 < low < high < 1")
-    return np.geomspace(low, high, int(n))
+def default_alpha_grid(n: int) -> np.ndarray:
+    """``n`` log-spaced ascending FDR levels from ``_ALPHA_LOW`` to
+    ``_ALPHA_HIGH``."""
+    return np.geomspace(_ALPHA_LOW, _ALPHA_HIGH, int(n))
 
 
-def default_mu0_grid(x, n: int = 200, pad: float | None = None) -> np.ndarray:
-    """Linear descending grid from above max(x) to below min(x)."""
+def default_mu0_grid(x, n: int) -> np.ndarray:
+    """``n`` linearly spaced descending levels from above max(x) to below
+    min(x), padded by 1e-3 of the x span (1e-6 when x is constant).
+    Raises ValueError when a padded end overflows the float range."""
     xs = np.asarray(x, dtype=float)
     lo, hi = float(xs.min()), float(xs.max())
-    if pad is None:
-        pad = 1e-3 * (hi - lo) if hi > lo else 1e-6
-    return np.linspace(hi + pad, lo - pad, int(n))
+    pad = 1e-3 * (hi - lo) if hi > lo else 1e-6
+    top, bottom = hi + pad, lo - pad
+    if not (math.isfinite(top) and math.isfinite(bottom)):
+        raise ValueError(f"x spans [{lo!r}, {hi!r}], too wide for the default mu0 grid: "
+                         f"its padded ends {top!r} and {bottom!r} overflow the float range")
+    return np.linspace(top, bottom, int(n))
 
 
 def _validate_grid(grid, definition):

@@ -91,10 +91,10 @@ def _masks(xs, cl, mu0: float, alpha: float):
 def _scores(xs, cl, mu0: float, alpha: float) -> np.ndarray:
     # t = (x - mu0) / (clfdr - alpha) on 1-d arrays of equal length. Where
     # clfdr equals alpha exactly, t is +inf for x > mu0, -inf for x < mu0
-    # and 0 at x = mu0.
+    # and 0 at x = mu0; where the quotient overflows, t is its limit +-inf.
     num = xs - mu0
     den = cl - alpha
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = num / den
     zero = np.flatnonzero(den == 0.0)
     if zero.size:
@@ -122,15 +122,14 @@ class SelectionCurve:
     group-1 budget prefix sums with a leading zero. The rule stops at
     ``b_star`` for ``stop``, selecting ``decisions`` (0/1, int8).
 
-    ``group``, ``trace`` and ``trace_columns`` are built each time they
-    are read, so callers that only need the decisions pay nothing for
-    them. ``group`` labels each unit 0-3 (int8) by the signs of (x - mu0,
+    ``group`` and ``trace_columns`` are built each time they are read,
+    so callers that only need the decisions pay nothing for them.
+    ``group`` labels each unit 0-3 (int8) by the signs of (x - mu0,
     clfdr - alpha); x = mu0 counts as a gain and clfdr = alpha as free
-    budget. Each step of ``trace`` is a dict ``{"step", "unit",
-    "etp_star", "capacity"}``: what happened, to which unit (None at a
-    checkpoint), and the running modified power and budget.
-    ``trace_columns`` holds the same steps as one column per key, with
-    ``unit`` -1 at a checkpoint.
+    budget. ``trace_columns`` is the audit trail, one column per key
+    ``"step"``, ``"unit"``, ``"etp_star"`` and ``"capacity"``: what
+    happened at each step, to which unit (-1 at a checkpoint), and the
+    running modified power and budget.
     """
 
     x: np.ndarray
@@ -163,15 +162,6 @@ class SelectionCurve:
     def trace_columns(self) -> dict:
         return _trace(self)
 
-    @property
-    def trace(self) -> list:
-        cols = _trace(self)
-        return [
-            {"step": step, "unit": None if unit < 0 else unit, "etp_star": e, "capacity": k}
-            for step, unit, e, k in zip(cols["step"], cols["unit"].tolist(),
-                                        cols["etp_star"].tolist(), cols["capacity"].tolist())
-        ]
-
 
 def _units(x, clfdr, alpha: float):
     """x and clfdr as checked float arrays, 1-d and of equal length."""
@@ -185,7 +175,8 @@ def _units(x, clfdr, alpha: float):
 
 def select_dd(x, clfdr, alpha: float, mu0: float) -> SelectionCurve:
     """Step-wise prioritized selection; returns its curve, whose
-    ``decisions`` are the selection and whose ``trace`` is the audit trail.
+    ``decisions`` are the selection and whose ``trace_columns`` are the
+    audit trail.
 
     Seeds the selection with every group-0 unit, then alternates between
     two moves: fill group 1 in descending t while the cumulative budget
@@ -531,7 +522,7 @@ def oracle_thresholds(model, alpha: float, mu0: float) -> ThresholdPair:
     """Population cutoffs of the fixed-cutoff rule under a known model.
 
     The limit, as the number of units grows, of ``calibrate_thresholds`` on
-    units drawn from ``model`` (a ``deconv.JointModel``) and scored by their
+    units drawn from ``model`` (a ``law.JointModel``) and scored by their
     exact clfdr, computed by deterministic quadrature. Per unit of
     population, group 0 frees the budget cap0 = E[(alpha - clfdr) 1{G0}],
     and the group-1 units scoring above t cost

@@ -13,10 +13,12 @@ Three generative designs are provided:
   and the effect mixture depends on the sigma group, so larger effects ride
   on noisier units. Reference level defaults to 1.
 
-Each design's law is stated once, in ``joint_model``: replicates are drawn
-from it and the oracle cutoffs are the population cutoffs of that law,
-computed by quadrature without random draws. Each replication draws from an
-isolated, replayable stream; four methods run on every replicate:
+Each design's law is stated once, in ``joint_model``, with the priors and
+sigma laws of ``hetsel.law``, a module that only this one imports:
+replicates are drawn from it and the oracle cutoffs are the population
+cutoffs of that law, computed by quadrature without random draws. Each
+replication draws from an isolated, replayable stream; four methods run on
+every replicate:
 the data-driven step-wise procedure (DD), the fixed-cutoff rule with exact
 scores (OR), the clfdr step-up baseline on exact scores, and
 Benjamini-Hochberg on p-values.
@@ -30,14 +32,8 @@ from typing import Union
 
 import numpy as np
 
-from .deconv import (
-    ConstantSigma,
-    JointModel,
-    TruePrior,
-    UniformSigma,
-    clfdr_by_group,
-    fit_prior_by_group,
-)
+from .deconv import clfdr_by_group, fit_prior_by_group
+from .law import ConstantSigma, JointModel, TruePrior, UniformSigma
 from .model import MetricsRecord, etp, etp_star, fdp, zvalue_pvalue
 from .selection import (
     ThresholdPair,

@@ -382,6 +382,18 @@ def write_rvalues_reference(config, ids, x, sigma, table):
     write_json_reference(os.path.join(config.output, "rvalues.json"), doc)
 
 
+def trace_steps(curve):
+    """``curve.trace_columns`` as a list of dicts ``{"step", "unit",
+    "etp_star", "capacity"}``, one per step, ``unit`` None at a
+    checkpoint."""
+    cols = curve.trace_columns
+    return [
+        {"step": step, "unit": None if unit < 0 else unit, "etp_star": e, "capacity": k}
+        for step, unit, e, k in zip(cols["step"], cols["unit"].tolist(),
+                                    cols["etp_star"].tolist(), cols["capacity"].tolist())
+    ]
+
+
 def trace_reference(c):
     """The trace of a ``SelectionCurve`` replayed step by step in Python:
     running sums added unit by unit in the order the rule visits the units,

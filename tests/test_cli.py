@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -144,6 +145,25 @@ class TestIngestion:
         assert ids == want[0] == ["a", "b", "c\nd", "e,f", "g", "h"]
         assert (x.tobytes(), sigma.tobytes()) == (want[1].tobytes(), want[2].tobytes())
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_reads_as_a_file(self, tmp_path, monkeypatch):
+        # A quote in the second block hands the rest of the input to
+        # csv.reader without a seek, so a pipe reads as the same file does.
+        monkeypatch.setattr(cli_module, "_BLOCK_LINES", 2)
+        data = b'id,x,sigma\na,1,1\nb,2,1\n"c",3,1\nd,4,1\ne,5,1\n'
+        path, pipe = tmp_path / "plain.csv", tmp_path / "pipe.csv"
+        path.write_bytes(data)
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_bytes, args=(data,))
+        writer.start()
+        try:
+            got = read_records(pipe)
+        finally:
+            writer.join()
+        want = read_records(path)
+        assert got[0] == want[0] == ["a", "b", "c", "d", "e"]
+        assert (got[1].tobytes(), got[2].tobytes()) == (want[1].tobytes(), want[2].tobytes())
+
     @pytest.mark.parametrize("bad, message", [("oops", "could not convert"), ("nan", "finite x")])
     def test_error_in_a_later_block_keeps_its_line(self, tmp_path, bad, message):
         rows = [[f"u{i}", repr(0.001 * i), "1.0"] for i in range(9000)]
@@ -274,20 +294,29 @@ class TestSelectCommand:
 
     def test_far_outliers_score_their_limit(self, direct_csv, tmp_path):
         # A unit 1e17 sigma above every node has clfdr 0 (group 0), not the
-        # value z^2 rounds to; at 1e300 sigma z^2 overflows, and the command
-        # still runs without a numpy warning.
+        # value z^2 rounds to; at 1e300 sigma z^2 overflows; at 1e308 the
+        # unit's kernel position and its score t overflow, and with a unit
+        # at -1e308 too so does the x gap between them. Each overflow gives
+        # the right limit, and no command warns.
         with open(direct_csv, newline="") as fh:
             rows = list(csv.reader(fh))
-        for far in ("1e17", "1e300"):
-            path, out = tmp_path / f"{far}.csv", tmp_path / far
-            _write_direct_csv(path, rows[1:] + [["far", far, "1.0"]])
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert main(["select", "--input", str(path), "--output", str(out), "--mu0", "0"]) == 0
-            with open(out / "selection.csv", newline="") as fh:
-                last = list(csv.DictReader(fh))[-1]
-            assert (last["id"], float(last["x"])) == ("far", float(far))
-            assert (last["clfdr"], last["group"], last["selected"]) == ("0.0", "0", "1")
+        runs = [["select", "--mu0", "0"], ["deconv-fit"],
+                ["rvalue", "--definition", "alpha", "--mu0", "0"]]
+        for far in (["1e17"], ["1e300"], ["1e308"], ["1e308", "-1e308"]):
+            path = tmp_path / f"{len(far)}-{far[0]}.csv"
+            _write_direct_csv(path, rows[1:] + [[f"far{i}", v, "1.0"] for i, v in enumerate(far)])
+            for argv in runs:
+                out = tmp_path / f"{len(far)}-{far[0]}-{argv[0]}"
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert main(argv + ["--input", str(path), "--output", str(out)]) == 0
+            with open(tmp_path / f"{len(far)}-{far[0]}-select" / "selection.csv", newline="") as fh:
+                last = list(csv.DictReader(fh))[-len(far):]
+            assert [(r["id"], float(r["x"])) for r in last] == [
+                (f"far{i}", float(v)) for i, v in enumerate(far)
+            ]
+            want = [("0.0", "0", "1"), ("1.0", "3", "0")][:len(far)]
+            assert [(r["clfdr"], r["group"], r["selected"]) for r in last] == want
 
     def test_unfittable_sigma_group_is_named(self, direct_csv, tmp_path, capsys):
         sigma = sorted(read_records(direct_csv)[2].tolist())
@@ -599,24 +628,36 @@ print(json.dumps({"codes": codes, "scipy": before, "scipy_after": "scipy" in sys
 _LAZY_SCRIPT = """
 import json, sys
 import hetsel.cli
-loaded = sorted(m for m in ("hetsel.sim", "hetsel.rvalue") if m in sys.modules)
+loaded = sorted(m for m in ("hetsel.law", "hetsel.sim", "hetsel.rvalue") if m in sys.modules)
 from hetsel.cli import main
 data, out = sys.argv[1], sys.argv[2]
 codes = [main(["select", "--input", data, "--output", out + "/sel", "--mu0", "0"])]
 after_select = "numpy.ma" in sys.modules
 codes.append(main(["rvalue", "--input", data, "--output", out + "/rv", "--definition", "mu0",
                    "--alpha", "0.1", "--grid-points", "20"]))
+ma_rvalue = "numpy.ma" in sys.modules
+codes.append(main(["rvalue", "--input", data, "--output", out + "/rva", "--definition", "alpha",
+                   "--mu0", "0", "--grid-points", "20"]))
+codes.append(main(["deconv-fit", "--input", data, "--output", out + "/fit"]))
+law_data_driven = "hetsel.law" in sys.modules
+codes.append(main(["simulate", "--design", "uniform", "--sigma-max", "3", "--m", "200",
+                   "--reps", "1", "--seed", "3", "--output", out + "/sim"]))
+law_simulate = "hetsel.law" in sys.modules
 import hetsel
 print(json.dumps({"codes": codes, "loaded": loaded, "ma_select": after_select,
-                  "ma_rvalue": "numpy.ma" in sys.modules,
-                  "lazy_name": hetsel.run_replications.__module__}))
+                  "ma_rvalue": ma_rvalue, "law_data_driven": law_data_driven,
+                  "law_simulate": law_simulate,
+                  "lazy_name": hetsel.run_replications.__module__,
+                  "law_name": hetsel.TruePrior.__module__,
+                  "oracle_name": hetsel.oracle_clfdr.__module__}))
 """
 
 
 def test_commands_load_only_what_runs(direct_csv, tmp_path):
-    # import hetsel.cli loads neither the simulation nor the r-value
-    # module, select and rvalue --definition mu0 never import numpy.ma,
-    # and the package still serves the lazily loaded names.
+    # import hetsel.cli loads neither the known law, nor the simulation,
+    # nor the r-value module; select and rvalue --definition mu0 never
+    # import numpy.ma; only simulate loads the known law; and the package
+    # still serves the lazily loaded names from their modules.
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run(
@@ -624,8 +665,10 @@ def test_commands_load_only_what_runs(direct_csv, tmp_path):
         env=env, capture_output=True, text=True, timeout=300, check=True,
     )
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report == {"codes": [0, 0], "loaded": [], "ma_select": False, "ma_rvalue": False,
-                      "lazy_name": "hetsel.sim"}
+    assert report == {"codes": [0] * 5, "loaded": [], "ma_select": False, "ma_rvalue": False,
+                      "law_data_driven": False, "law_simulate": True,
+                      "lazy_name": "hetsel.sim", "law_name": "hetsel.law",
+                      "oracle_name": "hetsel.deconv"}
 
 
 def test_commands_do_not_load_scipy(direct_csv, tmp_path):

@@ -42,13 +42,12 @@ from hetsel import (
 from hetsel.cli import _prior_fit
 from hetsel.deconv import (
     _FAR_Z2,
-    _ORACLE_BLOCK_UNITS,
     _clfdr_table,
     _design_matrix,
     _far_exponents,
-    _log_add_into,
     _quantiles,
 )
+from hetsel.law import _ORACLE_BLOCK_UNITS, _log_add_into
 
 
 def assert_simplex_kkt(grid, x, sigma, marginals, w, rtol=1e-8):

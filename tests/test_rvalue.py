@@ -144,6 +144,14 @@ class TestVaryMu0:
         with pytest.raises(ValueError):
             rvalue_vary_mu0(1, lambda m: np.array([True]), [0.0, 1.0])
 
+    def test_default_grid_rejects_an_overflowing_span(self):
+        # x from -1e308 to 1e308 spans more than the float range; the error
+        # names the x span, not a grid the caller never gave.
+        with pytest.raises(ValueError, match=r"x spans \[-1e\+308, 1e\+308\]"):
+            default_mu0_grid(np.array([1e308, 0.0, -1e308]), 20)
+        grid = default_mu0_grid(np.array([1e308, 0.0]), 20)
+        assert np.isfinite(grid).all() and grid[0] > 1e308 and grid[-1] < 0.0
+
     def test_tied_units_flagged(self):
         x = np.array([3.0, 2.0, 1.0])
         grid = np.array([2.5, 1.5, 0.5])

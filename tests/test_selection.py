@@ -18,6 +18,7 @@ from conftest import (
     stepup_bh_reference,
     stepup_clfdr_reference,
     trace_reference,
+    trace_steps,
 )
 from hetsel import (
     ConstantSigma,
@@ -153,7 +154,7 @@ class TestSelectDD:
         res = select_dd(x, [0.05, 0.2, 0.12, 0.02], 0.1, 0.0)
         assert sorted(np.flatnonzero(res.decisions).tolist()) == [0, 1, 2, 3]
         assert_allclose(np.sum(x[res.decisions == 1]), 4.5)
-        kinds = [st["step"] for st in res.trace]
+        kinds = [st["step"] for st in trace_steps(res)]
         assert kinds[0] == "seed_group0"
         assert "add_group2" in kinds
         assert kinds.count("add_group1") == 2
@@ -190,7 +191,7 @@ class TestSelectDD:
             alpha = float(rng.uniform(0.05, 0.4))
             res = select_dd(x, cl, alpha, 0.0)
             assert -np.sum(cl[res.decisions == 1] - alpha) >= -1e-9
-            for st in res.trace:
+            for st in trace_steps(res):
                 if st["step"] in ("store_etp", "stop_power_decline"):
                     assert st["capacity"] >= -1e-9
 
@@ -218,7 +219,7 @@ class TestSelectDD:
             alpha = float(rng.uniform(0.1, 0.4))
             res = select_dd(x, cl, alpha, 0.0)
             picked = set()
-            for st in res.trace:
+            for st in trace_steps(res):
                 if st["step"] in ("seed_group0", "add_group1", "add_group2"):
                     picked.add(st["unit"])
                 elif st["step"] in ("rollback_group1", "rollback_group2"):
@@ -239,7 +240,7 @@ class TestSelectDD:
             alpha = float(rng.choice([0.05, 0.1, 0.3]))
             res = select_dd(x, cl, alpha, 0.0)
             stops.add(res.stop)
-            got, want = res.trace, trace_reference(res)
+            got, want = trace_steps(res), trace_reference(res)
             assert [(st["step"], st["unit"]) for st in got] == [
                 (st["step"], st["unit"]) for st in want
             ]
