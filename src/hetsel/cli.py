@@ -139,6 +139,8 @@ def read_records(path):
             header = [h.strip().lower() for h in next(reader)]
         except StopIteration:
             raise ValueError(f"{path}: empty file, header row required") from None
+        except csv.Error as exc:
+            raise ValueError(f"{path}:1: {exc}") from None
         if header[: len(_DIRECT_HEADER)] == _DIRECT_HEADER:
             ayp = False
         elif header[: len(_AYP_HEADER)] == _AYP_HEADER:
@@ -220,26 +222,32 @@ def _scan_lines(path, block, fh, error, ayp, lineno):
 
     width = len(_AYP_HEADER if ayp else _DIRECT_HEADER)
     ids, x_col, sigma_col = [], [], []
-    for count, row in enumerate(csv.reader(lines())):
-        if not row:
-            continue
-        try:
-            if len(row) < width:
-                raise ValueError(f"expected at least {width} fields")
-            if ayp:
-                rid, y, yp, n, npr = row[:width]
-                x = float(y) - float(yp)
-                sigma = ayp_standard_error(float(y), float(yp), int(n), int(npr))
-            else:
-                rid, xs, ss = row[:width]
-                x, sigma = float(xs), float(ss)
-            if not (sigma > 0 and math.isfinite(sigma) and math.isfinite(x)):
-                raise ValueError("need sigma > 0 and finite x")
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno + count}: {exc}") from None
-        ids.append(rid)
-        x_col.append(x)
-        sigma_col.append(sigma)
+    reader = csv.reader(lines())
+    try:
+        for count, row in enumerate(reader):
+            if not row:
+                continue
+            try:
+                if len(row) < width:
+                    raise ValueError(f"expected at least {width} fields")
+                if ayp:
+                    rid, y, yp, n, npr = row[:width]
+                    x = float(y) - float(yp)
+                    sigma = ayp_standard_error(float(y), float(yp), int(n), int(npr))
+                else:
+                    rid, xs, ss = row[:width]
+                    x, sigma = float(xs), float(ss)
+                if not (sigma > 0 and math.isfinite(sigma) and math.isfinite(x)):
+                    raise ValueError("need sigma > 0 and finite x")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno + count}: {exc}") from None
+            ids.append(rid)
+            x_col.append(x)
+            sigma_col.append(sigma)
+    except csv.Error as exc:
+        # A row csv.reader cannot read, such as a field over its size
+        # limit; line_num counts the lines it has read.
+        raise ValueError(f"{path}:{lineno + reader.line_num - 1}: {exc}") from None
     return ids, np.array(x_col, dtype=float), np.array(sigma_col, dtype=float)
 
 
@@ -278,72 +286,46 @@ def _envelope(kind: str, config: RunConfig, extra: dict | None = None) -> dict:
 
 
 class _Rows:
-    """A JSON list of objects that share their keys, given as columns of
-    ready JSON text: ``cells`` maps each key to one text per object."""
+    """Per-unit rows of an artifact: a JSON list of objects that share
+    their keys, given as columns of ready JSON text. ``cells`` maps each
+    key to one text per object. ``_write_json`` takes it only as a value
+    of a top-level dict."""
 
     def __init__(self, cells: dict):
         self.cells = cells
 
 
-def _encode(value, indent: str, out: list):
-    """Appends ``value`` as ``json.dump(indent=2, sort_keys=True)`` writes it
-    on a line indented by ``indent``. Keys must be strings."""
-    inner = indent + "  "
-    if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        if value != value:
-            out.append("NaN")
-        elif value in (math.inf, -math.inf):
-            out.append("Infinity" if value > 0 else "-Infinity")
-        else:
-            out.append(float.__repr__(value))
-    elif isinstance(value, (list, tuple)):
-        sep = "[\n" + inner
-        for item in value:
-            out.append(sep)
-            _encode(item, inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + indent + "]" if value else "[]")
-    elif isinstance(value, dict):
-        sep = "{\n" + inner
-        for key, item in sorted(value.items()):
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            _encode(item, inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + indent + "}" if value else "{}")
-    elif isinstance(value, _Rows):
-        keys = sorted(value.cells)
-        field = "\n" + inner + "  "
-        row = "{" + ",".join(
-            field + encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys
-        )
-        row += "\n" + inner + "}"
-        rows = map(row.__mod__, zip(*(value.cells[k] for k in keys)))
-        sep = "[\n" + inner
-        # Blocks of rows, so no one string holds the whole list.
-        while block := list(islice(rows, 4096)):
-            out.append(sep + (",\n" + inner).join(block))
-            sep = ",\n" + inner
-        out.append("[]" if sep[0] == "[" else "\n" + indent + "]")
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def _write_json(path, doc):
     """Writes ``doc`` byte for byte as ``json.dump(doc, fh, indent=2,
-    sort_keys=True)`` followed by a newline."""
+    sort_keys=True)`` followed by a newline, each ``_Rows`` value of a
+    top-level dict as the list of objects it holds.
+
+    ``json.dumps`` writes the document with ``[]`` for each ``_Rows``
+    value. That value's line, ``"\\n  " + key + ": []"``, is unique: the
+    top-level keys are unique, deeper keys sit further in, and no JSON
+    string holds a raw newline. The rows are streamed there.
+    """
+    per_unit = {}
+    if isinstance(doc, dict):
+        per_unit = {k: v.cells for k, v in doc.items() if isinstance(v, _Rows)}
+    text = json.dumps({**doc, **dict.fromkeys(per_unit, [])} if per_unit else doc,
+                      indent=2, sort_keys=True)
     out: list = []
-    _encode(doc, "", out)
-    out.append("\n")
+    for name, cells in sorted(per_unit.items()):
+        head, mark, text = text.partition("\n  " + encode_basestring_ascii(name) + ": []")
+        out.append(head + mark[:-2])
+        keys = sorted(cells)
+        row = "{" + ",".join(
+            "\n      " + encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys
+        ) + "\n    }"
+        rows = map(row.__mod__, zip(*(cells[k] for k in keys)))
+        sep = "[\n    "
+        # Blocks of rows, so no one string holds the whole list.
+        while block := list(islice(rows, 4096)):
+            out.append(sep + ",\n    ".join(block))
+            sep = ",\n    "
+        out.append("[]" if sep[0] == "[" else "\n  ]")
+    out.append(text + "\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(out)
 

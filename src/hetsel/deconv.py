@@ -72,7 +72,8 @@ def _gauss(z, h):
     """Gaussian kernel with scale h: exp(-z^2 / (2 h^2)) / (sqrt(2 pi) h).
 
     Works in place on z, a float array the caller has just made, so the
-    kernel blocks allocate no further temporaries.
+    fit's m x k design matrix (``_design_matrix``) allocates no further
+    temporaries.
     """
     z /= h
     np.square(z, out=z)
@@ -97,10 +98,6 @@ class PriorGrid:
             raise ValueError("grid spacing eta must be positive and finite")
         if not np.isfinite(self.left):
             raise ValueError("grid left endpoint must be finite")
-
-    @property
-    def right(self) -> float:
-        return self.left + self.eta * (self.k - 1)
 
     @property
     def nodes(self) -> np.ndarray:

@@ -202,17 +202,25 @@ def select_dd(x, clfdr, alpha: float, mu0: float) -> SelectionCurve:
     n1, n2 = g1.size, g2.size
 
     cap0 = float(np.sum(alpha - cl[g0]))
-    etp0 = float(np.sum(xs[g0] - mu0))
     # cost1 strictly increases (clfdr > alpha on group 1), so a prefix
     # search finds the longest affordable group-1 prefix.
     cost1 = np.concatenate(([0.0], np.cumsum(cl[g1] - alpha)))
-    power1 = np.concatenate(([0.0], np.cumsum(xs[g1] - mu0)))
     gain2 = np.concatenate(([0.0], np.cumsum(alpha - cl[g2])))
-    loss2 = np.concatenate(([0.0], np.cumsum(xs[g2] - mu0)))
-
     cap_b = cap0 + gain2
     a_of_b = np.searchsorted(cost1[1:], cap_b, side="right")
-    etp_b = etp0 + loss2 + power1[a_of_b]
+    # Sums of x - mu0 past the float range take their limit +-inf. The
+    # gains etp0 and power1 are >= 0 and the losses loss2 <= 0, so etp_b
+    # is NaN only where both overflow, and then at its last b too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        etp0 = float(np.sum(xs[g0] - mu0))
+        power1 = np.concatenate(([0.0], np.cumsum(xs[g1] - mu0)))
+        loss2 = np.concatenate(([0.0], np.cumsum(xs[g2] - mu0)))
+        etp_b = etp0 + loss2 + power1[a_of_b]
+    if math.isnan(etp_b[-1]):
+        raise ValueError(
+            f"the modified power at mu0 = {mu0!r} overflows the float range both ways: "
+            "its gains sum to +inf and its losses to -inf"
+        )
 
     used_up = np.flatnonzero(a_of_b == n1)
     declines = np.flatnonzero(etp_b[1:] < etp_b[:-1])

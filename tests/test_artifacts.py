@@ -69,15 +69,25 @@ def test_emitter_rejects_what_json_dump_rejects(value, tmp_path):
 
 @pytest.mark.parametrize("key", [1, 1.5, None, True, (1,)])
 def test_emitter_takes_only_string_keys(key, tmp_path):
-    # json.dump would stringify the scalar keys; no artifact has them.
-    with pytest.raises(TypeError):
-        _write_json(tmp_path / "new.json", {"a": {key: 1}})
+    # A JSON key is a string: a scalar key is written as the string
+    # json.dump makes of it, and a tuple key is a TypeError in both.
+    doc = {"a": {key: 1}}
+    if isinstance(key, tuple):
+        with pytest.raises(TypeError):
+            write_json_reference(tmp_path / "ref.json", doc)
+        with pytest.raises(TypeError):
+            _write_json(tmp_path / "new.json", doc)
+        return
+    _write_json(tmp_path / "new.json", doc)
+    write_json_reference(tmp_path / "ref.json", doc)
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, 3, 4097])
 def test_rows_match_a_list_of_objects(n_rows, tmp_path):
     # _Rows writes pre-encoded cells as the list of objects they encode,
-    # at any depth; a % in a key or a cell is written as is.
+    # as a value of the top-level dict, one or more per document, among
+    # other keys; a % in a key or a cell is written as is.
     rows = [
         {"id": f'u"{i}é', "x": 0.1 * i - 1.0, "r": None if i % 2 else math.inf,
          "ok": i == 1, "%s": "100%"}
@@ -85,8 +95,9 @@ def test_rows_match_a_list_of_objects(n_rows, tmp_path):
     ]
     keys = ["id", "x", "r", "ok", "%s"]
     cells = {k: [json.dumps(row[k]) for row in rows] for k in keys}
-    new = {"schema": "s", "entries": _Rows(cells), "deep": {"more": [_Rows(cells)]}}
-    ref = {"schema": "s", "entries": rows, "deep": {"more": [rows]}}
+    new = {"schema": "s", "entries": _Rows(cells), "deep": {"more": [[]]},
+           "trace": _Rows(cells)}
+    ref = {"schema": "s", "entries": rows, "deep": {"more": [[]]}, "trace": rows}
     _write_json(tmp_path / "new.json", new)
     write_json_reference(tmp_path / "ref.json", ref)
     assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()

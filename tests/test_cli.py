@@ -292,24 +292,50 @@ class TestSelectCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ValueError"
 
-    def test_far_outliers_score_their_limit(self, direct_csv, tmp_path):
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_overlong_field_reports_its_line(self, line, tmp_path, capsys):
+        # A field over csv's size limit is a ValueError naming its line,
+        # reported as the JSON error object, in the header and in a row.
+        lines = ["id,x,sigma", "a,1.0,1.0", "b,2.0,1.0", "c,3.0,1.0"]
+        lines[line - 1] = "u" * 200_000 + lines[line - 1]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main(
+            ["select", "--input", str(bad), "--output", str(tmp_path / "o"), "--mu0", "0"]
+        )
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValueError"
+        assert f":{line}: field larger than field limit" in err["message"]
+
+    def test_far_outliers_score_their_limit(self, direct_csv, tmp_path, capsys):
         # A unit 1e17 sigma above every node has clfdr 0 (group 0), not the
         # value z^2 rounds to; at 1e300 sigma z^2 overflows; at 1e308 the
-        # unit's kernel position and its score t overflow, and with a unit
-        # at -1e308 too so does the x gap between them. Each overflow gives
-        # the right limit, and no command warns.
+        # unit's kernel position and its score t overflow, and so do the
+        # power sums at the low end of the default mu0 grid; with a unit
+        # at -1e308 too so does the x gap between them, which leaves no
+        # default mu0 grid. Each overflow gives the right limit, and no
+        # command warns. Eight copies of the units make the power sums
+        # overflow.
         with open(direct_csv, newline="") as fh:
-            rows = list(csv.reader(fh))
+            rows = list(csv.reader(fh))[1:]
+        rows = [[f"{uid}-{c}", x, sigma] for c in range(8) for uid, x, sigma in rows]
         runs = [["select", "--mu0", "0"], ["deconv-fit"],
-                ["rvalue", "--definition", "alpha", "--mu0", "0"]]
+                ["rvalue", "--definition", "alpha", "--mu0", "0"],
+                ["rvalue", "--definition", "mu0", "--alpha", "0.1"]]
         for far in (["1e17"], ["1e300"], ["1e308"], ["1e308", "-1e308"]):
             path = tmp_path / f"{len(far)}-{far[0]}.csv"
-            _write_direct_csv(path, rows[1:] + [[f"far{i}", v, "1.0"] for i, v in enumerate(far)])
+            _write_direct_csv(path, rows + [[f"far{i}", v, "1.0"] for i, v in enumerate(far)])
             for argv in runs:
                 out = tmp_path / f"{len(far)}-{far[0]}-{argv[0]}"
+                no_grid = len(far) == 2 and argv[1:3] == ["--definition", "mu0"]
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    assert main(argv + ["--input", str(path), "--output", str(out)]) == 0
+                    code = main(argv + ["--input", str(path), "--output", str(out)])
+                assert code == (1 if no_grid else 0)
+                if no_grid:
+                    message = json.loads(capsys.readouterr().err)["error"]["message"]
+                    assert "too wide for the default mu0 grid" in message
             with open(tmp_path / f"{len(far)}-{far[0]}-select" / "selection.csv", newline="") as fh:
                 last = list(csv.DictReader(fh))[-len(far):]
             assert [(r["id"], float(r["x"])) for r in last] == [

@@ -173,6 +173,16 @@ class TestSelectDD:
         res = select_dd([], [], 0.1, 0.0)
         assert res.decisions.sum() == 0
 
+    def test_power_overflow(self):
+        # Power sums past the float range are +inf, and the rule stops at
+        # their limit; gains of +inf with losses of -inf leave no power to
+        # compare, and no NaN reaches the stop rule.
+        res = select_dd([1e308, 1e308, 1.0], [0.0, 0.0, 0.5], 0.1, 0.0)
+        assert res.etp_b.tolist() == [math.inf]
+        assert res.decisions.tolist() == [1, 1, 0]
+        with pytest.raises(ValueError, match="overflows the float range both ways"):
+            select_dd([1e308, 1e308, -1e308, -1e308], [0.0] * 4, 0.1, 0.0)
+
     def test_group_membership_rules(self):
         rng = np.random.default_rng(1)
         for _ in range(30):
