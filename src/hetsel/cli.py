@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import math
 import os
@@ -151,7 +152,7 @@ def read_records(path):
                 f"{_DIRECT_HEADER} or {_AYP_HEADER}"
             )
         ids, x_parts, sigma_parts = [], [], []
-        lineno = 2
+        lineno = reader.line_num + 1
         while True:
             block, error = [], None
             try:
@@ -208,9 +209,10 @@ def _split_direct(block):
 
 def _scan_lines(path, block, fh, error, ayp, lineno):
     """``(ids, x, sigma)`` of the csv records of ``block`` and then of the
-    rest of ``fh``, the first numbered ``lineno``. ``error``, a decode
-    error met while reading the block, is raised where the reader reaches
-    it instead of ``fh``."""
+    rest of ``fh``, whose first line is line ``lineno``. A bad record is
+    named by the line it starts on. ``error``, a decode error met while
+    reading the block, is raised where the reader reaches it instead of
+    ``fh``."""
 
     def lines():
         yield from block
@@ -223,8 +225,12 @@ def _scan_lines(path, block, fh, error, ayp, lineno):
     width = len(_AYP_HEADER if ayp else _DIRECT_HEADER)
     ids, x_col, sigma_col = [], [], []
     reader = csv.reader(lines())
+    # line_num counts the lines read, so a record starts one line after
+    # the previous record ends: a quoted field can span lines.
+    start = lineno
     try:
-        for count, row in enumerate(reader):
+        for row in reader:
+            at, start = start, lineno + reader.line_num
             if not row:
                 continue
             try:
@@ -240,7 +246,7 @@ def _scan_lines(path, block, fh, error, ayp, lineno):
                 if not (sigma > 0 and math.isfinite(sigma) and math.isfinite(x)):
                     raise ValueError("need sigma > 0 and finite x")
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno + count}: {exc}") from None
+                raise ValueError(f"{path}:{at}: {exc}") from None
             ids.append(rid)
             x_col.append(x)
             sigma_col.append(sigma)
@@ -429,8 +435,18 @@ def _cmd_select(config: RunConfig) -> int:
     )
 
     def power(decisions):
+        # A sum past the float range takes its limit +-inf, as in select_dd.
         sel = np.flatnonzero(decisions)
-        return float(np.sum(x[sel] - config.mu0)) if sel.size else 0.0
+        if not sel.size:
+            return 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(np.sum(x[sel] - config.mu0))
+        if math.isnan(total):
+            raise ValueError(
+                f"the modified power at mu0 = {config.mu0!r} overflows the float range "
+                "both ways: its gains sum to +inf and its losses to -inf"
+            )
+        return total
 
     selected = np.flatnonzero(dd.decisions)
 
@@ -738,6 +754,18 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
+    """Parses ``argv`` (the process's own arguments when None), runs the
+    command and returns its exit status.
+
+    When ``argv`` is None, ``main`` is the process's entry point (the
+    ``hetsel`` script, ``python -m hetsel.cli``), and it calls
+    ``gc.freeze()`` once before the command runs. That moves every object
+    the imports left alive, most of them numpy's, into the collector's
+    permanent generation, so the full collections the interpreter runs at
+    exit do not walk them again: about 10 ms of every command. A caller
+    that passes ``argv``, such as a test, may run more in its process,
+    and its collector is left as it was.
+    """
     parser = make_parser()
     args = parser.parse_args(argv)
     if args.command == "rvalue":
@@ -752,6 +780,8 @@ def main(argv=None) -> int:
         config = config_from_args(args)
     except ValueError as exc:
         parser.error(str(exc))
+    if argv is None:
+        gc.freeze()
     return run(config)
 
 

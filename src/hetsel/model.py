@@ -226,7 +226,9 @@ def zvalue_pvalue(x, sigma, mu0: float):
     sg = np.asarray(sigma, dtype=float)
     if np.any(sg <= 0) or not np.all(np.isfinite(sg)):
         raise ValueError("sigma must be positive and finite")
-    z = (xs - mu0) / sg
+    # Where z overflows it takes its limit +-inf.
+    with np.errstate(over="ignore"):
+        z = (xs - mu0) / sg
     p = _erfc(z * _SQRT_HALF)
     p *= 0.5
     p = np.clip(p, _P_FLOOR, _P_CEIL)

@@ -83,18 +83,20 @@ def _check_ratio(values, name):
 
 
 def _masks(xs, cl, mu0: float, alpha: float):
-    # gain: x - mu0 >= 0; cheap: clfdr - alpha <= 0. Both boundaries are
+    # gain: x - mu0 >= 0, compared as x >= mu0, which is the same test
+    # and cannot overflow; cheap: clfdr - alpha <= 0. Both boundaries are
     # closed towards groups 0 and 2. A NaN input fails its mask.
-    return xs - mu0 >= 0, cl - alpha <= 0
+    return xs >= mu0, cl - alpha <= 0
 
 
 def _scores(xs, cl, mu0: float, alpha: float) -> np.ndarray:
     # t = (x - mu0) / (clfdr - alpha) on 1-d arrays of equal length. Where
     # clfdr equals alpha exactly, t is +inf for x > mu0, -inf for x < mu0
-    # and 0 at x = mu0; where the quotient overflows, t is its limit +-inf.
-    num = xs - mu0
+    # and 0 at x = mu0; where x - mu0 or the quotient overflows, t is its
+    # limit +-inf.
     den = cl - alpha
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        num = xs - mu0
         t = num / den
     zero = np.flatnonzero(den == 0.0)
     if zero.size:
@@ -296,12 +298,15 @@ def _trace(c: SelectionCurve) -> dict:
     # Groups 0 and 2 add budget (cap += alpha - clfdr), group 1 spends it
     # (cap -= clfdr - alpha); a rollback subtracts what its step added.
     undo = kind >= 4
-    gain = x[who] - mu0
-    d_etp = np.where(undo, -gain, gain)
     d_cap = np.where((kind == 1) | (kind == 4), -(cl[who] - alpha), alpha - cl[who])
     d_cap = np.where(undo, -d_cap, d_cap)
     etp_star, capacity = np.empty(total), np.empty(total)
-    etp_star[moves] = np.cumsum(np.concatenate(([0.0], d_etp)))[1:]
+    # Gains and running sums past the float range take their limit +-inf,
+    # as the curve's own sums do.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gain = x[who] - mu0
+        d_etp = np.where(undo, -gain, gain)
+        etp_star[moves] = np.cumsum(np.concatenate(([0.0], d_etp)))[1:]
     capacity[moves] = np.cumsum(np.concatenate(([0.0], d_cap)))[1:]
     b = np.append(np.arange(last + 1), c.b_star)
     at = np.append(checks, total - 1)

@@ -448,7 +448,10 @@ def read_records_reference(path):
         reader = csv.reader(fh)
         next(reader)
         ids, x_col, sigma_col = [], [], []
-        for lineno, row in enumerate(reader, start=2):
+        # Each record is numbered by the line it starts on.
+        start = reader.line_num + 1
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
             if not row:
                 continue
             try:

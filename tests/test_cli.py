@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import math
 import os
@@ -164,6 +165,23 @@ class TestIngestion:
         assert got[0] == want[0] == ["a", "b", "c", "d", "e"]
         assert (got[1].tobytes(), got[2].tobytes()) == (want[1].tobytes(), want[2].tobytes())
 
+    @pytest.mark.parametrize("header, before", [
+        ("id,x,sigma\n", 0),
+        ("id,x,sigma\n", cli_module._BLOCK_LINES),
+        ('"id\n",x,sigma\n', 0),
+    ], ids=["first-block", "after-a-split-block", "quoted-header"])
+    def test_error_names_the_line_its_record_starts_on(self, tmp_path, header, before):
+        # A quoted field spanning lines moves every later record down a
+        # line, in the first block, after a plain block that was split,
+        # and in the header.
+        plain = "".join(f"u{i},1.0,1.0\n" for i in range(before))
+        path = tmp_path / "quoted.csv"
+        path.write_text(header + plain + 'a,1.0,1.0\n"q\nq",1,1\nb,2.0,-1\n')
+        line = header.count("\n") + before + 4
+        for reader in (read_records, read_records_reference):
+            with pytest.raises(ValueError, match=f":{line}: need sigma > 0 and finite x"):
+                reader(path)
+
     @pytest.mark.parametrize("bad, message", [("oops", "could not convert"), ("nan", "finite x")])
     def test_error_in_a_later_block_keeps_its_line(self, tmp_path, bad, message):
         rows = [[f"u{i}", repr(0.001 * i), "1.0"] for i in range(9000)]
@@ -323,11 +341,16 @@ class TestSelectCommand:
         runs = [["select", "--mu0", "0"], ["deconv-fit"],
                 ["rvalue", "--definition", "alpha", "--mu0", "0"],
                 ["rvalue", "--definition", "mu0", "--alpha", "0.1"]]
+        # With the unit at 1e308, a mu0 near the float range overflows the
+        # power sums (-1e305), the score's x - mu0 (-1e308) and the z-value
+        # (1e308) of select.
+        far_mu0 = {"-1e305": math.inf, "-1e308": math.inf, "1e308": 0.0}
         for far in (["1e17"], ["1e300"], ["1e308"], ["1e308", "-1e308"]):
             path = tmp_path / f"{len(far)}-{far[0]}.csv"
             _write_direct_csv(path, rows + [[f"far{i}", v, "1.0"] for i, v in enumerate(far)])
-            for argv in runs:
-                out = tmp_path / f"{len(far)}-{far[0]}-{argv[0]}"
+            extra = [["select", f"--mu0={v}"] for v in far_mu0] if far == ["1e308"] else []
+            for argv in runs + extra:
+                out = tmp_path / f"{len(far)}-{far[0]}-{argv[0]}{argv[-1].partition('--mu0=')[2]}"
                 no_grid = len(far) == 2 and argv[1:3] == ["--definition", "mu0"]
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
@@ -336,6 +359,9 @@ class TestSelectCommand:
                 if no_grid:
                     message = json.loads(capsys.readouterr().err)["error"]["message"]
                     assert "too wide for the default mu0 grid" in message
+            for v, power in far_mu0.items() if extra else ():
+                summary = json.loads((tmp_path / f"1-1e308-select{v}" / "summary.json").read_text())
+                assert summary["modified_power"] == dict.fromkeys(("dd", "clfdr_stepup", "bh"), power)
             with open(tmp_path / f"{len(far)}-{far[0]}-select" / "selection.csv", newline="") as fh:
                 last = list(csv.DictReader(fh))[-len(far):]
             assert [(r["id"], float(r["x"])) for r in last] == [
@@ -343,6 +369,31 @@ class TestSelectCommand:
             ]
             want = [("0.0", "0", "1"), ("1.0", "3", "0")][:len(far)]
             assert [(r["clfdr"], r["group"], r["selected"]) for r in last] == want
+
+    def test_power_overflowing_both_ways_names_mu0(self, direct_csv, tmp_path, capsys,
+                                                   monkeypatch):
+        # A baseline that selects only the far units sums their gains past
+        # +1e308 and their losses past -1e308: a NaN, so an error naming
+        # mu0, not an artifact. The units sit where numpy's pairwise sum
+        # overflows both ways over the selection but cancels them over all
+        # units, whose spread the fit takes.
+        with open(direct_csv, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        rows = [[f"{uid}-{c}", x, sigma] for c in range(8) for uid, x, sigma in rows]
+        for j in range(8):
+            rows.insert(8 * j + j % 2, [f"far{j}", ("1e308", "-1e308")[j // 2 % 2], "1.0"])
+        path = tmp_path / "far.csv"
+        _write_direct_csv(path, rows)
+        x = read_records(path)[1]
+        far = (np.abs(x) > 1e300).astype(np.int8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(np.sum(x[far == 1])) and not math.isnan(np.sum(x))
+        monkeypatch.setattr(cli_module, "select_bh", lambda p, alpha: far)
+        code = main(["select", "--mu0", "0", "--input", str(path),
+                     "--output", str(tmp_path / "out")])
+        assert code == 1
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert "modified power at mu0 = 0.0 overflows the float range both ways" in message
 
     def test_unfittable_sigma_group_is_named(self, direct_csv, tmp_path, capsys):
         sigma = sorted(read_records(direct_csv)[2].tolist())
@@ -742,6 +793,39 @@ def test_cli_runs_blas_on_one_thread_unless_told(settings, want):
         capture_output=True, text=True, timeout=300, check=True,
     )
     assert json.loads(proc.stdout.splitlines()[-1]) == {"numpy": False, **want}
+
+
+_ENTRY_SCRIPT = """
+import gc, json, sys
+from hetsel.cli import main
+sys.argv = ["hetsel", "select", "--input", sys.argv[1], "--output", sys.argv[2], "--mu0", "0"]
+code = main()
+print(json.dumps({"code": code, "frozen": gc.get_freeze_count()}))
+"""
+
+
+def test_console_entry_freezes_the_start_up_heap(direct_csv, tmp_path):
+    # main() on the process's own arguments moves the objects alive at
+    # start-up into the collector's permanent generation, and writes the
+    # artifacts that main(argv) writes in process.
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _ENTRY_SCRIPT, str(direct_csv), str(tmp_path / "entry")],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["code"] == 0 and report["frozen"] > 0
+    argv = ["select", "--input", str(direct_csv), "--output", str(tmp_path / "argv"), "--mu0", "0"]
+    assert main(argv) == 0
+    assert _artifacts(tmp_path / "entry") == _artifacts(tmp_path / "argv")
+
+
+def test_main_with_argv_leaves_the_collector_alone(direct_csv, tmp_path):
+    before = gc.get_freeze_count()
+    argv = ["select", "--input", str(direct_csv), "--output", str(tmp_path / "o"), "--mu0", "0"]
+    assert main(argv) == 0
+    assert gc.get_freeze_count() == before
 
 
 def _artifacts(directory):
