@@ -5,88 +5,33 @@ unit by its conditional local FDR, selects units by trading observed effect
 size against error budget, and ranks them by r-values. A simulation harness
 and a small CLI tie the pieces together.
 
-Every public name is served on first use (PEP 562), so ``import hetsel``
-loads no numpy, and a command that does not rank or simulate does not load
-``hetsel.rvalue``, ``hetsel.sim`` or the known law in ``hetsel.law``.
+The public names are those in the ``__all__`` of the library modules, and
+each is served on first use (PEP 562), so ``import hetsel`` loads no numpy.
+A name is looked up in ``model``, ``deconv``, ``selection``, ``rvalue``,
+``law`` and ``sim``, in that order, importing each until one declares it;
+so ``hetsel.TruePrior`` also loads ``selection`` and ``rvalue`` before
+``law``, and ``dir(hetsel)`` imports all six. ``cli`` is never searched:
+importing it sets ``OPENBLAS_NUM_THREADS``. The commands import the modules
+they need directly and do not come through here.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-_LAZY = {
-    "model": (
-        "MetricsRecord",
-        "etp",
-        "etp_star",
-        "fdp",
-        "zvalue_pvalue",
-    ),
-    "deconv": (
-        "BandwidthPair",
-        "FittedPrior",
-        "PriorGrid",
-        "build_grid",
-        "clfdr_by_group",
-        "fit_prior",
-        "fit_prior_by_group",
-        "fit_weights",
-        "kernel_marginals",
-        "oracle_clfdr",
-        "silverman_bandwidths",
-    ),
-    "law": (
-        "ConstantSigma",
-        "JointModel",
-        "NormalComponent",
-        "PointMass",
-        "TruePrior",
-        "UniformInterval",
-        "UniformSigma",
-    ),
-    "selection": (
-        "SelectionCurve",
-        "ThresholdPair",
-        "calibrate_thresholds",
-        "clfdr_stepup_threshold",
-        "oracle_thresholds",
-        "select_bh",
-        "select_clfdr_stepup",
-        "select_dd",
-        "select_oracle",
-    ),
-    "rvalue": (
-        "RValueTable",
-        "dd_alpha_evaluator",
-        "dd_mu0_evaluator",
-        "default_alpha_grid",
-        "default_mu0_grid",
-        "rvalue_vary_alpha",
-        "rvalue_vary_mu0",
-    ),
-    "sim": (
-        "CorrelatedTwoGroup",
-        "MethodSummary",
-        "Replicate",
-        "ReplicationReport",
-        "SimDesign",
-        "TwoComponent",
-        "UniformIndep",
-        "generate",
-        "joint_model",
-        "run_replications",
-    ),
-}
-_HOME = {name: module for module, names in _LAZY.items() for name in names}
+_MODULES = ("model", "deconv", "selection", "rvalue", "law", "sim")
 
 
 def __getattr__(name):
-    if name not in _HOME:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
-    globals()[name] = value
-    return value
+    if not name.startswith("_"):
+        for module_name in _MODULES:
+            module = importlib.import_module(f".{module_name}", __name__)
+            if name in module.__all__:
+                value = globals()[name] = getattr(module, name)
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted({*globals(), *_HOME})
+    public = (n for m in _MODULES for n in importlib.import_module(f".{m}", __name__).__all__)
+    return sorted({*globals(), *public})

@@ -55,8 +55,9 @@ __all__ = [
 ]
 
 _DIRECT_HEADER = ["id", "x", "sigma"]
-# Lines per block of read_records, and rows per block of _write_csv: the
-# text of one block stays small at any number of units.
+# Lines per block of read_records, and rows per block of _write_csv and of
+# _write_json's per-unit rows: the text of one block stays small at any
+# number of units.
 _BLOCK_LINES = 4096
 _AYP_HEADER = ["id", "y", "y_prime", "n", "n_prime"]
 _PRIOR_FIT_SCHEMA = "hetsel/prior-fit/v2"
@@ -327,7 +328,7 @@ def _write_json(path, doc):
         rows = map(row.__mod__, zip(*(cells[k] for k in keys)))
         sep = "[\n    "
         # Blocks of rows, so no one string holds the whole list.
-        while block := list(islice(rows, 4096)):
+        while block := list(islice(rows, _BLOCK_LINES)):
             out.append(sep + ",\n    ".join(block))
             sep = ",\n    "
         out.append("[]" if sep[0] == "[" else "\n  ]")
@@ -449,6 +450,7 @@ def _cmd_select(config: RunConfig) -> int:
         return total
 
     selected = np.flatnonzero(dd.decisions)
+    dd_power = power(dd.decisions)
 
     summary = _envelope(
         "select-summary",
@@ -461,7 +463,7 @@ def _cmd_select(config: RunConfig) -> int:
                 "bh": int(bh.sum()),
             },
             "modified_power": {
-                "dd": power(dd.decisions),
+                "dd": dd_power,
                 "clfdr_stepup": power(stepup),
                 "bh": power(bh),
             },
@@ -475,7 +477,7 @@ def _cmd_select(config: RunConfig) -> int:
         units[i] = "null"
     result = {
         "selected_ids": list(compress(ids, dd.decisions.tolist())),
-        "etp_star": power(dd.decisions),
+        "etp_star": dd_power,
         "capacity": float(-np.sum(clfdr[selected] - config.alpha)) if selected.size else 0.0,
         "trace": _Rows({
             "step": list(map(encode_basestring_ascii, trace["step"])),
@@ -512,11 +514,9 @@ def _cmd_rvalue(config: RunConfig) -> int:
             default_alpha_grid(config.grid_points),
         )
     else:
-        table = rvalue_vary_mu0(
-            len(ids),
-            dd_mu0_evaluator(x, _clfdr_table(fits, groups, x, sigma), config.alpha),
-            default_mu0_grid(x, config.grid_points),
-        )
+        mu0s = default_mu0_grid(x, config.grid_points)
+        clfdr_at = _clfdr_table(fits, groups, x, sigma, mu0s)
+        table = rvalue_vary_mu0(len(ids), dd_mu0_evaluator(x, clfdr_at, config.alpha), mu0s)
     os.makedirs(config.output, exist_ok=True)
     _write_rvalues(config, ids, x, sigma, table)
     return 0

@@ -188,17 +188,23 @@ def build_grid(xs, k: int = 50) -> PriorGrid:
     ends = np.sort(x)[[0, -1]] if x.size else None
     if ends is None or not (ends[0] < ends[1] or (ends[1] != ends[1] and ends[0] == ends[0])):
         raise ValueError("need at least 2 distinct observations to build a grid")
-    lo, hi = _quantiles(x, [0.01, 0.99])
+    lo, hi = map(float, _quantiles(x, [0.01, 0.99]))
     if not hi > lo:
         raise ValueError("degenerate support: 1% and 99% quantiles coincide")
-    return PriorGrid(left=float(lo), eta=float((hi - lo) / (k - 1)), k=int(k))
+    if hi - lo == math.inf:
+        raise ValueError(f"the 1% and 99% quantiles, {lo!r} and {hi!r}, are too far apart "
+                         "for a grid: their span exceeds the float range")
+    return PriorGrid(left=lo, eta=(hi - lo) / (k - 1), k=int(k))
 
 
 def _rule_of_thumb(values: np.ndarray, m: int, name: str) -> float:
-    # A far outlier overflows the sum of squares; sd is then inf and the
-    # IQR sets the spread.
-    with np.errstate(over="ignore"):
+    # A far outlier overflows the sum of squares, and far outliers on both
+    # sides the mean, to NaN; sd is then taken as inf and the IQR sets the
+    # spread.
+    with np.errstate(over="ignore", invalid="ignore"):
         sd = float(np.std(values, ddof=1))
+    if math.isnan(sd):
+        sd = math.inf
     if sd <= 0:
         raise ValueError(f"zero spread in {name}: rule-of-thumb bandwidth vanishes")
     iqr = float(_quantiles(values, [0.75])[0] - _quantiles(values, [0.25])[0])
@@ -708,16 +714,15 @@ def _log_prefix_rows(fit: FittedPrior, x, sigma):
         yield acc
 
 
-def _clfdr_table(fits: dict, group_ids, x, sigma):
+def _clfdr_table(fits: dict, group_ids, x, sigma, levels):
     """Builds once the map mu0 -> clfdr of fixed units under fitted priors,
-    for a scan over many mu0.
+    for each mu0 in ``levels``.
 
-    Each unit is scored under the fit of its group. The rows L_j of
-    ``_log_prefix_rows`` are stacked into a k x m table once; then
-    clfdr(mu0) = exp(L_j - L_last), with j the last node <= mu0 (closed
-    inequality), so a new mu0 costs one row lookup and the ratio keeps its
-    value where both densities underflow. ``clfdr_by_group`` takes one mu0
-    from the same walk without the table.
+    Each unit is scored under the fit of its group. One walk of
+    ``_log_prefix_rows`` per group keeps the rows L_j of the nodes the
+    levels select, j the last node <= mu0 (closed inequality), in a table;
+    then clfdr(mu0) = exp(L_j - L_last), so a level costs one row lookup
+    and the ratio keeps its value where both densities underflow.
     """
     xs = np.asarray(x, dtype=float)
     sg = np.asarray(sigma, dtype=float)
@@ -725,18 +730,23 @@ def _clfdr_table(fits: dict, group_ids, x, sigma):
     tables = []
     for g, fit in fits.items():
         idx = np.flatnonzero(gids == g)
-        # This k x m table sets the peak memory of rvalue.
-        L = np.empty((fit.grid.nodes.size, idx.size))
-        for j, row in enumerate(_log_prefix_rows(fit, xs[idx], sg[idx])):
-            L[j] = row
-        L -= L[-1]
-        tables.append((idx, fit.grid.nodes, np.exp(L, out=L)))
+        nodes = fit.grid.nodes
+        at = np.searchsorted(nodes, levels, side="right") - 1
+        place = {j: i for i, j in enumerate(_distinct(np.sort(at[at >= 0])).tolist())}
+        # This table, at most k x m, sets the peak memory of rvalue.
+        L = np.empty((len(place), idx.size))
+        if place:
+            for j, row in enumerate(_log_prefix_rows(fit, xs[idx], sg[idx])):
+                if j in place:
+                    L[place[j]] = row
+            L -= row
+        tables.append((idx, nodes, place, np.exp(L, out=L)))
 
     def clfdr(mu0: float) -> np.ndarray:
         out = np.empty(xs.shape, dtype=float)
-        for idx, nodes, table in tables:
+        for idx, nodes, place, table in tables:
             j = int(np.searchsorted(nodes, mu0, side="right")) - 1
-            out[idx] = table[j] if j >= 0 else 0.0
+            out[idx] = table[place[j]] if j >= 0 else 0.0
         return out
 
     return clfdr
@@ -835,25 +845,6 @@ def fit_prior_by_group(x, sigma, group_ids, *, k: int = 50) -> dict:
 
 
 def clfdr_by_group(fits: dict, group_ids, x, sigma, mu0: float) -> np.ndarray:
-    """Evaluates each unit's conditional local FDR under its group's fit.
-
-    One walk of ``_log_prefix_rows`` per group keeps the running row at the
-    last node j <= mu0 and returns exp(L_j - L_last): the values of
-    ``_clfdr_table(...)(mu0)`` bit for bit, without its k x m table.
-    """
-    xs = np.asarray(x, dtype=float)
-    sg = np.asarray(sigma, dtype=float)
-    gids = np.asarray(group_ids)
-    out = np.empty(xs.shape, dtype=float)
-    for g, fit in fits.items():
-        idx = np.flatnonzero(gids == g)
-        j = int(np.searchsorted(fit.grid.nodes, mu0, side="right")) - 1
-        if j < 0:
-            out[idx] = 0.0
-            continue
-        for i, row in enumerate(_log_prefix_rows(fit, xs[idx], sg[idx])):
-            if i == j:
-                L_j = row.copy()
-        L_j -= row
-        out[idx] = np.exp(L_j, out=L_j)
-    return out
+    """Evaluates each unit's conditional local FDR under its group's fit:
+    ``_clfdr_table`` at the one level mu0, which keeps one row per group."""
+    return _clfdr_table(fits, group_ids, x, sigma, [mu0])(mu0)

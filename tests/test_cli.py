@@ -332,9 +332,10 @@ class TestSelectCommand:
         # unit's kernel position and its score t overflow, and so do the
         # power sums at the low end of the default mu0 grid; with a unit
         # at -1e308 too so does the x gap between them, which leaves no
-        # default mu0 grid. Each overflow gives the right limit, and no
-        # command warns. Eight copies of the units make the power sums
-        # overflow.
+        # default mu0 grid; eight units at each end overflow the mean of
+        # the bandwidth's sd both ways. Each overflow gives the right
+        # limit, and no command warns. Eight copies of the units make the
+        # power sums overflow.
         with open(direct_csv, newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         rows = [[f"{uid}-{c}", x, sigma] for c in range(8) for uid, x, sigma in rows]
@@ -345,13 +346,13 @@ class TestSelectCommand:
         # power sums (-1e305), the score's x - mu0 (-1e308) and the z-value
         # (1e308) of select.
         far_mu0 = {"-1e305": math.inf, "-1e308": math.inf, "1e308": 0.0}
-        for far in (["1e17"], ["1e300"], ["1e308"], ["1e308", "-1e308"]):
+        for far in (["1e17"], ["1e300"], ["1e308"], ["1e308", "-1e308"], ["1e308", "-1e308"] * 8):
             path = tmp_path / f"{len(far)}-{far[0]}.csv"
             _write_direct_csv(path, rows + [[f"far{i}", v, "1.0"] for i, v in enumerate(far)])
             extra = [["select", f"--mu0={v}"] for v in far_mu0] if far == ["1e308"] else []
             for argv in runs + extra:
                 out = tmp_path / f"{len(far)}-{far[0]}-{argv[0]}{argv[-1].partition('--mu0=')[2]}"
-                no_grid = len(far) == 2 and argv[1:3] == ["--definition", "mu0"]
+                no_grid = "-1e308" in far and argv[1:3] == ["--definition", "mu0"]
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     code = main(argv + ["--input", str(path), "--output", str(out)])
@@ -367,8 +368,22 @@ class TestSelectCommand:
             assert [(r["id"], float(r["x"])) for r in last] == [
                 (f"far{i}", float(v)) for i, v in enumerate(far)
             ]
-            want = [("0.0", "0", "1"), ("1.0", "3", "0")][:len(far)]
+            want = [("1.0", "3", "0") if v[0] == "-" else ("0.0", "0", "1") for v in far]
             assert [(r["clfdr"], r["group"], r["selected"]) for r in last] == want
+        # Two units at each end among 104 put the 1% and 99% quantiles near
+        # the float range too, so the prior grid's span exceeds it: every
+        # command fails, naming both quantiles, and none warns.
+        path = tmp_path / "wide.csv"
+        _write_direct_csv(path, rows[:100] + [[f"far{i}", v, "1.0"]
+                                              for i, v in enumerate(["1e308", "-1e308"] * 2)])
+        for i, argv in enumerate(runs):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(argv + ["--input", str(path), "--output", str(tmp_path / f"wide{i}")])
+            assert code == 1
+            message = json.loads(capsys.readouterr().err)["error"]["message"]
+            assert "the 1% and 99% quantiles, -9." in message
+            assert message.endswith("their span exceeds the float range")
 
     def test_power_overflowing_both_ways_names_mu0(self, direct_csv, tmp_path, capsys,
                                                    monkeypatch):
@@ -746,6 +761,45 @@ def test_commands_load_only_what_runs(direct_csv, tmp_path):
                       "law_data_driven": False, "law_simulate": True,
                       "lazy_name": "hetsel.sim", "law_name": "hetsel.law",
                       "oracle_name": "hetsel.deconv"}
+
+
+_NAMES_SCRIPT = """
+import importlib, json, sys
+import hetsel
+try:
+    hetsel._x
+except AttributeError as exc:
+    private = str(exc)
+private_loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("hetsel."))
+listed = dir(hetsel)
+modules = [importlib.import_module("hetsel." + m)
+           for m in ("model", "deconv", "selection", "rvalue", "law", "sim")]
+names = [n for module in modules for n in module.__all__]
+wrong = [n for module in modules for n in module.__all__
+         if getattr(hetsel, n) is not getattr(module, n)]
+print(json.dumps({"private": private, "private_loaded": private_loaded,
+                  "cli_loaded": "hetsel.cli" in sys.modules, "n_names": len(names),
+                  "repeated": sorted({n for n in names if names.count(n) > 1}),
+                  "wrong": wrong, "unlisted": sorted(set(names) - set(listed)),
+                  "uncached": [n for n in names if n not in vars(hetsel)],
+                  "methods": list(hetsel.METHODS)}))
+"""
+
+
+def test_package_serves_every_public_name():
+    # The package serves each name in the six library modules' __all__,
+    # declared in one module only, as that module's object, and caches it;
+    # dir lists them all without loading cli; a private name loads nothing.
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NAMES_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report == {"private": "module 'hetsel' has no attribute '_x'", "private_loaded": [],
+                      "cli_loaded": False, "n_names": 50, "repeated": [], "wrong": [],
+                      "unlisted": [], "uncached": [], "methods": ["DD", "OR", "Clfdr", "BH"]}
 
 
 def test_commands_do_not_load_scipy(direct_csv, tmp_path):

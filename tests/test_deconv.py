@@ -524,9 +524,9 @@ def _accumulated_table(fit, x, sigma):
 
 
 class TestStreamedClfdr:
-    """``clfdr_by_group`` walks the nodes once per group and keeps one row;
-    ``_clfdr_table`` stacks the rows of the same walk. Both must give the
-    whole-array prefix table's values bit for bit."""
+    """``_clfdr_table`` walks the nodes once per group and keeps the rows its
+    levels select; ``clfdr_by_group`` is the table at one level. Both must
+    give the whole-array prefix table's values bit for bit."""
 
     def _case(self):
         rng = np.random.default_rng(31)
@@ -570,7 +570,7 @@ class TestStreamedClfdr:
             float(n1[-1]),
             n0[-1] + 5.0,  # above the last node of both groups
         ]
-        table = _clfdr_table(fits, groups, x, sigma)
+        table = _clfdr_table(fits, groups, x, sigma, mu0s)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for mu0 in mu0s:
