@@ -7,7 +7,7 @@ Three generative designs are provided:
   the first group has sigma = 1, the second sigma = sigma2. Reference level
   defaults to 6.
 * ``UniformIndep``: effects from a two-interval uniform mixture
-  (weight 1 - pi1 on (-3, -1), pi1 on (1, 2)) independent of
+  (weight 1 - pi1 on (-3, -1), pi1 = 0.2 on (1, 2)) independent of
   sigma ~ U(0.5, sigma_max). Reference level defaults to 0.
 * ``CorrelatedTwoGroup``: sigma is 0.25 s or 1.25 s with equal probability
   and the effect mixture depends on the sigma group, so larger effects ride
@@ -33,16 +33,9 @@ from typing import Union
 import numpy as np
 
 from .deconv import clfdr_by_group, fit_prior_by_group
-from .law import ConstantSigma, JointModel, TruePrior, UniformSigma
+from .law import ConstantSigma, JointModel, TruePrior, UniformSigma, oracle_thresholds
 from .model import MetricsRecord, etp, etp_star, fdp, zvalue_pvalue
-from .selection import (
-    ThresholdPair,
-    oracle_thresholds,
-    select_bh,
-    select_clfdr_stepup,
-    select_dd,
-    select_oracle,
-)
+from .selection import ThresholdPair, select_bh, select_clfdr_stepup, select_dd, select_oracle
 
 __all__ = [
     "TwoComponent",
@@ -64,6 +57,9 @@ METHODS = ("DD", "OR", "Clfdr", "BH")
 # (master, _REP_STREAM, r). The oracle cutoffs draw nothing.
 _REP_STREAM = 0
 
+# Weight of the non-null interval (1, 2) in the UniformIndep prior.
+_PI1 = 0.2
+
 
 @dataclass(frozen=True)
 class TwoComponent:
@@ -82,7 +78,6 @@ class TwoComponent:
 class UniformIndep:
     sigma_max: float
     m: int = 5000
-    pi1: float = 0.2
     DEFAULT_MU0 = 0.0
 
     def __post_init__(self):
@@ -90,8 +85,6 @@ class UniformIndep:
             raise ValueError(f"sigma_max must be finite, got {self.sigma_max!r}")
         if not self.sigma_max > 0.5:
             raise ValueError("sigma_max must exceed the lower endpoint 0.5")
-        if not (0 < self.pi1 < 1):
-            raise ValueError(f"pi1 must lie in (0, 1), got {self.pi1!r}")
         if self.m < 2:
             raise ValueError("m must be at least 2")
 
@@ -133,7 +126,7 @@ class SimDesign:
         if isinstance(fam, TwoComponent):
             return f"two-component(sigma2={fam.sigma2}, m={fam.m})"
         if isinstance(fam, UniformIndep):
-            return f"uniform(sigma_max={fam.sigma_max}, m={fam.m}, pi1={fam.pi1})"
+            return f"uniform(sigma_max={fam.sigma_max}, m={fam.m}, pi1={_PI1})"
         return f"correlated(sigma={fam.sigma}, m={fam.m})"
 
 
@@ -164,7 +157,7 @@ def joint_model(family: Family) -> JointModel:
         )
     if isinstance(family, UniformIndep):
         prior = TruePrior.uniform_mixture(
-            [(1.0 - family.pi1, -3.0, -1.0), (family.pi1, 1.0, 2.0)]
+            [(1.0 - _PI1, -3.0, -1.0), (_PI1, 1.0, 2.0)]
         )
         return JointModel.independent(prior, UniformSigma(0.5, family.sigma_max))
     return JointModel(
@@ -279,11 +272,11 @@ def _process_count(reps: int) -> int:
 def _replicates(design, model, thresholds, k) -> list:
     """Every replicate's (seed_key, recs, mse), in replication order.
 
-    With n = ``_process_count(reps)`` > 1 and the ``fork`` start method
-    available, this process and n - 1 forked workers each run the
-    replicates r = w (mod n) of their index w, and the workers send theirs
-    back over a pipe; otherwise the replicates run here one after another.
-    Either way the error of the lowest-index failing replicate is raised.
+    With n = ``_process_count(reps)``, this process and n - 1 forked
+    workers each run the replicates r = w (mod n) of their index w, and the
+    workers send theirs back over a pipe; with n = 1 no worker is forked
+    and the replicates run here one after another. Either way the error of
+    the lowest-index failing replicate is raised.
     A worker that exits without sending its results raises RuntimeError
     naming its replicates and exit code. Every worker is joined before this
     returns or raises; an interrupt or a dead worker terminates the others
@@ -291,43 +284,39 @@ def _replicates(design, model, thresholds, k) -> list:
     """
     args = (model, thresholds, k)
     n = _process_count(design.reps)
-    ctx = None
     if n > 1:
         import multiprocessing
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            ctx = multiprocessing.get_context("fork")
-    if ctx is None:
-        results = _run_share(design, 0, 1, *args)
-    else:
-        workers = []
-        try:
-            for w in range(1, n):
-                recv, send = ctx.Pipe(duplex=False)
-                proc = ctx.Process(target=_send_share, args=(send, design, w, n, *args))
-                proc.start()
-                # Closed here before the next fork, so the worker holds the
-                # pipe's only write end and its exit ends the pipe.
-                send.close()
-                workers.append((w, proc, recv))
-            results = _run_share(design, 0, n, *args)
-            for w, proc, recv in workers:
-                try:
-                    results.update(recv.recv())
-                except EOFError:
-                    proc.join()
-                    raise RuntimeError(
-                        f"the worker for replications {list(range(w, design.reps, n))} "
-                        f"exited with code {proc.exitcode} without sending their results"
-                    ) from None
-        except BaseException:
-            for _, proc, _ in workers:
-                proc.terminate()
-            raise
-        finally:
-            for _, proc, recv in workers:
+        # n > 1 only on Linux (see _process_count), where fork always exists.
+        ctx = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for w in range(1, n):
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_send_share, args=(send, design, w, n, *args))
+            proc.start()
+            # Closed here before the next fork, so the worker holds the
+            # pipe's only write end and its exit ends the pipe.
+            send.close()
+            workers.append((w, proc, recv))
+        results = _run_share(design, 0, n, *args)
+        for w, proc, recv in workers:
+            try:
+                results.update(recv.recv())
+            except EOFError:
                 proc.join()
-                recv.close()
+                raise RuntimeError(
+                    f"the worker for replications {list(range(w, design.reps, n))} "
+                    f"exited with code {proc.exitcode} without sending their results"
+                ) from None
+    except BaseException:
+        for _, proc, _ in workers:
+            proc.terminate()
+        raise
+    finally:
+        for _, proc, recv in workers:
+            proc.join()
+            recv.close()
     # A replicate missing from the results follows a failure in its share.
     out = []
     for r in range(design.reps):

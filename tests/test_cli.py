@@ -1,5 +1,7 @@
+import ast
 import csv
 import gc
+import glob
 import json
 import math
 import os
@@ -732,15 +734,19 @@ codes.append(main(["rvalue", "--input", data, "--output", out + "/rva", "--defin
                    "--mu0", "0", "--grid-points", "20"]))
 codes.append(main(["deconv-fit", "--input", data, "--output", out + "/fit"]))
 law_data_driven = "hetsel.law" in sys.modules
+cutoffs_in_selection = [n for n in ("_Table", "oracle_thresholds")
+                        if hasattr(sys.modules["hetsel.selection"], n)]
 codes.append(main(["simulate", "--design", "uniform", "--sigma-max", "3", "--m", "200",
                    "--reps", "1", "--seed", "3", "--output", out + "/sim"]))
 law_simulate = "hetsel.law" in sys.modules
 import hetsel
 print(json.dumps({"codes": codes, "loaded": loaded, "ma_select": after_select,
                   "ma_rvalue": ma_rvalue, "law_data_driven": law_data_driven,
+                  "cutoffs_in_selection": cutoffs_in_selection,
                   "law_simulate": law_simulate,
                   "lazy_name": hetsel.run_replications.__module__,
                   "law_name": hetsel.TruePrior.__module__,
+                  "cutoffs_name": hetsel.oracle_thresholds.__module__,
                   "oracle_name": hetsel.oracle_clfdr.__module__}))
 """
 
@@ -748,7 +754,8 @@ print(json.dumps({"codes": codes, "loaded": loaded, "ma_select": after_select,
 def test_commands_load_only_what_runs(direct_csv, tmp_path):
     # import hetsel.cli loads neither the known law, nor the simulation,
     # nor the r-value module; select and rvalue --definition mu0 never
-    # import numpy.ma; only simulate loads the known law; and the package
+    # import numpy.ma; only simulate loads the known law and its oracle
+    # cutoffs, which the selection module does not define; and the package
     # still serves the lazily loaded names from their modules.
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
@@ -758,9 +765,53 @@ def test_commands_load_only_what_runs(direct_csv, tmp_path):
     )
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report == {"codes": [0] * 5, "loaded": [], "ma_select": False, "ma_rvalue": False,
-                      "law_data_driven": False, "law_simulate": True,
-                      "lazy_name": "hetsel.sim", "law_name": "hetsel.law",
+                      "law_data_driven": False, "cutoffs_in_selection": [],
+                      "law_simulate": True, "lazy_name": "hetsel.sim",
+                      "law_name": "hetsel.law", "cutoffs_name": "hetsel.law",
                       "oracle_name": "hetsel.deconv"}
+
+
+# The package's own imports, module by module: the estimator and the rules
+# on data import no other module, the known law and its cutoffs sit on top
+# of them, and only the simulation and the CLI reach further. "hetsel" is
+# the package itself.
+_IMPORT_GRAPH = {
+    "__init__": set(),
+    "model": set(),
+    "deconv": set(),
+    "selection": set(),
+    "rvalue": {"selection"},
+    "law": {"deconv", "model", "selection"},
+    "sim": {"deconv", "law", "model", "selection"},
+    "cli": {"deconv", "model", "selection", "rvalue", "sim", "hetsel"},
+}
+
+
+def _package_imports(path):
+    """Every module of the package that a source file imports, at module
+    level or inside a function, relative or absolute."""
+    tree = ast.parse(open(path, encoding="utf-8").read(), filename=path)
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                found.add(node.module or "hetsel")
+            elif (node.module or "").split(".")[0] == "hetsel":
+                found.add(node.module.partition(".")[2] or "hetsel")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "hetsel":
+                    found.add(alias.name.partition(".")[2] or "hetsel")
+    return found
+
+
+def test_modules_import_only_their_allowed_neighbours():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "hetsel")
+    graph = {
+        os.path.basename(path)[:-3]: _package_imports(path)
+        for path in glob.glob(os.path.join(src, "*.py"))
+    }
+    assert graph == _IMPORT_GRAPH
 
 
 _NAMES_SCRIPT = """

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import hetsel.selection as selection_module
+import hetsel.law as law_module
 from conftest import (
     INSTANCE_FAMILIES,
     classify_group,
@@ -387,7 +387,7 @@ class TestThresholds:
         model, mu0 = POPULATION_CASES[case]
         pair = oracle_thresholds(model, alpha, mu0)
         for name in ("_SIGMA_NODES", "_X_ORDER", "_PANELS_PER_SIGMA"):
-            monkeypatch.setattr(selection_module, name, 2 * getattr(selection_module, name))
+            monkeypatch.setattr(law_module, name, 2 * getattr(law_module, name))
         fine = oracle_thresholds(model, alpha, mu0)
         assert abs(fine.t1 - pair.t1) < 1e-6 * abs(pair.t1)
         assert pair.t2 == fine.t2 == -math.inf

@@ -112,7 +112,6 @@ class TestGenerate:
         cases = [
             (lambda: TwoComponent(sigma2=bad), "sigma2 must"),
             (lambda: UniformIndep(sigma_max=bad), "sigma_max must"),
-            (lambda: UniformIndep(sigma_max=3.0, pi1=bad), "pi1 must"),
             (lambda: CorrelatedTwoGroup(sigma=bad), "sigma must"),
             (lambda: ConstantSigma(bad), "sigma must"),
             (lambda: UniformSigma(0.5, bad), "need 0 < low < high < inf"),
