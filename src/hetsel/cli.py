@@ -517,6 +517,8 @@ def _cmd_rvalue(config: RunConfig) -> int:
         mu0s = default_mu0_grid(x, config.grid_points)
         clfdr_at = _clfdr_table(fits, groups, x, sigma, mu0s)
         table = rvalue_vary_mu0(len(ids), dd_mu0_evaluator(x, clfdr_at, config.alpha), mu0s)
+        # The k x m table is not read past the scan: free it before the writer.
+        del clfdr_at
     os.makedirs(config.output, exist_ok=True)
     _write_rvalues(config, ids, x, sigma, table)
     return 0

@@ -674,12 +674,15 @@ def fit_weights(grid: PriorGrid, x, sigma, marginals) -> FittedPrior:
 
 
 def _log_prefix_rows(fit: FittedPrior, x, sigma):
-    """Walks one fit's nodes in ascending order and yields, after node j,
-    the running log-sum-exp of the units' log weighted node densities,
+    """Walks one fit's positive-weight nodes in ascending order and yields,
+    after each node j, the running log-sum-exp of the units' log weighted
+    node densities,
         L_j = log sum_{l <= j} w_l exp(-((x - node_l) / sigma)^2 / 2),
     as one row over the units; the unit factor 1 / (sqrt(2 pi) sigma)
     cancels in the clfdr and is left out. The prefix never decreases, so
-    exp(L_j - L_last) lies in [0, 1].
+    exp(L_j - L_last) lies in [0, 1]. A zero-weight node is skipped: it
+    would add a row of -inf, and ``logaddexp`` with -inf returns the other
+    term bit for bit, so its L_j is that of the node before it.
 
     The row is one buffer that the next step updates in place: a caller
     that keeps a row copies it. Units too many sigmas from the nodes for
@@ -697,7 +700,7 @@ def _log_prefix_rows(fit: FittedPrior, x, sigma):
         far_z = _far_exponents(nodes, log_w, x[far], sigma[far])
     acc = np.empty(x.size)
     z = np.empty(x.size)
-    for j in range(nodes.size):
+    for i, j in enumerate(np.flatnonzero(fit.weights > 0).tolist()):
         # The arithmetic is that of log w_j - 0.5 z^2, bit for bit.
         with np.errstate(over="ignore"):
             np.subtract(x, nodes[j], out=z)
@@ -707,7 +710,7 @@ def _log_prefix_rows(fit: FittedPrior, x, sigma):
         z += log_w[j]
         if far.size:
             z[far] = far_z[j]
-        if j:
+        if i:
             np.logaddexp(acc, z, out=acc)
         else:
             np.copyto(acc, z)
@@ -720,9 +723,16 @@ def _clfdr_table(fits: dict, group_ids, x, sigma, levels):
 
     Each unit is scored under the fit of its group. One walk of
     ``_log_prefix_rows`` per group keeps the rows L_j of the nodes the
-    levels select, j the last node <= mu0 (closed inequality), in a table;
-    then clfdr(mu0) = exp(L_j - L_last), so a level costs one row lookup
-    and the ratio keeps its value where both densities underflow.
+    levels select in a table, j the last positive-weight node <= mu0
+    (closed inequality; the walk skips the others, whose rows are those of
+    the node before them); then clfdr(mu0) = exp(L_j - L_last), so a level
+    costs one row lookup and the ratio keeps its value where both
+    densities underflow. A level below every positive-weight node has
+    clfdr 0.
+
+    The callable returns read-only rows, and the same array for every mu0
+    that falls between the same positive-weight nodes of every group as
+    the previous call's mu0.
     """
     xs = np.asarray(x, dtype=float)
     sg = np.asarray(sigma, dtype=float)
@@ -730,23 +740,29 @@ def _clfdr_table(fits: dict, group_ids, x, sigma, levels):
     tables = []
     for g, fit in fits.items():
         idx = np.flatnonzero(gids == g)
-        nodes = fit.grid.nodes
-        at = np.searchsorted(nodes, levels, side="right") - 1
-        place = {j: i for i, j in enumerate(_distinct(np.sort(at[at >= 0])).tolist())}
-        # This table, at most k x m, sets the peak memory of rvalue.
+        cuts = fit.grid.nodes[fit.weights > 0]
+        at = np.searchsorted(cuts, levels, side="right") - 1
+        place = {c: i for i, c in enumerate(_distinct(np.sort(at[at >= 0])).tolist())}
+        # This table, one row per positive-weight node the levels reach,
+        # sets the peak memory of rvalue.
         L = np.empty((len(place), idx.size))
         if place:
-            for j, row in enumerate(_log_prefix_rows(fit, xs[idx], sg[idx])):
-                if j in place:
-                    L[place[j]] = row
+            for c, row in enumerate(_log_prefix_rows(fit, xs[idx], sg[idx])):
+                if c in place:
+                    L[place[c]] = row
             L -= row
-        tables.append((idx, nodes, place, np.exp(L, out=L)))
+        tables.append((idx, cuts, place, np.exp(L, out=L)))
+
+    cells, out = None, None
 
     def clfdr(mu0: float) -> np.ndarray:
-        out = np.empty(xs.shape, dtype=float)
-        for idx, nodes, place, table in tables:
-            j = int(np.searchsorted(nodes, mu0, side="right")) - 1
-            out[idx] = table[place[j]] if j >= 0 else 0.0
+        nonlocal cells, out
+        at = [int(np.searchsorted(cuts, mu0, side="right")) - 1 for _, cuts, _, _ in tables]
+        if at != cells:
+            cells, out = at, np.empty(xs.shape, dtype=float)
+            for (idx, _, place, table), c in zip(tables, at):
+                out[idx] = table[place[c]] if c >= 0 else 0.0
+            out.flags.writeable = False
         return out
 
     return clfdr

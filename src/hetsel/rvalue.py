@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .selection import select_dd
+from .selection import _prepare_row, _tie_order, _units
 
 __all__ = [
     "RValueTable",
@@ -96,6 +96,10 @@ def _validate_grid(grid, definition):
             raise ValueError("alpha grid must be strictly ascending")
     elif not np.all(d < 0):
         raise ValueError("mu0 grid must be strictly descending")
+    elif not np.isfinite(g).all():
+        # A unit first selected at an infinite level would read as never
+        # selected.
+        raise ValueError("mu0 grid must be finite")
     return g, float(np.max(np.abs(d)))
 
 
@@ -108,6 +112,7 @@ def _scan(m, evaluate, grid, sentinel):
     """
     r = np.full(m, sentinel, dtype=float)
     t_at = np.full(m, -np.inf)
+    unranked = np.ones(m, dtype=bool)
     for point in grid:
         point = float(point)
         out = evaluate(point)
@@ -115,8 +120,9 @@ def _scan(m, evaluate, grid, sentinel):
         sel = np.asarray(sel, dtype=bool)
         if sel.shape != (m,):
             raise ValueError("procedure returned a selection of the wrong length")
-        newly = sel & ~np.isfinite(r)
-        if newly.any():
+        newly = np.flatnonzero(sel & unranked)
+        if newly.size:
+            unranked[newly] = False
             r[newly] = point
             if t is not None:
                 t_at[newly] = np.asarray(t, dtype=float)[newly]
@@ -168,29 +174,41 @@ def rvalue_vary_mu0(m: int, evaluate, mu0_grid) -> RValueTable:
     return _build_table(r, t_at, VARY_MU0, resolution, grid.size)
 
 
-def _replay_dd(x, clfdr, alpha: float, mu0: float):
-    # One scoring pass: the tie-break scores t come from the curve
-    # select_dd already built.
-    curve = select_dd(x, clfdr, alpha, mu0)
-    return curve.decisions, curve.t
-
-
 def dd_alpha_evaluator(x, clfdr, mu0: float):
-    """Replay hook for the step-wise procedure with alpha varying."""
-    xs = np.asarray(x, dtype=float)
-    cl = np.asarray(clfdr, dtype=float)
+    """Replay hook for the step-wise procedure with alpha varying.
+
+    x and clfdr are checked and x's tie order is built once; a replay
+    prepares the row at its alpha and searches the curve."""
+    xs, cl = _units(x, clfdr)
+    order = _tie_order(xs)
 
     def evaluate(alpha: float):
-        return _replay_dd(xs, cl, alpha, mu0)
+        curve = _prepare_row(xs, order, cl, alpha)(mu0)
+        # The tie-break scores t come from the curve the replay built.
+        return curve.decisions, curve.t
 
     return evaluate
 
 
 def dd_mu0_evaluator(x, clfdr_fn, alpha: float):
-    """Replay hook with mu0 varying; ``clfdr_fn(mu0)`` supplies the scores."""
+    """Replay hook with mu0 varying; ``clfdr_fn(mu0)`` supplies the scores.
+
+    x's tie order is built once. The rows ``clfdr_fn`` returns are
+    read-only: a row is checked and prepared when ``clfdr_fn`` returns a
+    different object than at the previous level, and a row returned again
+    is not checked again, so the replay does only the work that depends on
+    mu0. ``deconv._clfdr_table`` returns the same row for every mu0
+    between the same positive-weight nodes."""
     xs = np.asarray(x, dtype=float)
+    order = _tie_order(xs)
+    last, select = None, None
 
     def evaluate(mu0: float):
-        return _replay_dd(xs, np.asarray(clfdr_fn(mu0), dtype=float), alpha, mu0)
+        nonlocal last, select
+        scores = clfdr_fn(mu0)
+        if scores is not last:
+            last, select = scores, _prepare_row(xs, order, _units(xs, scores)[1], alpha)
+        curve = select(mu0)
+        return curve.decisions, curve.t
 
     return evaluate

@@ -80,35 +80,27 @@ def _check_ratio(values, name):
     return v
 
 
-def _masks(xs, cl, mu0: float, alpha: float):
-    # gain: x - mu0 >= 0, compared as x >= mu0, which is the same test
-    # and cannot overflow; cheap: clfdr - alpha <= 0. Both boundaries are
-    # closed towards groups 0 and 2. A NaN input fails its mask.
-    return xs >= mu0, cl - alpha <= 0
-
-
-def _scores(xs, cl, mu0: float, alpha: float) -> np.ndarray:
-    # t = (x - mu0) / (clfdr - alpha) on 1-d arrays of equal length. Where
-    # clfdr equals alpha exactly, t is +inf for x > mu0, -inf for x < mu0
-    # and 0 at x = mu0; where x - mu0 or the quotient overflows, t is its
-    # limit +-inf.
+def _budget(cl, alpha: float):
+    # den = clfdr - alpha, the positions where it is exactly 0, and the
+    # mask cheap: den <= 0. The gain mask is x - mu0 >= 0, compared as
+    # x >= mu0, which is the same test and cannot overflow. Both boundaries
+    # are closed towards groups 0 and 2; a NaN input fails its mask.
     den = cl - alpha
+    return den, np.flatnonzero(den == 0.0), den <= 0
+
+
+def _scores(xs, mu0: float, den, zero) -> np.ndarray:
+    # t = (x - mu0) / (clfdr - alpha) on 1-d arrays of equal length, from
+    # den and its zeros as _budget gives them. Where clfdr equals alpha
+    # exactly, t is +inf for x > mu0, -inf for x < mu0 and 0 at x = mu0;
+    # where x - mu0 or the quotient overflows, t is its limit +-inf.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         num = xs - mu0
         t = num / den
-    zero = np.flatnonzero(den == 0.0)
     if zero.size:
         num = num[zero]
         t[zero] = np.where(num > 0, np.inf, np.where(num < 0, -np.inf, 0.0))
     return t
-
-
-def _ordered(indices, t, x, descending_t: bool):
-    # Ties in the score break towards larger x (the quantity the power
-    # metric rewards), then towards earlier input position.
-    key_t = -t[indices] if descending_t else t[indices]
-    order = np.lexsort((indices, -x[indices], key_t))
-    return indices[order]
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,9 +155,8 @@ class SelectionCurve:
         return _trace(self)
 
 
-def _units(x, clfdr, alpha: float):
+def _units(x, clfdr):
     """x and clfdr as checked float arrays, 1-d and of equal length."""
-    _check_alpha(alpha)
     xs = np.asarray(x, dtype=float)
     cl = _check_ratio(clfdr, "clfdr")
     if xs.shape != cl.shape or xs.ndim != 1:
@@ -191,14 +182,68 @@ def select_dd(x, clfdr, alpha: float, mu0: float) -> SelectionCurve:
     stop. It stops at the first b where group 1 is used up (checked first)
     or where buying the next group-2 unit would strictly lower the modified
     power, whichever comes first; otherwise at b = n2.
-    """
-    xs, cl = _units(x, clfdr, alpha)
-    t = _scores(xs, cl, mu0, alpha)
-    gain, cheap = _masks(xs, cl, mu0, alpha)
 
-    g0 = np.flatnonzero(gain & cheap)
-    g1 = _ordered(np.flatnonzero(gain & ~cheap), t, xs, descending_t=True)
-    g2 = _ordered(np.flatnonzero(cheap & ~gain), t, xs, descending_t=False)
+    Scores tie towards larger x (the quantity the power metric rewards),
+    then towards earlier input position. A lone call puts only the units
+    of groups 1 and 2 in that order; the r-value scans order all units once
+    and replay through ``_prepare_row``.
+    """
+    _check_alpha(alpha)
+    xs, cl = _units(x, clfdr)
+    den, zero, cheap = _budget(cl, alpha)
+    gain = xs >= mu0
+    pair = np.flatnonzero(gain != cheap)
+    pair = pair[np.argsort(-xs[pair], kind="stable")]
+    in_g1 = gain[pair]
+    return _curve(xs, cl, alpha, mu0, den, zero, np.flatnonzero(gain & cheap),
+                  pair[in_g1], pair[~in_g1])
+
+
+def _tie_order(xs):
+    """All positions by descending x, then ascending position, with their
+    -x: the tie order of both score orders, which depends on x only."""
+    keys = -xs
+    order = np.argsort(keys, kind="stable")
+    return order, keys[order]
+
+
+def _prepare_row(xs, tie_order, cl, alpha: float):
+    """Does once the work of a replay that depends on x and the clfdr row
+    ``cl`` but not on mu0: the budget terms of ``_budget``, and the cheap
+    and dear units in tie order with their -x, so that the units with
+    x >= mu0 lead both lists at every mu0. ``xs`` and ``cl`` come checked
+    from ``_units``, and ``tie_order`` from ``_tie_order(xs)``.
+
+    Returns ``select(mu0)``, the curve of ``select_dd`` at mu0 bit for bit:
+    group 1 is a prefix of the dear units and group 2 the cheap units past
+    the group-0 prefix, both found by bisection on -x.
+    """
+    _check_alpha(alpha)
+    den, zero, cheap = _budget(cl, alpha)
+    order, keys = tie_order
+    in_cheap = cheap[order]
+    cheap_units, cheap_keys = order[in_cheap], keys[in_cheap]
+    dear_units, dear_keys = order[~in_cheap], keys[~in_cheap]
+
+    def select(mu0: float) -> SelectionCurve:
+        k_dear = int(np.searchsorted(dear_keys, -mu0, side="right"))
+        k_cheap = int(np.searchsorted(cheap_keys, -mu0, side="right"))
+        g0 = np.flatnonzero((xs >= mu0) & cheap)
+        return _curve(xs, cl, alpha, mu0, den, zero, g0,
+                      dear_units[:k_dear], cheap_units[k_cheap:])
+
+    return select
+
+
+def _curve(xs, cl, alpha: float, mu0: float, den, zero, g0, g1, g2) -> SelectionCurve:
+    """The curve search of ``select_dd``, given groups 1 and 2 in tie order;
+    a stable sort on t keeps that order among equal scores."""
+    if math.isnan(mu0):
+        # The bisections of _prepare_row would not see that no unit gains.
+        raise ValueError("mu0 must not be NaN")
+    t = _scores(xs, mu0, den, zero)
+    g1 = g1[np.argsort(-t[g1], kind="stable")]
+    g2 = g2[np.argsort(t[g2], kind="stable")]
     n1, n2 = g1.size, g2.size
 
     cap0 = float(np.sum(alpha - cl[g0]))
@@ -374,8 +419,10 @@ def select_oracle(x, clfdr, thresholds: ThresholdPair, alpha: float, mu0: float)
     unit whose score equals the cutoff is not selected. x and clfdr must
     be one-dimensional and of equal length.
     """
-    xs, cl = _units(x, clfdr, alpha)
-    t = _scores(xs, cl, mu0, alpha)
-    gain, cheap = _masks(xs, cl, mu0, alpha)
+    _check_alpha(alpha)
+    xs, cl = _units(x, clfdr)
+    den, zero, cheap = _budget(cl, alpha)
+    t = _scores(xs, mu0, den, zero)
+    gain = xs >= mu0
     sel = gain & (cheap | (t > thresholds.t1)) | cheap & ~gain & (t < thresholds.t2)
     return sel.astype(np.int8)

@@ -156,6 +156,53 @@ def score_arrays_where(x, clfdr, mu0, alpha):
     return np.where(zero, np.where(num > 0, np.inf, np.where(num < 0, -np.inf, 0.0)), num / safe)
 
 
+def ordered_reference(indices, t, x, descending_t: bool):
+    """Reference for the order of groups 1 and 2 in ``SelectionCurve``:
+    one 3-key ``lexsort`` by t (descending for group 1), then by larger x,
+    then by earlier position."""
+    key_t = -t[indices] if descending_t else t[indices]
+    return indices[np.lexsort((indices, -x[indices], key_t))]
+
+
+def stepwise_reference(x, clfdr, alpha, mu0):
+    """The step-wise rule move by move in Python on the groups of the
+    ``np.select`` / ``np.where`` / ``lexsort`` references; returns
+    (g0, g1, g2, t, decisions). Each purchase of a group-2 unit is kept
+    unless the refilled selection has strictly less modified power; the
+    budget and power after b purchases are the same sums the curve
+    compares, so the decisions match bit for bit."""
+    x = np.asarray(x, dtype=float)
+    cl = np.asarray(clfdr, dtype=float)
+    t = score_arrays_where(x, cl, mu0, alpha)
+    labels = classify_groups_select(x, cl, mu0, alpha)
+    g0 = np.flatnonzero(labels == 0)
+    g1 = ordered_reference(np.flatnonzero(labels == 1), t, x, descending_t=True)
+    g2 = ordered_reference(np.flatnonzero(labels == 2), t, x, descending_t=False)
+    cap0, etp0 = float(np.sum(alpha - cl[g0])), float(np.sum(x[g0] - mu0))
+    cost1, power1 = np.cumsum(cl[g1] - alpha).tolist(), np.cumsum(x[g1] - mu0).tolist()
+    gain2, loss2 = np.cumsum(alpha - cl[g2]).tolist(), np.cumsum(x[g2] - mu0).tolist()
+
+    def refill(b):
+        cap = cap0 + (gain2[b - 1] if b else 0.0)
+        a = 0
+        while a < len(g1) and cost1[a] <= cap:
+            a += 1
+        return a, etp0 + (loss2[b - 1] if b else 0.0) + (power1[a - 1] if a else 0.0)
+
+    b = 0
+    a, etp = refill(0)
+    while a < len(g1) and b < len(g2):
+        a_next, etp_next = refill(b + 1)
+        if etp_next < etp:
+            break
+        b, a, etp = b + 1, a_next, etp_next
+    decisions = np.zeros(x.size, dtype=np.int8)
+    decisions[g0] = 1
+    decisions[g1[:a]] = 1
+    decisions[g2[:b]] = 1
+    return g0, g1, g2, t, decisions
+
+
 def enumerate_prefix_best(x, clfdr, alpha, mu0, tol=1e-12):
     """Exhaustive maximum of sum(x - mu0) over feasible prefix selections.
 

@@ -584,6 +584,24 @@ class TestStreamedClfdr:
                 want = ref[j] if j >= 0 else np.zeros(idx.size)
                 assert np.array_equal(table(mu0)[idx], want), (g, mu0)
 
+    def test_zero_weight_nodes_share_the_row_before_them(self):
+        # Group 0's node 3 weighs 0, so its prefix row is node 2's, bit for
+        # bit; the levels from node 2 up to node 4 (all below group 1's
+        # first node) get one read-only row, node 4 a new one.
+        fits, groups, x, sigma = self._case()
+        n0 = fits[0].grid.nodes
+        idx = np.flatnonzero(groups == 0)
+        ref = _accumulated_table(fits[0], x[idx], sigma[idx])
+        assert np.array_equal(ref[3], ref[2]) and not np.array_equal(ref[4], ref[2])
+        mu0s = [float(n0[2]), float(n0[3]), (n0[3] + n0[4]) / 2, float(n0[4])]
+        assert mu0s[-1] < fits[1].grid.nodes[0]
+        table = _clfdr_table(fits, groups, x, sigma, mu0s)
+        rows = [table(mu0) for mu0 in mu0s]
+        assert rows[0] is rows[1] is rows[2] and rows[3] is not rows[2]
+        assert not rows[0].flags.writeable and not rows[3].flags.writeable
+        assert np.array_equal(rows[0][idx], ref[2]) and np.array_equal(rows[3][idx], ref[4])
+        assert np.all(rows[0][groups == 1] == 0.0)
+
     def test_far_units_take_their_limits(self):
         fits, groups, x, sigma = self._case()
         got = clfdr_by_group(fits, groups, x, sigma, 0.0)

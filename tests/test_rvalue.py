@@ -13,12 +13,15 @@ from hetsel import (
     dd_mu0_evaluator,
     default_alpha_grid,
     default_mu0_grid,
+    fit_prior_by_group,
     oracle_clfdr,
     rvalue_vary_alpha,
     rvalue_vary_mu0,
+    select_dd,
     zvalue_pvalue,
 )
-from hetsel.cli import RunConfig, _write_rvalues
+from hetsel.cli import RunConfig, _group_ids, _write_rvalues
+from hetsel.deconv import _clfdr_table
 
 TWO_INTERVAL = TruePrior.uniform_mixture([(0.8, -3.0, -1.0), (0.2, 1.0, 2.0)])
 
@@ -143,6 +146,8 @@ class TestVaryMu0:
     def test_descending_grid_required(self):
         with pytest.raises(ValueError):
             rvalue_vary_mu0(1, lambda m: np.array([True]), [0.0, 1.0])
+        with pytest.raises(ValueError, match="mu0 grid must be finite"):
+            rvalue_vary_mu0(1, lambda m: np.array([True]), [math.inf, 0.0])
 
     def test_default_grid_rejects_an_overflowing_span(self):
         # x from -1e308 to 1e308 spans more than the float range; the error
@@ -180,6 +185,77 @@ class TestVaryMu0:
         top_r = np.argsort(np.where(np.isnan(rp), 2.0, rp))[:20]
         top_p = np.argsort(p)[:20]
         assert x[top_r].mean() > x[top_p].mean()
+
+
+def _scan_reference(x, clfdr_fn, alpha, grid):
+    """(r, r_prime, tied) of the mu0 scan by a per-point loop of ``select_dd``
+    on a fresh copy of each clfdr row: first selection in grid order, ranks
+    by descending r, then larger t at the first selection, then position."""
+    m = x.size
+    r, t_at = np.full(m, -np.inf), np.full(m, -np.inf)
+    for mu0 in grid.tolist():
+        curve = select_dd(x, np.array(clfdr_fn(mu0)), alpha, mu0)
+        newly = (curve.decisions == 1) & ~np.isfinite(r)
+        r[newly], t_at[newly] = mu0, curve.t[newly]
+    ranked = sorted(np.flatnonzero(np.isfinite(r)).tolist(), key=lambda i: (-r[i], -t_at[i], i))
+    r_prime = np.full(m, np.nan)
+    r_prime[ranked] = np.arange(1, len(ranked) + 1) / m
+    values, counts = np.unique(r[np.isfinite(r)], return_counts=True)
+    tied = np.isin(r, values[counts > 1])
+    return r, r_prime, tied
+
+
+class TestSharedReplays:
+    """The mu0 scan sorts x once and prepares a clfdr row only when the row
+    changes; it must rank as a loop of lone ``select_dd`` calls does."""
+
+    def _split_case(self, seed=4, m=1500):
+        x, sigma = _instance(seed, m)
+        groups = _group_ids(sigma, (1.5,))
+        fits = fit_prior_by_group(x, sigma, groups, k=30)
+        grid = default_mu0_grid(x, 120)
+        return x, _clfdr_table(fits, groups, x, sigma, grid), grid
+
+    def test_scan_equals_a_per_point_loop(self):
+        x, clfdr_fn, grid = self._split_case()
+        rows = [clfdr_fn(mu0) for mu0 in grid.tolist()]
+        # Rows are shared inside a cell and change when either group's cell
+        # does; no caller can write into a shared row.
+        distinct = len({id(row) for row in rows})
+        assert 2 < distinct < len(rows)
+        assert not rows[0].flags.writeable
+        table = rvalue_vary_mu0(x.size, dd_mu0_evaluator(x, clfdr_fn, 0.1), grid)
+        r, r_prime, tied = _scan_reference(x, clfdr_fn, 0.1, grid)
+        assert np.isfinite(r).sum() > 100 and tied.any()
+        assert np.array_equal(table.r.view(np.int64), r.view(np.int64))
+        assert np.array_equal(table.r_prime, r_prime, equal_nan=True)
+        assert np.array_equal(table.tied, tied)
+
+    @pytest.mark.parametrize("bad", [math.nan, 1.5])
+    @pytest.mark.parametrize("at", [0, 7])
+    def test_a_new_row_out_of_range_raises(self, bad, at):
+        x, clfdr_fn, grid = self._split_case(m=300)
+        calls = []
+
+        def spoiled(mu0):
+            calls.append(mu0)
+            row = clfdr_fn(mu0)
+            if len(calls) <= at:
+                return row
+            row = np.array(row)
+            row[5] = bad
+            return row
+
+        with pytest.raises(ValueError, match=r"clfdr must lie in \[0, 1\]"):
+            rvalue_vary_mu0(x.size, dd_mu0_evaluator(x, spoiled, 0.1), grid)
+        assert len(calls) == at + 1
+
+    def test_alpha_hook_checks_clfdr_when_built(self):
+        x, _ = _instance(3, 50)
+        cl = np.full(50, 0.2)
+        cl[3] = 1.5
+        with pytest.raises(ValueError, match=r"clfdr must lie in \[0, 1\]"):
+            dd_alpha_evaluator(x, cl, 0.0)
 
 
 def _output_tables():

@@ -17,6 +17,7 @@ from conftest import (
     score_arrays_where,
     stepup_bh_reference,
     stepup_clfdr_reference,
+    stepwise_reference,
     trace_reference,
     trace_steps,
 )
@@ -34,6 +35,7 @@ from hetsel import (
     select_dd,
     select_oracle,
 )
+from hetsel.selection import _prepare_row, _tie_order, _units
 from hetsel.sim import CorrelatedTwoGroup, TwoComponent, UniformIndep, joint_model
 
 # The three built-in designs at their default mu0 (and the uniform one at
@@ -105,19 +107,22 @@ class TestScore:
 
 
 def _assert_replay_matches_references(x, cl, mu0, alpha):
-    """Labels, t and the ordered groups of one replay equal those of the
-    np.select / np.where references, bit for bit."""
+    """Labels, t and the ordered groups of one replay, lone and on a shared
+    tie order, equal those of the np.select / np.where references, bit for
+    bit."""
     labels = classify_groups_select(x, cl, mu0, alpha)
     t = score_arrays_where(x, cl, mu0, alpha)
-    curve = select_dd(x, cl, alpha, mu0)
-    got_labels = curve.group
-    assert got_labels.dtype == np.int8 and np.array_equal(got_labels, labels)
-    assert np.array_equal(curve.t, t) and np.array_equal(np.signbit(curve.t), np.signbit(t))
     g1 = sorted(np.flatnonzero(labels == 1), key=lambda i: (-t[i], -x[i], i))
     g2 = sorted(np.flatnonzero(labels == 2), key=lambda i: (t[i], -x[i], i))
-    assert np.array_equal(curve.g0, np.flatnonzero(labels == 0))
-    assert np.array_equal(curve.g1, np.array(g1, dtype=int))
-    assert np.array_equal(curve.g2, np.array(g2, dtype=int))
+    xs, cls = _units(x, cl)
+    shared = _prepare_row(xs, _tie_order(xs), cls, alpha)(mu0)
+    for curve in (select_dd(x, cl, alpha, mu0), shared):
+        got_labels = curve.group
+        assert got_labels.dtype == np.int8 and np.array_equal(got_labels, labels)
+        assert np.array_equal(curve.t, t) and np.array_equal(np.signbit(curve.t), np.signbit(t))
+        assert np.array_equal(curve.g0, np.flatnonzero(labels == 0))
+        assert np.array_equal(curve.g1, np.array(g1, dtype=int))
+        assert np.array_equal(curve.g2, np.array(g2, dtype=int))
 
 
 class TestReplayReferences:
@@ -144,6 +149,57 @@ class TestReplayReferences:
             cl = model.clfdr(x, sigma, group, mu0)
             cl[k::97] = alpha  # clfdr == alpha on both sides of mu0
             _assert_replay_matches_references(x, cl, mu0, alpha)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestTieOrder:
+    """A lone call orders only groups 1 and 2; the r-value replays share
+    one tie order of x and one prepared row per clfdr. Both must give the
+    groups, scores and decisions of the ``lexsort`` reference bit for bit,
+    also where x, t and clfdr tie."""
+
+    @staticmethod
+    def _instance(seed, m=400):
+        rng = np.random.default_rng(seed)
+        x = np.round(rng.normal(0.0, 1.5, m), 1)
+        x[rng.random(m) < 0.1] = 0.0
+        x[rng.random(m) < 0.1] = -0.0
+        cl = np.round(rng.random(m), 1)  # 0.0, 0.1 (= alpha), ..., 1.0
+        cl[rng.random(m) < 0.05] = 0.3
+        return x, cl
+
+    def _assert_reference(self, curve, x, cl, alpha, mu0):
+        g0, g1, g2, t, decisions = stepwise_reference(x, cl, alpha, mu0)
+        assert np.array_equal(curve.g0, g0)
+        assert np.array_equal(curve.g1, g1) and np.array_equal(curve.g2, g2)
+        assert np.array_equal(_bits(curve.t), _bits(t))
+        assert np.array_equal(curve.decisions, decisions)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lone_and_replayed_calls_equal_the_reference(self, seed):
+        x, cl = self._instance(seed)
+        order = _tie_order(x)
+        levels = [0.0, -0.0, 0.1, -0.1, 1.5, -2.0, *x[:6].tolist()]
+        sentinels = 0
+        for alpha in (0.1, 0.3):
+            select = _prepare_row(x, order, _units(x, cl)[1], alpha)
+            for mu0 in levels:
+                lone = select_dd(x, cl, alpha, mu0)
+                sentinels += int(np.sum(np.isinf(lone.t) | (lone.t == 0.0)))
+                self._assert_reference(lone, x, cl, alpha, mu0)
+                self._assert_reference(select(mu0), x, cl, alpha, mu0)
+        # The instances exercise both +-inf and +-0 scores.
+        assert sentinels > 100
+
+    def test_nan_mu0_is_rejected(self):
+        x, cl = self._instance(0, 20)
+        select = _prepare_row(x, _tie_order(x), cl, 0.1)
+        for call in (lambda: select_dd(x, cl, 0.1, math.nan), lambda: select(math.nan)):
+            with pytest.raises(ValueError, match="mu0 must not be NaN"):
+                call()
 
 
 class TestSelectDD:
