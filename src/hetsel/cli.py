@@ -29,7 +29,6 @@ import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from itertools import compress, islice, repeat
-from json.encoder import encode_basestring_ascii
 
 # One BLAS thread per process, set before numpy loads OpenBLAS: simulate
 # runs its replicates in forked processes, and two processes with two
@@ -55,9 +54,8 @@ __all__ = [
 ]
 
 _DIRECT_HEADER = ["id", "x", "sigma"]
-# Lines per block of read_records, and rows per block of _write_csv and of
-# _write_json's per-unit rows: the text of one block stays small at any
-# number of units.
+# Lines per block of read_records, and rows per block of _write_csv: the
+# text of one block stays small at any number of units.
 _BLOCK_LINES = 4096
 _AYP_HEADER = ["id", "y", "y_prime", "n", "n_prime"]
 _PRIOR_FIT_SCHEMA = "hetsel/prior-fit/v2"
@@ -292,49 +290,12 @@ def _envelope(kind: str, config: RunConfig, extra: dict | None = None) -> dict:
     return doc
 
 
-class _Rows:
-    """Per-unit rows of an artifact: a JSON list of objects that share
-    their keys, given as columns of ready JSON text. ``cells`` maps each
-    key to one text per object. ``_write_json`` takes it only as a value
-    of a top-level dict."""
-
-    def __init__(self, cells: dict):
-        self.cells = cells
-
-
 def _write_json(path, doc):
-    """Writes ``doc`` byte for byte as ``json.dump(doc, fh, indent=2,
-    sort_keys=True)`` followed by a newline, each ``_Rows`` value of a
-    top-level dict as the list of objects it holds.
-
-    ``json.dumps`` writes the document with ``[]`` for each ``_Rows``
-    value. That value's line, ``"\\n  " + key + ": []"``, is unique: the
-    top-level keys are unique, deeper keys sit further in, and no JSON
-    string holds a raw newline. The rows are streamed there.
-    """
-    per_unit = {}
-    if isinstance(doc, dict):
-        per_unit = {k: v.cells for k, v in doc.items() if isinstance(v, _Rows)}
-    text = json.dumps({**doc, **dict.fromkeys(per_unit, [])} if per_unit else doc,
-                      indent=2, sort_keys=True)
-    out: list = []
-    for name, cells in sorted(per_unit.items()):
-        head, mark, text = text.partition("\n  " + encode_basestring_ascii(name) + ": []")
-        out.append(head + mark[:-2])
-        keys = sorted(cells)
-        row = "{" + ",".join(
-            "\n      " + encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys
-        ) + "\n    }"
-        rows = map(row.__mod__, zip(*(cells[k] for k in keys)))
-        sep = "[\n    "
-        # Blocks of rows, so no one string holds the whole list.
-        while block := list(islice(rows, _BLOCK_LINES)):
-            out.append(sep + ",\n    ".join(block))
-            sep = ",\n    "
-        out.append("[]" if sep[0] == "[" else "\n  ]")
-    out.append(text + "\n")
+    """Writes ``doc`` as ``json.dump(doc, fh, indent=2, sort_keys=True)``
+    followed by a newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(out)
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _text(values, missing=None) -> list:
@@ -343,17 +304,6 @@ def _text(values, missing=None) -> list:
     if missing is not None:
         for i in np.flatnonzero(missing).tolist():
             out[i] = ""
-    return out
-
-
-_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_floats(values) -> list:
-    """JSON text of each float in ``values``, as ``json.dump`` writes it."""
-    out = _text(values)
-    for i in np.flatnonzero(~np.isfinite(values)).tolist():
-        out[i] = _JSON_NON_FINITE[out[i]]
     return out
 
 
@@ -471,24 +421,22 @@ def _cmd_select(config: RunConfig) -> int:
         },
     )
     _write_json(os.path.join(config.output, "summary.json"), summary)
-    trace = dd.trace_columns
-    units = list(map(int.__repr__, trace["unit"].tolist()))
-    for i in np.flatnonzero(trace["unit"] < 0).tolist():
-        units[i] = "null"
     result = {
-        "selected_ids": list(compress(ids, dd.decisions.tolist())),
         "etp_star": dd_power,
         "capacity": float(-np.sum(clfdr[selected] - config.alpha)) if selected.size else 0.0,
-        "trace": _Rows({
-            "step": list(map(encode_basestring_ascii, trace["step"])),
-            "unit": units,
-            "etp_star": _json_floats(trace["etp_star"]),
-            "capacity": _json_floats(trace["capacity"]),
-        }),
     }
     _write_json(
         os.path.join(config.output, "selection_result.json"),
         _envelope("selection-result", config, result),
+    )
+    trace = dd.trace_columns
+    unit = trace["unit"]
+    _write_csv(
+        os.path.join(config.output, "trace.csv"),
+        ["step", "unit", "etp_star", "capacity"],
+        # A checkpoint (unit -1) has an empty unit cell.
+        [trace["step"], np.where(unit < 0, "", unit.astype(str)).tolist(),
+         _text(trace["etp_star"]), _text(trace["capacity"])],
     )
     return 0
 
@@ -526,43 +474,37 @@ def _cmd_rvalue(config: RunConfig) -> int:
 
 def _write_rvalues(config: RunConfig, ids, x, sigma, table):
     """Writes the units ``ids``, ``x`` and ``sigma`` with their r-values from
-    ``table`` as ``rvalues.csv`` and ``rvalues.json`` into ``config.output``.
+    ``table`` as ``rvalues.csv``, one row per unit, and the scan's metadata
+    as ``rvalues.json``, into ``config.output``.
 
-    Both files carry each float as the same ``repr`` text, encoded once; a
-    missing value (r infinite for a unit never selected, r_prime NaN) is an
-    empty CSV cell and a JSON null. The ids must be strings, as
-    ``read_records`` returns them.
+    Each float is its ``repr`` text; a missing value (r infinite for a unit
+    never selected, r_prime NaN) is an empty cell. The ids must be strings,
+    as ``read_records`` returns them. ``table.tied`` is not a column: a unit
+    is tied iff its r cell is non-empty and appears in another row.
+    ``rvalues.json`` counts the distinct finite r (``n_distinct_r``) and
+    the units that share the most common one (``largest_tie``, 0 when no
+    unit is ranked).
     """
-    x, sigma = _text(x), _text(sigma)
-    # r takes at most n_grid finite values: each distinct bit pattern is
-    # encoded once.
-    bits, inverse = np.unique(table.r.view(np.int64), return_inverse=True)
+    # Each r is a point of a strictly monotone grid, so its bit pattern is
+    # its value: each distinct one is encoded and counted once.
+    bits, inverse, counts = np.unique(table.r.view(np.int64), return_inverse=True,
+                                      return_counts=True)
     values = bits.view(float)
-    distinct = _text(values, ~np.isfinite(values))
-    r = np.array(distinct, dtype=object)[inverse]
-    r_json = np.array([v or "null" for v in distinct], dtype=object)[inverse]
-    r_prime = np.array(_text(table.r_prime), dtype=object)
-    missing = np.isnan(table.r_prime)
+    ranked = np.isfinite(values)
+    r = np.array(_text(values, ~ranked), dtype=object)[inverse]
     m = len(ids)
     _write_csv(
         os.path.join(config.output, "rvalues.csv"),
         ["id", "x", "sigma", "r", "r_prime", "definition", "grid_resolution"],
-        [ids, x, sigma, r.tolist(), np.where(missing, "", r_prime).tolist(),
+        [ids, _text(x), _text(sigma), r.tolist(), _text(table.r_prime, np.isnan(table.r_prime)),
          [table.definition] * m, [repr(table.grid_resolution)] * m],
     )
-    cells = {
-        "id": list(map(encode_basestring_ascii, ids)),
-        "x": x,
-        "sigma": sigma,
-        "r": r_json.tolist(),
-        "r_prime": np.where(missing, "null", r_prime).tolist(),
-        "tied": np.where(table.tied, "true", "false").tolist(),
-    }
     doc = {
         "definition": table.definition,
         "grid_resolution": table.grid_resolution,
         "n_grid": table.n_grid,
-        "entries": _Rows(cells),
+        "n_distinct_r": int(ranked.sum()),
+        "largest_tie": int(counts[ranked].max(initial=0)),
     }
     _write_json(os.path.join(config.output, "rvalues.json"), _envelope("rvalues", config, doc))
 

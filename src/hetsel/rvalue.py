@@ -43,15 +43,18 @@ class RValueTable:
     the units' input order, plus the scan's metadata: the varied parameter
     ``definition``, the grid's largest step ``grid_resolution`` and its
     size ``n_grid``. The table holds only what the scan computed and knows
-    no file format; ``hetsel.cli`` writes it, next to the units' ids, x
-    and sigma, as ``rvalues.csv`` and ``rvalues.json``.
+    no file format; ``hetsel.cli`` writes its columns, next to the units'
+    ids, x and sigma, as ``rvalues.csv`` and its metadata as
+    ``rvalues.json``.
 
     ``r`` is +inf (vary-alpha) or -inf (vary-mu0) for units never selected
     on the grid; those units carry no rank (``r_prime`` is NaN). ``tied``
-    flags units sharing their r-value with another unit, where the rank
-    order fell back to the tie-break: larger score t at the grid point of
-    first selection, then input position. Ties are broken on t, not on
-    s = tanh(t), whose values collide long before t does.
+    flags units sharing their finite r-value with another unit, where the
+    rank order fell back to the tie-break: larger score t at the grid
+    point of first selection, then input position. Ties are broken on t,
+    not on s = tanh(t), whose values collide long before t does. It is not
+    written: a unit is tied iff its ``r`` cell in ``rvalues.csv`` is
+    non-empty and appears in another row.
     """
 
     definition: str

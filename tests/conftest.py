@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import os
+from collections import Counter
 
 import numpy as np
 from scipy.special import expit, log_ndtr
@@ -396,35 +397,32 @@ def write_json_reference(path, doc):
 
 def write_rvalues_reference(config, ids, x, sigma, table):
     """Reference for ``rvalues.csv`` and ``rvalues.json`` in ``config.output``:
-    ``csv.writer`` over repr cells, and ``json.dump`` of the envelope around
-    one entry dict per unit, None where r is infinite or r_prime is NaN."""
-    entries = [
-        {"id": uid, "x": xv, "sigma": sg, "r": rv if math.isfinite(rv) else None,
-         "r_prime": None if math.isnan(rp) else rp, "tied": tied}
-        for uid, xv, sg, rv, rp, tied in zip(
-            ids, np.asarray(x, dtype=float).tolist(), np.asarray(sigma, dtype=float).tolist(),
-            table.r.tolist(), table.r_prime.tolist(), table.tied.tolist(),
-        )
-    ]
+    ``csv.writer`` over repr cells, empty where r is infinite or r_prime is
+    NaN, and ``json.dump`` of the envelope around the scan's metadata and
+    the counts of the finite r."""
+    finite = Counter(v for v in table.r.tolist() if math.isfinite(v))
     doc = _envelope("rvalues", config, {
         "schema": "hetsel/rvalues/v1",
         "definition": table.definition,
         "grid_resolution": table.grid_resolution,
         "n_grid": table.n_grid,
-        "entries": entries,
+        "n_distinct_r": len(finite),
+        "largest_tie": max(finite.values(), default=0),
     })
 
     def cell(v):
-        return "" if v is None else repr(v)
+        return repr(v) if math.isfinite(v) else ""
 
     resolution = repr(table.grid_resolution)
     with open(os.path.join(config.output, "rvalues.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "x", "sigma", "r", "r_prime", "definition", "grid_resolution"])
         writer.writerows(
-            [e["id"], repr(e["x"]), repr(e["sigma"]), cell(e["r"]), cell(e["r_prime"]),
-             table.definition, resolution]
-            for e in doc["entries"]
+            [uid, repr(xv), repr(sg), cell(rv), cell(rp), table.definition, resolution]
+            for uid, xv, sg, rv, rp in zip(
+                ids, np.asarray(x, dtype=float).tolist(), np.asarray(sigma, dtype=float).tolist(),
+                table.r.tolist(), table.r_prime.tolist(),
+            )
         )
     write_json_reference(os.path.join(config.output, "rvalues.json"), doc)
 

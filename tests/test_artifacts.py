@@ -14,7 +14,7 @@ import pytest
 
 from conftest import write_json_reference
 from hetsel import SimDesign, TwoComponent, run_replications
-from hetsel.cli import _Rows, _write_csv, _write_json, main
+from hetsel.cli import _write_csv, _write_json, main
 
 
 class _Level(IntEnum):
@@ -80,26 +80,6 @@ def test_emitter_takes_only_string_keys(key, tmp_path):
         return
     _write_json(tmp_path / "new.json", doc)
     write_json_reference(tmp_path / "ref.json", doc)
-    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
-
-
-@pytest.mark.parametrize("n_rows", [0, 1, 3, 4097])
-def test_rows_match_a_list_of_objects(n_rows, tmp_path):
-    # _Rows writes pre-encoded cells as the list of objects they encode,
-    # as a value of the top-level dict, one or more per document, among
-    # other keys; a % in a key or a cell is written as is.
-    rows = [
-        {"id": f'u"{i}é', "x": 0.1 * i - 1.0, "r": None if i % 2 else math.inf,
-         "ok": i == 1, "%s": "100%"}
-        for i in range(n_rows)
-    ]
-    keys = ["id", "x", "r", "ok", "%s"]
-    cells = {k: [json.dumps(row[k]) for row in rows] for k in keys}
-    new = {"schema": "s", "entries": _Rows(cells), "deep": {"more": [[]]},
-           "trace": _Rows(cells)}
-    ref = {"schema": "s", "entries": rows, "deep": {"more": [[]]}, "trace": rows}
-    _write_json(tmp_path / "new.json", new)
-    write_json_reference(tmp_path / "ref.json", ref)
     assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
 

@@ -15,7 +15,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import hetsel.cli as cli_module
-from conftest import read_records_reference
+from conftest import read_records_reference, trace_steps
 from hetsel import __version__, fit_prior, select_dd
 from hetsel.cli import ayp_standard_error, main, read_records, trim_by_se_percentile
 
@@ -241,10 +241,15 @@ class TestSelectCommand:
         assert set(summary["modified_power"]) == {"dd", "clfdr_stepup", "bh"}
         result = json.loads((out / "selection_result.json").read_text())
         assert result["schema"] == "hetsel/selection-result/v1"
-        csv_selected = {
-            uid for uid, flag in zip(ids, _selected_flags(out / "selection.csv")) if flag
-        }
-        assert set(result["selected_ids"]) == csv_selected
+        assert set(result) - {"schema", "tool", "config"} == {"etp_star", "capacity"}
+        # The selected units are the rows selection.csv marks, and each is
+        # added (and not rolled back) in trace.csv.
+        csv_selected = {i for i, flag in enumerate(_selected_flags(out / "selection.csv")) if flag}
+        with open(out / "trace.csv", newline="") as fh:
+            steps = [(row["step"], row["unit"]) for row in csv.DictReader(fh)]
+        added = {int(u) for step, u in steps if step.startswith(("seed", "add"))}
+        undone = {int(u) for step, u in steps if step.startswith("rollback")}
+        assert added - undone == csv_selected
         # The s and group columns are those of a fresh scoring of the
         # written clfdr column.
         with open(out / "selection.csv", newline="") as fh:
@@ -279,8 +284,40 @@ class TestSelectCommand:
         args = ["select", "--input", str(direct_csv), "--alpha", "0.1", "--mu0", "0"]
         assert main(args + ["--output", str(tmp_path / "a")]) == 0
         assert main(args + ["--output", str(tmp_path / "b")]) == 0
-        for name in ("selection.csv", "summary.json", "selection_result.json"):
+        for name in ("selection.csv", "summary.json", "selection_result.json", "trace.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_trace_csv_is_the_curve_trace(self, direct_csv, tmp_path):
+        # trace.csv holds the curve's trace row for row, an empty unit cell
+        # at each checkpoint, each float as the repr float() reads back. A
+        # far unit with mu0 near the float range makes the running power
+        # +inf.
+        with open(direct_csv, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        far = tmp_path / "far.csv"
+        _write_direct_csv(far, [[f"{uid}-{c}", x, sigma] for c in range(8)
+                                for uid, x, sigma in rows] + [["far", "1e308", "1.0"]])
+        for path, mu0 in ((direct_csv, 0.5), (far, -1e305)):
+            out = tmp_path / f"out{mu0}"
+            assert main(["select", "--input", str(path), "--output", str(out),
+                         f"--mu0={mu0!r}"]) == 0
+            with open(out / "selection.csv", newline="") as fh:
+                units = list(csv.DictReader(fh))
+            x = np.array([float(r["x"]) for r in units])
+            clfdr = np.array([float(r["clfdr"]) for r in units])
+            want = trace_steps(select_dd(x, clfdr, 0.1, mu0))
+            with open(out / "trace.csv", newline="") as fh:
+                header, *cells = list(csv.reader(fh))
+            assert header == ["step", "unit", "etp_star", "capacity"]
+            got = [{"step": step, "unit": int(unit) if unit else None,
+                    "etp_star": float(etp), "capacity": float(cap)}
+                   for step, unit, etp, cap in cells]
+            assert len(got) == len(want) and any(row["unit"] is None for row in got)
+            for g, w in zip(got, want):
+                # NaN is the one value not equal to itself.
+                assert all(g[k] == w[k] or math.isnan(g[k]) and math.isnan(w[k]) for k in g), g
+            finite = np.isfinite([row["etp_star"] for row in got])
+            assert finite.all() == (mu0 == 0.5)
 
     def test_fit_block_matches_fit_prior(self, direct_csv, tmp_path):
         out = tmp_path / "out"
@@ -581,10 +618,11 @@ class TestOtherCommands:
         )
         assert code == 0
         doc = json.loads((out / "rvalues.json").read_text())
-        assert doc["definition"] == "mu0"
-        assert len(doc["entries"]) == 120
-        header = (out / "rvalues.csv").read_text().splitlines()[0]
+        assert doc["definition"] == "mu0" and doc["n_grid"] == 40
+        assert 1 <= doc["largest_tie"] <= 120 and 1 <= doc["n_distinct_r"] <= 40
+        header, *rows = (out / "rvalues.csv").read_text().splitlines()
         assert header == "id,x,sigma,r,r_prime,definition,grid_resolution"
+        assert len(rows) == 120
 
     def test_simulate_deterministic(self, tmp_path):
         args = [
@@ -657,7 +695,23 @@ class TestOtherCommands:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "ValueError"
         assert err["message"] == "mu0 grid needs at least 2 points to have a resolution, got 1"
-        assert not (out / "rvalues.json").exists()
+        assert not (out / "rvalues.json").exists() and not (out / "rvalues.csv").exists()
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["select", "--mu0", "0"],
+     {"selection.csv", "summary.json", "selection_result.json", "trace.csv"}),
+    (["rvalue", "--definition", "mu0", "--alpha", "0.1", "--grid-points", "20"],
+     {"rvalues.csv", "rvalues.json"}),
+    (["deconv-fit"], {"prior_fit.json"}),
+    (["simulate", "--design", "uniform", "--sigma-max", "3", "--m", "200", "--reps", "1"],
+     {"report.json", "report_tidy.csv"}),
+])
+def test_each_command_writes_its_files(argv, files, direct_csv, tmp_path):
+    out = tmp_path / "out"
+    given = [] if argv[0] == "simulate" else ["--input", str(direct_csv)]
+    assert main(argv + given + ["--output", str(out)]) == 0
+    assert {p.name for p in out.iterdir()} == files
 
 
 @pytest.mark.parametrize(
@@ -960,5 +1014,5 @@ def test_artifacts_do_not_depend_on_blas_threads(direct_csv, tmp_path):
                 env=env, capture_output=True, timeout=300, check=True,
             )
         got.append(_artifacts(out))
-    assert len(got[0]) == 5
+    assert len(got[0]) == 6
     assert got[0] == got[1]

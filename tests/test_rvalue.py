@@ -1,4 +1,7 @@
+import csv
+import json
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -295,7 +298,7 @@ def _output_tables():
 class TestTableOutputs:
     def test_csv_and_json(self, tmp_path):
         # Both artifacts are byte-identical to csv.writer over repr cells and
-        # json.dump of one entry dict per unit, on every case of _output_tables.
+        # json.dump of the metadata and counts, on every case of _output_tables.
         cases = _output_tables()
         for name, sentinel in (("alpha", math.inf), ("mu0", -math.inf)):
             table = cases[name][3]
@@ -314,8 +317,29 @@ class TestTableOutputs:
             for artifact in ("rvalues.csv", "rvalues.json"):
                 got, want = (new / artifact).read_bytes(), (ref / artifact).read_bytes()
                 assert got == want, (name, artifact)
-        text = (tmp_path / "alpha" / "new" / "rvalues.json").read_text(encoding="ascii")
-        assert '"id": "\\u00e9t\\u00e9"' in text and '"r": null' in text
         rows = (tmp_path / "alpha" / "new" / "rvalues.csv").read_text("utf-8").splitlines()
         assert rows[0] == "id,x,sigma,r,r_prime,definition,grid_resolution"
         assert rows[1].startswith('"a,b",') and rows[2].startswith('"q""q",')
+        doc = json.loads((tmp_path / "alpha" / "new" / "rvalues.json").read_text("utf-8"))
+        assert "entries" not in doc
+
+    def test_tied_is_the_rule_on_the_r_column(self, tmp_path):
+        # A unit is tied iff its r cell is non-empty and appears in another
+        # row of rvalues.csv; rvalues.json counts the distinct finite r and
+        # the ranked units sharing the most common one.
+        cases = _output_tables()
+        assert cases["seeded-mu0"][3].tied.any() and not cases["seeded-mu0"][3].tied.all()
+        for name, (ids, x, sigma, table) in cases.items():
+            out = tmp_path / name
+            out.mkdir()
+            config = RunConfig(command="rvalue", output=str(out), definition=table.definition)
+            _write_rvalues(config, ids, x, sigma, table)
+            with open(out / "rvalues.csv", newline="", encoding="utf-8") as fh:
+                cells = [row["r"] for row in csv.DictReader(fh)]
+            seen = Counter(cells)
+            assert table.tied.tolist() == [c != "" and seen[c] > 1 for c in cells], name
+            ranked = table.r[np.isfinite(table.r)]
+            values, counts = np.unique(ranked, return_counts=True)
+            doc = json.loads((out / "rvalues.json").read_text("utf-8"))
+            assert doc["n_distinct_r"] == values.size, name
+            assert doc["largest_tie"] == (int(counts.max()) if counts.size else 0), name
