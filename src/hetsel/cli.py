@@ -12,6 +12,11 @@ select       score units, run the prioritized selection, write CSV + summary
 rvalue       rank units by r-value under either definition
 simulate     run a replication study on one of the built-in designs
 
+``main(argv)`` is the entry point, for the ``hetsel`` script and for
+callers in Python alike. Each option is an argparse flag and nothing
+else: ``main`` checks the parsed namespace in place (``_check``) and each
+command reads its flags from it.
+
 Input CSVs are comma-separated with a header row, UTF-8 (a leading
 byte-order mark is skipped), decimal points.
 Two layouts are accepted: direct columns (id, x, sigma), or rate-comparison
@@ -27,7 +32,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict
 from itertools import compress, islice, repeat
 
 # One BLAS thread per process, set before numpy loads OpenBLAS: simulate
@@ -45,11 +50,9 @@ from .model import zvalue_pvalue
 from .selection import select_bh, select_clfdr_stepup, select_dd
 
 __all__ = [
-    "RunConfig",
     "ayp_standard_error",
     "trim_by_se_percentile",
     "read_records",
-    "run",
     "main",
 ]
 
@@ -59,30 +62,6 @@ _DIRECT_HEADER = ["id", "x", "sigma"]
 _BLOCK_LINES = 4096
 _AYP_HEADER = ["id", "y", "y_prime", "n", "n_prime"]
 _PRIOR_FIT_SCHEMA = "hetsel/prior-fit/v2"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation: one command plus every knob it needs. The
-    defaults here are the command-line defaults too."""
-
-    command: str
-    input: str | None = None
-    output: str | None = None
-    alpha: float = 0.1
-    mu0: float | None = None
-    k: int = 50
-    seed: int = 0  # simulate only: master seed of the replication streams
-    reps: int = 10
-    sigma_split: tuple = ()  # ascending, distinct sigma cuts
-    trim: tuple | None = None
-    definition: str = "mu0"
-    grid_points: int = 200
-    design: str | None = None
-    sigma2: float | None = None
-    sigma_max: float | None = None
-    sigma: float | None = None
-    m: int | None = None
 
 
 def ayp_standard_error(y: float, y_prime: float, n: int, n_prime: int) -> float:
@@ -264,19 +243,20 @@ def _group_ids(sigma: np.ndarray, cuts) -> np.ndarray:
     return np.digitize(sigma, np.asarray(cuts, dtype=float))
 
 
-def _envelope(kind: str, config: RunConfig, extra: dict | None = None) -> dict:
-    """Wraps a payload with the schema, the tool and the CLI configuration.
+def _envelope(kind: str, args, extra: dict | None = None) -> dict:
+    """Wraps a payload with the schema, the tool and the CLI configuration
+    read from ``args``, the flags as ``_check`` leaves them.
 
     A ``config`` block in the payload is merged into the CLI block, its own
     keys winning, so the command-line settings are never dropped.
     """
     cfg = {
-        "command": config.command,
-        "alpha": config.alpha,
-        "mu0": config.mu0,
-        "grid_size": config.k,
-        "sigma_split": list(config.sigma_split),
-        "trim": list(config.trim) if config.trim else None,
+        "command": args.command,
+        "alpha": args.alpha,
+        "mu0": args.mu0,
+        "grid_size": args.k,
+        "sigma_split": list(args.sigma_split),
+        "trim": list(args.trim) if args.trim else None,
     }
     doc = {
         "schema": f"hetsel/{kind}/v1",
@@ -330,11 +310,11 @@ def _write_csv(path, header, columns):
             fh.write("\r\n".join(block) + "\r\n")
 
 
-def _prepare(config: RunConfig):
-    ids, x, sigma = read_records(config.input)
-    if config.trim:
-        ids, x, sigma = trim_by_se_percentile(ids, x, sigma, *config.trim)
-    return ids, x, sigma, _group_ids(sigma, config.sigma_split)
+def _prepare(args):
+    ids, x, sigma = read_records(args.input)
+    if args.trim:
+        ids, x, sigma = trim_by_se_percentile(ids, x, sigma, *args.trim)
+    return ids, x, sigma, _group_ids(sigma, args.sigma_split)
 
 
 def _fit_summary(fit) -> dict:
@@ -354,32 +334,32 @@ def _prior_fit(fit) -> dict:
     return dict(_fit_summary(fit), schema=_PRIOR_FIT_SCHEMA, nodes=nodes, weights=weights)
 
 
-def _cmd_deconv_fit(config: RunConfig) -> int:
-    _, x, sigma, groups = _prepare(config)
-    fits = fit_prior_by_group(x, sigma, groups, k=config.k)
+def _cmd_deconv_fit(args) -> int:
+    _, x, sigma, groups = _prepare(args)
+    fits = fit_prior_by_group(x, sigma, groups, k=args.k)
     doc = _envelope(
         "prior-fit-set",
-        config,
+        args,
         {"fits": {str(g): _prior_fit(fit) for g, fit in fits.items()}},
     )
-    os.makedirs(config.output, exist_ok=True)
-    _write_json(os.path.join(config.output, "prior_fit.json"), doc)
+    os.makedirs(args.output, exist_ok=True)
+    _write_json(os.path.join(args.output, "prior_fit.json"), doc)
     return 0
 
 
-def _cmd_select(config: RunConfig) -> int:
-    ids, x, sigma, groups = _prepare(config)
-    fits = fit_prior_by_group(x, sigma, groups, k=config.k)
-    clfdr = clfdr_by_group(fits, groups, x, sigma, config.mu0)
-    dd = select_dd(x, clfdr, config.alpha, config.mu0)
+def _cmd_select(args) -> int:
+    ids, x, sigma, groups = _prepare(args)
+    fits = fit_prior_by_group(x, sigma, groups, k=args.k)
+    clfdr = clfdr_by_group(fits, groups, x, sigma, args.mu0)
+    dd = select_dd(x, clfdr, args.alpha, args.mu0)
     s = np.tanh(dd.t)
-    stepup = select_clfdr_stepup(clfdr, config.alpha)
-    _, pvals = zvalue_pvalue(x, sigma, config.mu0)
-    bh = select_bh(pvals, config.alpha)
+    stepup = select_clfdr_stepup(clfdr, args.alpha)
+    _, pvals = zvalue_pvalue(x, sigma, args.mu0)
+    bh = select_bh(pvals, args.alpha)
 
-    os.makedirs(config.output, exist_ok=True)
+    os.makedirs(args.output, exist_ok=True)
     _write_csv(
-        os.path.join(config.output, "selection.csv"),
+        os.path.join(args.output, "selection.csv"),
         ["id", "x", "sigma", "clfdr", "s", "group", "selected"],
         [ids, *map(_text, (x, sigma, clfdr, s)),
          *(list(map(int.__repr__, v.tolist())) for v in (dd.group, dd.decisions))],
@@ -391,10 +371,10 @@ def _cmd_select(config: RunConfig) -> int:
         if not sel.size:
             return 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            total = float(np.sum(x[sel] - config.mu0))
+            total = float(np.sum(x[sel] - args.mu0))
         if math.isnan(total):
             raise ValueError(
-                f"the modified power at mu0 = {config.mu0!r} overflows the float range "
+                f"the modified power at mu0 = {args.mu0!r} overflows the float range "
                 "both ways: its gains sum to +inf and its losses to -inf"
             )
         return total
@@ -404,7 +384,7 @@ def _cmd_select(config: RunConfig) -> int:
 
     summary = _envelope(
         "select-summary",
-        config,
+        args,
         {
             "n_units": len(ids),
             "n_selected": {
@@ -420,19 +400,19 @@ def _cmd_select(config: RunConfig) -> int:
             "fit": {str(g): _fit_summary(f) for g, f in fits.items()},
         },
     )
-    _write_json(os.path.join(config.output, "summary.json"), summary)
+    _write_json(os.path.join(args.output, "summary.json"), summary)
     result = {
         "etp_star": dd_power,
-        "capacity": float(-np.sum(clfdr[selected] - config.alpha)) if selected.size else 0.0,
+        "capacity": float(-np.sum(clfdr[selected] - args.alpha)) if selected.size else 0.0,
     }
     _write_json(
-        os.path.join(config.output, "selection_result.json"),
-        _envelope("selection-result", config, result),
+        os.path.join(args.output, "selection_result.json"),
+        _envelope("selection-result", args, result),
     )
     trace = dd.trace_columns
     unit = trace["unit"]
     _write_csv(
-        os.path.join(config.output, "trace.csv"),
+        os.path.join(args.output, "trace.csv"),
         ["step", "unit", "etp_star", "capacity"],
         # A checkpoint (unit -1) has an empty unit cell.
         [trace["step"], np.where(unit < 0, "", unit.astype(str)).tolist(),
@@ -441,7 +421,7 @@ def _cmd_select(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_rvalue(config: RunConfig) -> int:
+def _cmd_rvalue(args) -> int:
     # Imported here, so the other commands do not load the module.
     from .rvalue import (
         dd_alpha_evaluator,
@@ -452,38 +432,37 @@ def _cmd_rvalue(config: RunConfig) -> int:
         rvalue_vary_mu0,
     )
 
-    ids, x, sigma, groups = _prepare(config)
-    fits = fit_prior_by_group(x, sigma, groups, k=config.k)
-    if config.definition == "alpha":
-        clfdr = clfdr_by_group(fits, groups, x, sigma, config.mu0)
+    ids, x, sigma, groups = _prepare(args)
+    fits = fit_prior_by_group(x, sigma, groups, k=args.k)
+    if args.definition == "alpha":
+        clfdr = clfdr_by_group(fits, groups, x, sigma, args.mu0)
         table = rvalue_vary_alpha(
             len(ids),
-            dd_alpha_evaluator(x, clfdr, config.mu0),
-            default_alpha_grid(config.grid_points),
+            dd_alpha_evaluator(x, clfdr, args.mu0),
+            default_alpha_grid(args.grid_points),
         )
     else:
-        mu0s = default_mu0_grid(x, config.grid_points)
+        mu0s = default_mu0_grid(x, args.grid_points)
         clfdr_at = _clfdr_table(fits, groups, x, sigma, mu0s)
-        table = rvalue_vary_mu0(len(ids), dd_mu0_evaluator(x, clfdr_at, config.alpha), mu0s)
+        table = rvalue_vary_mu0(len(ids), dd_mu0_evaluator(x, clfdr_at, args.alpha), mu0s)
         # The k x m table is not read past the scan: free it before the writer.
         del clfdr_at
-    os.makedirs(config.output, exist_ok=True)
-    _write_rvalues(config, ids, x, sigma, table)
+    os.makedirs(args.output, exist_ok=True)
+    _write_rvalues(args, ids, x, sigma, table)
     return 0
 
 
-def _write_rvalues(config: RunConfig, ids, x, sigma, table):
+def _write_rvalues(args, ids, x, sigma, table):
     """Writes the units ``ids``, ``x`` and ``sigma`` with their r-values from
     ``table`` as ``rvalues.csv``, one row per unit, and the scan's metadata
-    as ``rvalues.json``, into ``config.output``.
+    as ``rvalues.json``, into ``args.output``.
 
     Each float is its ``repr`` text; a missing value (r infinite for a unit
     never selected, r_prime NaN) is an empty cell. The ids must be strings,
-    as ``read_records`` returns them. ``table.tied`` is not a column: a unit
-    is tied iff its r cell is non-empty and appears in another row.
-    ``rvalues.json`` counts the distinct finite r (``n_distinct_r``) and
-    the units that share the most common one (``largest_tie``, 0 when no
-    unit is ranked).
+    as ``read_records`` returns them. A unit is tied iff its r cell is
+    non-empty and appears in another row. ``rvalues.json`` counts the
+    distinct finite r (``n_distinct_r``) and the units that share the most
+    common one (``largest_tie``, 0 when no unit is ranked).
     """
     # Each r is a point of a strictly monotone grid, so its bit pattern is
     # its value: each distinct one is encoded and counted once.
@@ -494,7 +473,7 @@ def _write_rvalues(config: RunConfig, ids, x, sigma, table):
     r = np.array(_text(values, ~ranked), dtype=object)[inverse]
     m = len(ids)
     _write_csv(
-        os.path.join(config.output, "rvalues.csv"),
+        os.path.join(args.output, "rvalues.csv"),
         ["id", "x", "sigma", "r", "r_prime", "definition", "grid_resolution"],
         [ids, _text(x), _text(sigma), r.tolist(), _text(table.r_prime, np.isnan(table.r_prime)),
          [table.definition] * m, [repr(table.grid_resolution)] * m],
@@ -506,45 +485,40 @@ def _write_rvalues(config: RunConfig, ids, x, sigma, table):
         "n_distinct_r": int(ranked.sum()),
         "largest_tie": int(counts[ranked].max(initial=0)),
     }
-    _write_json(os.path.join(config.output, "rvalues.json"), _envelope("rvalues", config, doc))
+    _write_json(os.path.join(args.output, "rvalues.json"), _envelope("rvalues", args, doc))
 
 
-def _cmd_simulate(config: RunConfig) -> int:
+def _cmd_simulate(args) -> int:
     # Imported here, so the other commands do not load the module.
     from .sim import CorrelatedTwoGroup, SimDesign, TwoComponent, UniformIndep, run_replications
 
-    size = {} if config.m is None else {"m": config.m}
-    if config.design == "two-component":
-        if config.sigma2 is None:
-            raise ValueError("--sigma2 is required for the two-component design")
-        family = TwoComponent(sigma2=config.sigma2, **size)
-    elif config.design == "uniform":
-        if config.sigma_max is None:
-            raise ValueError("--sigma-max is required for the uniform design")
-        family = UniformIndep(sigma_max=config.sigma_max, **size)
-    elif config.design == "correlated":
-        if config.sigma is None:
-            raise ValueError("--sigma is required for the correlated design")
-        family = CorrelatedTwoGroup(sigma=config.sigma, **size)
-    else:
-        raise ValueError(f"unknown design {config.design!r}")
+    family_class, param = {
+        "two-component": (TwoComponent, "sigma2"),
+        "uniform": (UniformIndep, "sigma_max"),
+        "correlated": (CorrelatedTwoGroup, "sigma"),
+    }[args.design]
+    value = getattr(args, param)
+    if value is None:
+        raise ValueError(f"--{param.replace('_', '-')} is required for the {args.design} design")
+    size = {} if args.m is None else {"m": args.m}
+    family = family_class(**{param: value}, **size)
 
-    mu0 = config.mu0 if config.mu0 is not None else family.DEFAULT_MU0
+    mu0 = args.mu0 if args.mu0 is not None else family.DEFAULT_MU0
     design = SimDesign(
         family=family,
         mu0=mu0,
-        alpha=config.alpha,
-        reps=config.reps,
-        master_seed=config.seed,
+        alpha=args.alpha,
+        reps=args.reps,
+        master_seed=args.seed,
     )
-    report = run_replications(design, k=config.k)
-    os.makedirs(config.output, exist_ok=True)
+    report = run_replications(design, k=args.k)
+    os.makedirs(args.output, exist_ok=True)
     _write_json(
-        os.path.join(config.output, "report.json"),
-        _envelope("replication-report", config, _report_doc(report)),
+        os.path.join(args.output, "report.json"),
+        _envelope("replication-report", args, _report_doc(report)),
     )
     _write_csv(
-        os.path.join(config.output, "report_tidy.csv"),
+        os.path.join(args.output, "report_tidy.csv"),
         ["design", "method", "metric", "rep", "value"],
         # The metrics are ints and floats, whose str is csv.writer's text.
         [list(map(str, column)) for column in zip(*_tidy_rows(report))],
@@ -583,41 +557,23 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Executes one command; returns the process exit status.
-
-    Runtime failures are reported as a machine-readable JSON object on
-    stderr with exit status 1.
-    """
-    try:
-        return _COMMANDS[config.command](config)
-    except (ValueError, OSError, RuntimeError) as exc:
-        report = {
-            "error": {
-                "type": type(exc).__name__,
-                "message": str(exc),
-                "command": config.command,
-            }
-        }
-        print(json.dumps(report, sort_keys=True), file=sys.stderr)
-        return 1
-
-
-def _add_shared(parser, *, mu0: bool | None, alpha: float | None = RunConfig.alpha):
+def _add_shared(parser, *, mu0: bool | None, alpha: float | None = 0.1):
     """Adds the flags of the commands that read an input CSV. ``mu0`` says
-    whether --mu0 is required (None: no such flag); ``alpha`` is the
-    --alpha default."""
+    whether --mu0 is required (None: no such flag, and ``args.mu0`` is
+    None); ``alpha`` is the --alpha default."""
     parser.add_argument("--input", required=True, help="input CSV path")
     parser.add_argument("--output", required=True, help="output directory")
     parser.add_argument("--alpha", type=float, default=alpha, help="target FDR level")
-    if mu0 is not None:
+    if mu0 is None:
+        parser.set_defaults(mu0=None)
+    else:
         parser.add_argument(
             "--mu0",
             type=float,
             required=mu0,
             help="reference level: the null region is mu <= mu0",
         )
-    parser.add_argument("--grid-size", type=int, default=RunConfig.k, dest="k")
+    parser.add_argument("--grid-size", type=int, default=50, dest="k")
     parser.add_argument(
         "--sigma-split",
         type=str,
@@ -648,11 +604,11 @@ def make_parser() -> argparse.ArgumentParser:
 
     # The r-value command fixes one threshold parameter and varies the
     # other, so which flag it takes depends on the definition; both
-    # default to None and are checked in main.
+    # default to None and are checked in _check.
     p_rv = sub.add_parser("rvalue", help="rank units by r-value")
     _add_shared(p_rv, mu0=False, alpha=None)
     p_rv.add_argument("--definition", choices=["alpha", "mu0"], required=True)
-    p_rv.add_argument("--grid-points", type=int, default=RunConfig.grid_points)
+    p_rv.add_argument("--grid-points", type=int, default=200)
 
     p_sim = sub.add_parser("simulate", help="run a replication study")
     p_sim.add_argument("--output", required=True)
@@ -663,43 +619,60 @@ def make_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--sigma-max", type=float, help="sigma upper bound (uniform)")
     p_sim.add_argument("--sigma", type=float, help="sigma scale (correlated)")
     p_sim.add_argument("--m", type=int, help="units per replication")
-    p_sim.add_argument("--reps", type=int, default=RunConfig.reps)
-    p_sim.add_argument("--alpha", type=float, default=RunConfig.alpha)
+    p_sim.add_argument("--reps", type=int, default=10)
+    # --alpha and --grid-size default as select's do.
+    p_sim.add_argument("--alpha", type=float, default=p_sel.get_default("alpha"))
     p_sim.add_argument("--mu0", type=float)
-    p_sim.add_argument("--seed", type=int, default=RunConfig.seed)
-    p_sim.add_argument("--grid-size", type=int, default=RunConfig.k, dest="k")
+    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--grid-size", type=int, default=p_sel.get_default("k"), dest="k")
+    # No sigma groups and no trim: the config block records them as such.
+    p_sim.set_defaults(sigma_split="", trim="")
     return parser
 
 
-def _parse_pair(text: str, flag: str):
-    parts = [p for p in text.split(",") if p.strip()]
-    if len(parts) != 2:
-        raise ValueError(f"{flag} expects two comma-separated values")
-    return float(parts[0]), float(parts[1])
+def _floats(text: str, flag: str) -> list:
+    """The numbers of the comma-separated ``text``; blank cells are skipped."""
+    try:
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ValueError(f"{flag} must be finite numbers, got {text}") from None
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """The ``RunConfig`` of what argparse parsed: each field the command's
-    flags set, and the dataclass default for the fields it has no flag for."""
-    parsed = vars(args)
-    given = {f.name: parsed[f.name] for f in fields(RunConfig) if f.name in parsed}
-    mu0 = given.get("mu0")
-    if mu0 is not None and not math.isfinite(mu0):
-        raise ValueError(f"--mu0 must be finite, got {mu0}")
-    text = given.get("sigma_split")
-    cuts = tuple(sorted(float(v) for v in text.split(",") if v.strip())) if text else ()
+def _check(args: argparse.Namespace) -> None:
+    """Checks the flags ``make_parser`` parsed into ``args`` and rewrites
+    ``sigma_split`` into its sorted cuts (a tuple) and ``trim`` into its
+    (lower, upper) pair, or None. Raises ValueError with the usage message.
+    """
+    if args.command == "rvalue":
+        varied = args.definition
+        fixed = "alpha" if varied == "mu0" else "mu0"
+        if getattr(args, fixed) is None:
+            raise ValueError(f"--{fixed} is required with --definition {varied}")
+        if getattr(args, varied) is not None:
+            raise ValueError(f"--{varied} is the parameter --definition {varied} varies; "
+                             f"give only --{fixed}")
+    if args.mu0 is not None and not math.isfinite(args.mu0):
+        raise ValueError(f"--mu0 must be finite, got {args.mu0}")
+    text = args.sigma_split
+    cuts = tuple(sorted(_floats(text, "--sigma-split cuts")))
     if not all(math.isfinite(v) for v in cuts):
         raise ValueError(f"--sigma-split cuts must be finite, got {text}")
     if len(set(cuts)) < len(cuts):
         raise ValueError(f"--sigma-split cuts must be distinct, got {text}")
-    given["sigma_split"] = cuts
-    given["trim"] = _parse_pair(given["trim"], "--trim") if given.get("trim") else None
-    return RunConfig(**given)
+    args.sigma_split = cuts
+    trim = _floats(args.trim, "--trim bounds")
+    if args.trim and len(trim) != 2:
+        raise ValueError("--trim expects two comma-separated values")
+    args.trim = tuple(trim) or None
 
 
 def main(argv=None) -> int:
     """Parses ``argv`` (the process's own arguments when None), runs the
     command and returns its exit status.
+
+    A flag that fails ``_check`` is a usage error (exit status 2). A
+    command's runtime failure is reported as a machine-readable JSON object
+    on stderr with exit status 1.
 
     When ``argv`` is None, ``main`` is the process's entry point (the
     ``hetsel`` script, ``python -m hetsel.cli``), and it calls
@@ -712,21 +685,18 @@ def main(argv=None) -> int:
     """
     parser = make_parser()
     args = parser.parse_args(argv)
-    if args.command == "rvalue":
-        varied = args.definition
-        fixed = "alpha" if varied == "mu0" else "mu0"
-        if getattr(args, fixed) is None:
-            parser.error(f"--{fixed} is required with --definition {varied}")
-        if getattr(args, varied) is not None:
-            parser.error(f"--{varied} is the parameter --definition {varied} varies; "
-                         f"give only --{fixed}")
     try:
-        config = config_from_args(args)
+        _check(args)
     except ValueError as exc:
         parser.error(str(exc))
     if argv is None:
         gc.freeze()
-    return run(config)
+    try:
+        return _COMMANDS[args.command](args)
+    except (ValueError, OSError, RuntimeError) as exc:
+        error = {"type": type(exc).__name__, "message": str(exc), "command": args.command}
+        print(json.dumps({"error": error}, sort_keys=True), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

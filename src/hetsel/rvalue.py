@@ -48,13 +48,13 @@ class RValueTable:
     ``rvalues.json``.
 
     ``r`` is +inf (vary-alpha) or -inf (vary-mu0) for units never selected
-    on the grid; those units carry no rank (``r_prime`` is NaN). ``tied``
-    flags units sharing their finite r-value with another unit, where the
-    rank order fell back to the tie-break: larger score t at the grid
+    on the grid; those units carry no rank (``r_prime`` is NaN). A unit is
+    tied when another unit shares its finite r-value; the rank order of
+    tied units falls back to the tie-break: larger score t at the grid
     point of first selection, then input position. Ties are broken on t,
-    not on s = tanh(t), whose values collide long before t does. It is not
-    written: a unit is tied iff its ``r`` cell in ``rvalues.csv`` is
-    non-empty and appears in another row.
+    not on s = tanh(t), whose values collide long before t does. In
+    ``rvalues.csv`` a unit is tied iff its ``r`` cell is non-empty and
+    appears in another row.
     """
 
     definition: str
@@ -62,19 +62,30 @@ class RValueTable:
     n_grid: int
     r: np.ndarray
     r_prime: np.ndarray
-    tied: np.ndarray
+
+
+def _grid_points(n, definition) -> int:
+    """``n`` as the size of a ``definition`` grid; raises ValueError when
+    it is below 2, which leaves the grid no resolution."""
+    n = int(n)
+    if n < 2:
+        raise ValueError(
+            f"{definition} grid needs at least 2 points to have a resolution, got {n}"
+        )
+    return n
 
 
 def default_alpha_grid(n: int) -> np.ndarray:
     """``n`` log-spaced ascending FDR levels from ``_ALPHA_LOW`` to
-    ``_ALPHA_HIGH``."""
-    return np.geomspace(_ALPHA_LOW, _ALPHA_HIGH, int(n))
+    ``_ALPHA_HIGH``; ``n`` must be at least 2."""
+    return np.geomspace(_ALPHA_LOW, _ALPHA_HIGH, _grid_points(n, VARY_ALPHA))
 
 
 def default_mu0_grid(x, n: int) -> np.ndarray:
     """``n`` linearly spaced descending levels from above max(x) to below
     min(x), padded by 1e-3 of the x span (1e-6 when x is constant).
-    Raises ValueError when a padded end overflows the float range."""
+    Raises ValueError when ``n`` is below 2 or a padded end overflows the
+    float range."""
     xs = np.asarray(x, dtype=float)
     lo, hi = float(xs.min()), float(xs.max())
     pad = 1e-3 * (hi - lo) if hi > lo else 1e-6
@@ -82,15 +93,12 @@ def default_mu0_grid(x, n: int) -> np.ndarray:
     if not (math.isfinite(top) and math.isfinite(bottom)):
         raise ValueError(f"x spans [{lo!r}, {hi!r}], too wide for the default mu0 grid: "
                          f"its padded ends {top!r} and {bottom!r} overflow the float range")
-    return np.linspace(top, bottom, int(n))
+    return np.linspace(top, bottom, _grid_points(n, VARY_MU0))
 
 
 def _validate_grid(grid, definition):
     g = np.asarray(grid, dtype=float)
-    if g.size < 2:
-        raise ValueError(
-            f"{definition} grid needs at least 2 points to have a resolution, got {g.size}"
-        )
+    _grid_points(g.size, definition)
     d = np.diff(g)
     if definition == VARY_ALPHA:
         if np.any(g <= 0) or np.any(g >= 1):
@@ -142,15 +150,8 @@ def _build_table(r, t_at, definition, resolution, n_grid):
         primary = r[ranked] if definition == VARY_ALPHA else -r[ranked]
         order = np.lexsort((ranked, -t_at[ranked], primary))
         r_prime[ranked[order]] = np.arange(1, ranked.size + 1) / r.size
-    # Counts from the inverse, not np.isin, which can import numpy.ma.
-    _, inverse, counts = np.unique(r, return_inverse=True, return_counts=True)
     return RValueTable(
-        definition=definition,
-        grid_resolution=resolution,
-        n_grid=n_grid,
-        r=r,
-        r_prime=r_prime,
-        tied=np.isfinite(r) & (counts[inverse] > 1),
+        definition=definition, grid_resolution=resolution, n_grid=n_grid, r=r, r_prime=r_prime
     )
 
 

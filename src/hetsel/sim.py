@@ -118,6 +118,8 @@ class SimDesign:
             raise ValueError("mu0 must be finite")
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
         if not (0 < self.alpha < 1):
             raise ValueError("alpha must lie in (0, 1)")
 

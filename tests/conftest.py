@@ -395,6 +395,13 @@ def write_json_reference(path, doc):
         fh.write("\n")
 
 
+def tied_units(r):
+    """Reference tie flags of r-values ``r``: a unit is tied iff its r is
+    finite and another unit shares it."""
+    counts = Counter(r.tolist())
+    return np.array([math.isfinite(v) and counts[v] > 1 for v in r.tolist()], dtype=bool)
+
+
 def write_rvalues_reference(config, ids, x, sigma, table):
     """Reference for ``rvalues.csv`` and ``rvalues.json`` in ``config.output``:
     ``csv.writer`` over repr cells, empty where r is infinite or r_prime is

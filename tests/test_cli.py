@@ -499,6 +499,8 @@ def test_duplicate_sigma_split_cut_is_usage_error(direct_csv, tmp_path, capsys):
         (["rvalue", "--definition", "alpha", "--mu0", "nan"], "--mu0"),
         (["deconv-fit", "--sigma-split", "inf"], "--sigma-split"),
         (["simulate", "--design", "uniform", "--sigma-max", "3", "--mu0", "nan"], "--mu0"),
+        (["select", "--mu0", "0", "--sigma-split", "abc"], "--sigma-split"),
+        (["select", "--mu0", "0", "--trim", "a,b"], "--trim"),
     ],
 )
 def test_non_finite_flag_is_usage_error(argv, flag, direct_csv, tmp_path, capsys):
@@ -679,23 +681,39 @@ class TestOtherCommands:
         )
         assert code == 1  # runtime validation: sigma2 required
 
-    def test_rvalue_one_point_grid_is_rejected(self, direct_csv, tmp_path, capsys):
+    @pytest.mark.parametrize("points", ["1", "0", "-5"])
+    @pytest.mark.parametrize("definition", ["mu0", "alpha"])
+    def test_rvalue_one_point_grid_is_rejected(self, definition, points, direct_csv, tmp_path,
+                                               capsys):
         out = tmp_path / "rv"
+        fixed = ["--alpha", "0.1"] if definition == "mu0" else ["--mu0", "0"]
         code = main(
             [
                 "rvalue",
                 "--input", str(direct_csv),
                 "--output", str(out),
-                "--definition", "mu0",
-                "--alpha", "0.1",
-                "--grid-points", "1",
+                "--definition", definition,
+                *fixed,
+                "--grid-points", points,
             ]
         )
         assert code == 1
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "ValueError"
-        assert err["message"] == "mu0 grid needs at least 2 points to have a resolution, got 1"
+        assert err["message"] == (
+            f"{definition} grid needs at least 2 points to have a resolution, got {points}"
+        )
         assert not (out / "rvalues.json").exists() and not (out / "rvalues.csv").exists()
+
+    def test_simulate_rejects_a_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        code = main(["simulate", "--design", "uniform", "--sigma-max", "3", "--m", "200",
+                     "--reps", "1", "--seed", "-1", "--output", str(out)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValueError"
+        assert err["message"] == "master_seed must be non-negative, got -1"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, files", [
@@ -712,6 +730,36 @@ def test_each_command_writes_its_files(argv, files, direct_csv, tmp_path):
     given = [] if argv[0] == "simulate" else ["--input", str(direct_csv)]
     assert main(argv + given + ["--output", str(out)]) == 0
     assert {p.name for p in out.iterdir()} == files
+
+
+@pytest.mark.parametrize("argv, files, config", [
+    (["select", "--mu0", "0", "--sigma-split", "1.5", "--trim", "0.01,0.99"],
+     ["summary.json", "selection_result.json"],
+     {"alpha": 0.1, "command": "select", "grid_size": 50, "mu0": 0.0, "sigma_split": [1.5],
+      "trim": [0.01, 0.99]}),
+    (["rvalue", "--definition", "mu0", "--alpha", "0.1"], ["rvalues.json"],
+     {"alpha": 0.1, "command": "rvalue", "grid_size": 50, "mu0": None, "sigma_split": [],
+      "trim": None}),
+    (["rvalue", "--definition", "alpha", "--mu0", "0"], ["rvalues.json"],
+     {"alpha": None, "command": "rvalue", "grid_size": 50, "mu0": 0.0, "sigma_split": [],
+      "trim": None}),
+    (["deconv-fit"], ["prior_fit.json"],
+     {"alpha": 0.1, "command": "deconv-fit", "grid_size": 50, "mu0": None, "sigma_split": [],
+      "trim": None}),
+    (["simulate", "--design", "correlated", "--sigma", "1", "--m", "2000", "--reps", "2"],
+     ["report.json"],
+     {"alpha": 0.1, "command": "simulate", "design": "correlated(sigma=1.0, m=2000)",
+      "grid_size": 50, "master_seed": 0, "mu0": 1.0, "reps": 2, "sigma_split": [],
+      "trim": None}),
+])
+def test_config_block_of_each_command(argv, files, config, direct_csv, tmp_path):
+    # Every flag reaches the config block, and a command without a flag
+    # records the setting it does not take as unset.
+    out = tmp_path / "out"
+    given = [] if argv[0] == "simulate" else ["--input", str(direct_csv)]
+    assert main(argv + given + ["--output", str(out)]) == 0
+    for name in files:
+        assert json.loads((out / name).read_text())["config"] == config, name
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,13 @@
+import argparse
 import csv
 import json
 import math
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import write_rvalues_reference
+from conftest import tied_units, write_rvalues_reference
 from hetsel import (
     JointModel,
     TruePrior,
@@ -23,7 +23,7 @@ from hetsel import (
     select_dd,
     zvalue_pvalue,
 )
-from hetsel.cli import RunConfig, _group_ids, _write_rvalues
+from hetsel.cli import _group_ids, _write_rvalues
 from hetsel.deconv import _clfdr_table
 
 TWO_INTERVAL = TruePrior.uniform_mixture([(0.8, -3.0, -1.0), (0.2, 1.0, 2.0)])
@@ -142,8 +142,8 @@ class TestVaryMu0:
 
         base = table(np.arange(1000))
         shuffled = table(perm)
-        assert base.tied.sum() > 100
-        for column in ("r", "r_prime", "tied"):
+        assert tied_units(base.r).sum() > 100
+        for column in ("r", "r_prime"):
             np.testing.assert_array_equal(getattr(shuffled, column), getattr(base, column)[perm])
 
     def test_descending_grid_required(self):
@@ -168,7 +168,7 @@ class TestVaryMu0:
             return np.array([True, True, mu0 <= 0.5])
 
         table = rvalue_vary_mu0(3, rule, grid)
-        assert table.tied.tolist() == [True, True, False]
+        assert tied_units(table.r).tolist() == [True, True, False]
         # Without scores the tie breaks by input position.
         assert table.r_prime[0] < table.r_prime[1]
 
@@ -191,7 +191,7 @@ class TestVaryMu0:
 
 
 def _scan_reference(x, clfdr_fn, alpha, grid):
-    """(r, r_prime, tied) of the mu0 scan by a per-point loop of ``select_dd``
+    """(r, r_prime) of the mu0 scan by a per-point loop of ``select_dd``
     on a fresh copy of each clfdr row: first selection in grid order, ranks
     by descending r, then larger t at the first selection, then position."""
     m = x.size
@@ -203,9 +203,7 @@ def _scan_reference(x, clfdr_fn, alpha, grid):
     ranked = sorted(np.flatnonzero(np.isfinite(r)).tolist(), key=lambda i: (-r[i], -t_at[i], i))
     r_prime = np.full(m, np.nan)
     r_prime[ranked] = np.arange(1, len(ranked) + 1) / m
-    values, counts = np.unique(r[np.isfinite(r)], return_counts=True)
-    tied = np.isin(r, values[counts > 1])
-    return r, r_prime, tied
+    return r, r_prime
 
 
 class TestSharedReplays:
@@ -228,11 +226,10 @@ class TestSharedReplays:
         assert 2 < distinct < len(rows)
         assert not rows[0].flags.writeable
         table = rvalue_vary_mu0(x.size, dd_mu0_evaluator(x, clfdr_fn, 0.1), grid)
-        r, r_prime, tied = _scan_reference(x, clfdr_fn, 0.1, grid)
-        assert np.isfinite(r).sum() > 100 and tied.any()
+        r, r_prime = _scan_reference(x, clfdr_fn, 0.1, grid)
+        assert np.isfinite(r).sum() > 100 and tied_units(r).any()
         assert np.array_equal(table.r.view(np.int64), r.view(np.int64))
         assert np.array_equal(table.r_prime, r_prime, equal_nan=True)
-        assert np.array_equal(table.tied, tied)
 
     @pytest.mark.parametrize("bad", [math.nan, 1.5])
     @pytest.mark.parametrize("at", [0, 7])
@@ -295,6 +292,13 @@ def _output_tables():
     }
 
 
+def _rvalue_args(output, alpha=None, mu0=None):
+    """The flags of an ``rvalue`` run writing into ``output``, as
+    ``hetsel.cli._check`` leaves them."""
+    return argparse.Namespace(command="rvalue", output=str(output), alpha=alpha, mu0=mu0, k=50,
+                              sigma_split=(), trim=None)
+
+
 class TestTableOutputs:
     def test_csv_and_json(self, tmp_path):
         # Both artifacts are byte-identical to csv.writer over repr cells and
@@ -309,11 +313,8 @@ class TestTableOutputs:
             new, ref = tmp_path / name / "new", tmp_path / name / "ref"
             new.mkdir(parents=True)
             ref.mkdir()
-            config = RunConfig(
-                command="rvalue", output=str(new), alpha=0.1, mu0=0.0, definition=table.definition
-            )
-            _write_rvalues(config, ids, x, sigma, table)
-            write_rvalues_reference(replace(config, output=str(ref)), ids, x, sigma, table)
+            _write_rvalues(_rvalue_args(new, alpha=0.1, mu0=0.0), ids, x, sigma, table)
+            write_rvalues_reference(_rvalue_args(ref, alpha=0.1, mu0=0.0), ids, x, sigma, table)
             for artifact in ("rvalues.csv", "rvalues.json"):
                 got, want = (new / artifact).read_bytes(), (ref / artifact).read_bytes()
                 assert got == want, (name, artifact)
@@ -328,16 +329,16 @@ class TestTableOutputs:
         # row of rvalues.csv; rvalues.json counts the distinct finite r and
         # the ranked units sharing the most common one.
         cases = _output_tables()
-        assert cases["seeded-mu0"][3].tied.any() and not cases["seeded-mu0"][3].tied.all()
+        seeded = tied_units(cases["seeded-mu0"][3].r)
+        assert seeded.any() and not seeded.all()
         for name, (ids, x, sigma, table) in cases.items():
             out = tmp_path / name
             out.mkdir()
-            config = RunConfig(command="rvalue", output=str(out), definition=table.definition)
-            _write_rvalues(config, ids, x, sigma, table)
+            _write_rvalues(_rvalue_args(out), ids, x, sigma, table)
             with open(out / "rvalues.csv", newline="", encoding="utf-8") as fh:
                 cells = [row["r"] for row in csv.DictReader(fh)]
             seen = Counter(cells)
-            assert table.tied.tolist() == [c != "" and seen[c] > 1 for c in cells], name
+            assert tied_units(table.r).tolist() == [c != "" and seen[c] > 1 for c in cells], name
             ranked = table.r[np.isfinite(table.r)]
             values, counts = np.unique(ranked, return_counts=True)
             doc = json.loads((out / "rvalues.json").read_text("utf-8"))
