@@ -245,11 +245,7 @@ def _group_ids(sigma: np.ndarray, cuts) -> np.ndarray:
 
 def _envelope(kind: str, args, extra: dict | None = None) -> dict:
     """Wraps a payload with the schema, the tool and the CLI configuration
-    read from ``args``, the flags as ``_check`` leaves them.
-
-    A ``config`` block in the payload is merged into the CLI block, its own
-    keys winning, so the command-line settings are never dropped.
-    """
+    read from ``args``, the flags as ``_check`` leaves them."""
     cfg = {
         "command": args.command,
         "alpha": args.alpha,
@@ -263,10 +259,7 @@ def _envelope(kind: str, args, extra: dict | None = None) -> dict:
         "tool": {"name": "hetsel", "version": __version__},
         "config": cfg,
     }
-    if extra:
-        extra = dict(extra)
-        cfg.update(extra.pop("config", {}))
-        doc.update(extra)
+    doc.update(extra or {})
     return doc
 
 
@@ -512,25 +505,25 @@ def _cmd_simulate(args) -> int:
         master_seed=args.seed,
     )
     report = run_replications(design, k=args.k)
+    doc = _envelope("replication-report", args, _report_doc(design, report))
+    # The config block records the mu0 the study ran at and its design.
+    doc["config"].update(design=design.label(), mu0=design.mu0, reps=design.reps,
+                         master_seed=design.master_seed)
     os.makedirs(args.output, exist_ok=True)
-    _write_json(
-        os.path.join(args.output, "report.json"),
-        _envelope("replication-report", args, _report_doc(report)),
-    )
+    _write_json(os.path.join(args.output, "report.json"), doc)
     _write_csv(
         os.path.join(args.output, "report_tidy.csv"),
         ["design", "method", "metric", "rep", "value"],
         # The metrics are ints and floats, whose str is csv.writer's text.
-        [list(map(str, column)) for column in zip(*_tidy_rows(report))],
+        [list(map(str, column)) for column in zip(*_tidy_rows(design, report))],
     )
     return 0
 
 
-def _report_doc(report) -> dict:
-    """The ``report.json`` payload of a ``ReplicationReport``."""
+def _report_doc(design, report) -> dict:
+    """The ``report.json`` payload of a ``ReplicationReport`` of ``design``."""
     return {
-        "design": report.design_label,
-        "config": report.config,
+        "design": design.label(),
         "oracle_thresholds": {"c1": report.thresholds.c1, "c2": report.thresholds.c2},
         "summary": {m: asdict(s) for m, s in report.summary.items()},
         "per_rep": {m: [asdict(r) for r in recs] for m, recs in report.per_rep.items()},
@@ -539,10 +532,11 @@ def _report_doc(report) -> dict:
     }
 
 
-def _tidy_rows(report):
+def _tidy_rows(design, report):
     """The ``report_tidy.csv`` rows: [design, method, metric, rep, value]."""
+    label = design.label()
     return (
-        [report.design_label, method, metric, rep, value]
+        [label, method, metric, rep, value]
         for method, recs in report.per_rep.items()
         for rep, rec in enumerate(recs)
         for metric, value in asdict(rec).items()
@@ -653,6 +647,10 @@ def _check(args: argparse.Namespace) -> None:
                              f"give only --{fixed}")
     if args.mu0 is not None and not math.isfinite(args.mu0):
         raise ValueError(f"--mu0 must be finite, got {args.mu0}")
+    if args.alpha is not None and not 0 < args.alpha < 1:
+        raise ValueError(f"--alpha must lie in (0, 1), got {args.alpha}")
+    if args.k < 2:
+        raise ValueError(f"--grid-size must be at least 2, got {args.k}")
     text = args.sigma_split
     cuts = tuple(sorted(_floats(text, "--sigma-split cuts")))
     if not all(math.isfinite(v) for v in cuts):
@@ -663,6 +661,8 @@ def _check(args: argparse.Namespace) -> None:
     trim = _floats(args.trim, "--trim bounds")
     if args.trim and len(trim) != 2:
         raise ValueError("--trim expects two comma-separated values")
+    if trim and not 0 <= trim[0] < trim[1] <= 1:
+        raise ValueError(f"--trim bounds need 0 <= lower < upper <= 1, got {args.trim}")
     args.trim = tuple(trim) or None
 
 

@@ -194,15 +194,13 @@ def generate(design: SimDesign, rep: int) -> Replicate:
     )
 
 
-def _metrics(decisions, rep: Replicate, mu0: float) -> tuple:
-    rec = MetricsRecord(
+def _metrics(decisions, rep: Replicate, mu0: float) -> MetricsRecord:
+    return MetricsRecord(
         fdp=fdp(decisions, rep.theta),
         etp=etp(decisions, rep.theta),
         etp_star=etp_star(decisions, rep.x, mu0),
         n_selected=int(np.sum(decisions)),
     )
-    false = int(np.sum((1 - rep.theta) * decisions))
-    return rec, false
 
 
 def _run_one_rep(
@@ -213,7 +211,7 @@ def _run_one_rep(
     k: int,
 ):
     """Runs the four methods on one replicate; returns its seed key, the
-    per-method (record, false selections) and the clfdr MSE of the fit."""
+    per-method records and the clfdr MSE of the fit."""
     rep = generate(design, rep_index)
     try:
         fits = fit_prior_by_group(rep.x, rep.sigma, rep.group_ids, k=k)
@@ -357,11 +355,16 @@ def _mean_se(values):
 
 @dataclass(frozen=True)
 class ReplicationReport:
-    """A study's per-replicate metrics, method summaries and seed ledger;
-    ``hetsel.cli`` writes it as ``report.json`` and ``report_tidy.csv``."""
+    """What a study measured; ``hetsel.cli`` writes it, with the design's
+    label and settings, as ``report.json`` and ``report_tidy.csv``.
 
-    design_label: str
-    config: dict
+    ``per_rep`` maps each method of ``METHODS`` to its ``MetricsRecord``
+    per replicate and ``summary`` to its ``MethodSummary``; ``seed_ledger``
+    holds each replicate's stream key and ``clfdr_mse`` the mean squared
+    error of its fitted clfdr against the exact one, both in replication
+    order; ``thresholds`` are the oracle cutoffs shared by every replicate.
+    """
+
     per_rep: dict
     summary: dict
     seed_ledger: tuple
@@ -385,52 +388,24 @@ def run_replications(
     """
     model = joint_model(design.family)
     thresholds = oracle_thresholds(model, design.alpha, design.mu0)
-
-    per_rep = {m: [] for m in METHODS}
-    falses = {m: 0 for m in METHODS}
-    selected = {m: 0 for m in METHODS}
-    seed_ledger = []
-    clfdr_mse = []
-    for seed_key, recs, mse in _replicates(design, model, thresholds, k):
-        seed_ledger.append(seed_key)
-        clfdr_mse.append(mse)
-        for m in METHODS:
-            rec, false = recs[m]
-            per_rep[m].append(rec)
-            falses[m] += false
-            selected[m] += rec.n_selected
+    seed_ledger, outs, clfdr_mse = zip(*_replicates(design, model, thresholds, k))
+    per_rep = {m: [out[m] for out in outs] for m in METHODS}
 
     summary = {}
-    for m in METHODS:
-        recs = per_rep[m]
+    for m, recs in per_rep.items():
         fdr, se_fdr = _mean_se([r.fdp for r in recs])
         metp, se_etp = _mean_se([r.etp for r in recs])
         mstar, se_star = _mean_se([r.etp_star for r in recs])
+        # Each selection's false ones are its n_selected - etp.
+        selected = sum(r.n_selected for r in recs)
         summary[m] = MethodSummary(
             fdr=fdr,
             se_fdr=se_fdr,
-            mfdr_estimate=falses[m] / max(selected[m], 1),
+            mfdr_estimate=(selected - sum(r.etp for r in recs)) / max(selected, 1),
             mean_etp=metp,
             se_etp=se_etp,
             mean_etp_star=mstar,
             se_etp_star=se_star,
             mean_selected=float(np.mean([r.n_selected for r in recs])),
         )
-
-    config = {
-        "design": design.label(),
-        "mu0": design.mu0,
-        "alpha": design.alpha,
-        "reps": design.reps,
-        "master_seed": design.master_seed,
-        "grid_size": k,
-    }
-    return ReplicationReport(
-        design_label=design.label(),
-        config=config,
-        per_rep=per_rep,
-        summary=summary,
-        seed_ledger=tuple(seed_ledger),
-        clfdr_mse=tuple(clfdr_mse),
-        thresholds=thresholds,
-    )
+    return ReplicationReport(per_rep, summary, seed_ledger, clfdr_mse, thresholds)

@@ -170,7 +170,7 @@ def test_report_tidy_csv_is_dict_writer(tmp_path):
     design = SimDesign(family=family, mu0=family.DEFAULT_MU0, alpha=0.1, reps=2, master_seed=3)
     report = run_replications(design, k=50)
     rows = [
-        {"design": report.design_label, "method": method, "metric": metric,
+        {"design": design.label(), "method": method, "metric": metric,
          "rep": rep_index, "value": value}
         for method, recs in report.per_rep.items()
         for rep_index, rec in enumerate(recs)

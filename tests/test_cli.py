@@ -213,6 +213,20 @@ class TestIngestion:
         with pytest.raises(ValueError, match="header"):
             read_records(path)
 
+    def test_header_only_file(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("id,x,sigma\n")
+        with pytest.raises(ValueError) as exc:
+            read_records(path)
+        assert str(exc.value) == f"{path}: no data rows"
+
+    def test_short_rate_row_names_its_line(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("id,y,y_prime,n,n_prime\na,0.5,0.4,10,10\nb,0.5,0.4\n")
+        with pytest.raises(ValueError) as exc:
+            read_records(path)
+        assert str(exc.value) == f"{path}:3: expected at least 5 fields"
+
 
 class TestSelectCommand:
     def test_artifacts_and_round_trip(self, direct_csv, tmp_path):
@@ -512,6 +526,38 @@ def test_non_finite_flag_is_usage_error(argv, flag, direct_csv, tmp_path, capsys
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"error: {flag} " in err and "must be finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["select", "--mu0", "0", "--grid-size", "1"], "--grid-size must be at least 2, got 1"),
+        (["deconv-fit", "--grid-size", "-3"], "--grid-size must be at least 2, got -3"),
+        (["simulate", "--design", "uniform", "--sigma-max", "3", "--grid-size", "0"],
+         "--grid-size must be at least 2, got 0"),
+        (["deconv-fit", "--trim", "0.9,0.1"],
+         "--trim bounds need 0 <= lower < upper <= 1, got 0.9,0.1"),
+        (["select", "--mu0", "0", "--trim", "0.5,0.5"],
+         "--trim bounds need 0 <= lower < upper <= 1, got 0.5,0.5"),
+        (["select", "--mu0", "0", "--trim=-0.1,0.9"],
+         "--trim bounds need 0 <= lower < upper <= 1, got -0.1,0.9"),
+        (["select", "--mu0", "0", "--trim", "0.5"], "--trim expects two comma-separated values"),
+        (["select", "--mu0", "0", "--alpha", "1.5"], "--alpha must lie in (0, 1), got 1.5"),
+        (["rvalue", "--definition", "mu0", "--alpha", "0"], "--alpha must lie in (0, 1), got 0.0"),
+        (["simulate", "--design", "uniform", "--sigma-max", "3", "--alpha", "1"],
+         "--alpha must lie in (0, 1), got 1.0"),
+    ],
+)
+def test_out_of_range_flag_is_usage_error(argv, message, tmp_path, capsys):
+    # The input does not exist: the flag is rejected before any is read.
+    out = tmp_path / "o"
+    if argv[0] != "simulate":
+        argv = argv + ["--input", str(tmp_path / "missing.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--output", str(out)])
+    assert exc.value.code == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
     assert not out.exists()
 
 

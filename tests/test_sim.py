@@ -146,8 +146,8 @@ class TestRunReplications:
         design = _design(UniformIndep(sigma_max=3.0, m=250), mu0=0.0, reps=2, seed=9)
         a = run_replications(design)
         b = run_replications(design)
-        assert json.dumps(_report_doc(a), sort_keys=True) == json.dumps(
-            _report_doc(b), sort_keys=True
+        assert json.dumps(_report_doc(design, a), sort_keys=True) == json.dumps(
+            _report_doc(design, b), sort_keys=True
         )
 
     def test_summary_equals_mean_of_reps(self):
@@ -178,7 +178,7 @@ class TestRunReplications:
         design = _design(UniformIndep(sigma_max=3.0, m=150), mu0=0.0, reps=2, seed=3)
         report = run_replications(design)
         assert len(set(report.seed_ledger)) == 2
-        rows = list(_tidy_rows(report))
+        rows = list(_tidy_rows(design, report))
         assert {r[1] for r in rows} == {"DD", "OR", "Clfdr", "BH"}
         assert {r[2] for r in rows} == {"fdp", "etp", "etp_star", "n_selected"}
         assert len(rows) == 4 * 4 * 2
@@ -187,7 +187,7 @@ class TestRunReplications:
         design = _design(CorrelatedTwoGroup(sigma=1.0, m=300), mu0=1.0, reps=2, seed=5)
         report = run_replications(design, k=30)
         assert len(report.clfdr_mse) == 2
-        assert _report_doc(report)["clfdr_mse"] == list(report.clfdr_mse)
+        assert _report_doc(design, report)["clfdr_mse"] == list(report.clfdr_mse)
         rep = generate(design, 1)
         fits = fit_prior_by_group(rep.x, rep.sigma, rep.group_ids, k=30)
         estimated = clfdr_by_group(fits, rep.group_ids, rep.x, rep.sigma, 1.0)
@@ -271,7 +271,7 @@ class TestForkedReplicates:
         assert report.seed_ledger == tuple(key for key, _, _ in serial)
         assert report.clfdr_mse == tuple(mse for _, _, mse in serial)
         for method, recs in report.per_rep.items():
-            assert recs == [out[method][0] for _, out, _ in serial]
+            assert recs == [out[method] for _, out, _ in serial]
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_lowest_failing_replicate_is_raised(self, monkeypatch, cpus):
