@@ -35,9 +35,9 @@ import sys
 from dataclasses import asdict
 from itertools import compress, islice, repeat
 
-# One BLAS thread per process, set before numpy loads OpenBLAS: simulate
-# runs its replicates in forked processes, and two processes with two
-# spinning BLAS threads each on two CPUs are slower than one process. A
+# One BLAS thread per process, set before numpy loads OpenBLAS: on two
+# CPUs at m = 10k a second thread gained nothing (one matched two in the
+# median on select and simulate and won 10 of 16 paired runs of each). A
 # user's OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is kept.
 if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
@@ -651,6 +651,10 @@ def _check(args: argparse.Namespace) -> None:
         raise ValueError(f"--alpha must lie in (0, 1), got {args.alpha}")
     if args.k < 2:
         raise ValueError(f"--grid-size must be at least 2, got {args.k}")
+    if getattr(args, "grid_points", 2) < 2:
+        raise ValueError(f"--grid-points must be at least 2, got {args.grid_points}")
+    if getattr(args, "reps", 1) < 1:
+        raise ValueError(f"--reps must be at least 1, got {args.reps}")
     text = args.sigma_split
     cuts = tuple(sorted(_floats(text, "--sigma-split cuts")))
     if not all(math.isfinite(v) for v in cuts):

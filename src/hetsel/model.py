@@ -104,12 +104,22 @@ def etp(decisions, theta) -> int:
 
 
 def etp_star(decisions, x, mu0: float) -> float:
-    """Realized modified power: sum d_i (x_i - mu0). May be negative."""
+    """Realized modified power: sum d_i (x_i - mu0), over selected units
+    only. May be negative; past the float range it takes its limit +-inf,
+    and raises ValueError when the gains sum to +inf and the losses to -inf.
+    """
     d = _as_binary(decisions, "decisions")
     xs = np.asarray(x, dtype=float)
     if d.shape != xs.shape:
         raise ValueError("decisions and x must have the same length")
-    return float(np.sum(d * (xs - mu0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.sum(np.where(d, xs - mu0, 0.0)))
+    if math.isnan(total):
+        raise ValueError(
+            f"the modified power at mu0 = {mu0!r} overflows the float range "
+            "both ways: its gains sum to +inf and its losses to -inf"
+        )
+    return total
 
 
 def _cody_ratio(t, num, den):

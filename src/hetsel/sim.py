@@ -26,7 +26,6 @@ Benjamini-Hochberg on p-values.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Union
 
@@ -236,96 +235,6 @@ def _run_one_rep(
     return rep.seed_key, out, clfdr_mse
 
 
-def _run_share(design, first, step, model, thresholds, k) -> dict:
-    """Runs replicates first, first + step, ... in order; returns
-    {rep: (seed_key, recs, mse)}. The first failure is stored as its
-    exception and ends the share."""
-    out = {}
-    for r in range(first, design.reps, step):
-        try:
-            out[r] = _run_one_rep(design, r, model, thresholds, k)
-        except Exception as exc:
-            out[r] = exc
-            break
-    return out
-
-
-def _send_share(conn, *share):
-    conn.send(_run_share(*share))
-    conn.close()
-
-
-def _process_count(reps: int) -> int:
-    """How many processes share the replicates: min(reps, usable CPUs), but
-    1 while this process runs another thread. Forking it would be unsafe
-    then, and the threads (a threaded BLAS, for one) would compete with the
-    workers for the CPUs: with two OpenBLAS threads per process on a 2-CPU
-    VM, forked replicates ran 11-23% slower than serial ones."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-        threads = len(os.listdir("/proc/self/task"))
-    except (AttributeError, OSError):
-        return 1
-    return min(reps, cpus) if threads == 1 else 1
-
-
-def _replicates(design, model, thresholds, k) -> list:
-    """Every replicate's (seed_key, recs, mse), in replication order.
-
-    With n = ``_process_count(reps)``, this process and n - 1 forked
-    workers each run the replicates r = w (mod n) of their index w, and the
-    workers send theirs back over a pipe; with n = 1 no worker is forked
-    and the replicates run here one after another. Either way the error of
-    the lowest-index failing replicate is raised.
-    A worker that exits without sending its results raises RuntimeError
-    naming its replicates and exit code. Every worker is joined before this
-    returns or raises; an interrupt or a dead worker terminates the others
-    first.
-    """
-    args = (model, thresholds, k)
-    n = _process_count(design.reps)
-    if n > 1:
-        import multiprocessing
-
-        # n > 1 only on Linux (see _process_count), where fork always exists.
-        ctx = multiprocessing.get_context("fork")
-    workers = []
-    try:
-        for w in range(1, n):
-            recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_send_share, args=(send, design, w, n, *args))
-            proc.start()
-            # Closed here before the next fork, so the worker holds the
-            # pipe's only write end and its exit ends the pipe.
-            send.close()
-            workers.append((w, proc, recv))
-        results = _run_share(design, 0, n, *args)
-        for w, proc, recv in workers:
-            try:
-                results.update(recv.recv())
-            except EOFError:
-                proc.join()
-                raise RuntimeError(
-                    f"the worker for replications {list(range(w, design.reps, n))} "
-                    f"exited with code {proc.exitcode} without sending their results"
-                ) from None
-    except BaseException:
-        for _, proc, _ in workers:
-            proc.terminate()
-        raise
-    finally:
-        for _, proc, recv in workers:
-            proc.join()
-            recv.close()
-    # A replicate missing from the results follows a failure in its share.
-    out = []
-    for r in range(design.reps):
-        if isinstance(results[r], BaseException):
-            raise results[r]
-        out.append(results[r])
-    return out
-
-
 @dataclass(frozen=True)
 class MethodSummary:
     """Replication averages for one method, with Monte Carlo standard errors.
@@ -382,13 +291,14 @@ def run_replications(
 
     The oracle cutoffs are the population cutoffs of the design's law,
     computed once per design and shared across replications. The
-    replicates then run on the usable CPUs (see ``_replicates``); each
-    draws from its own stream, so the report does not depend on how many
-    CPUs ran it.
+    replicates then run one after another in this process, each from its
+    own stream; the first failing replicate ends the run with its error.
     """
     model = joint_model(design.family)
     thresholds = oracle_thresholds(model, design.alpha, design.mu0)
-    seed_ledger, outs, clfdr_mse = zip(*_replicates(design, model, thresholds, k))
+    seed_ledger, outs, clfdr_mse = zip(
+        *(_run_one_rep(design, r, model, thresholds, k) for r in range(design.reps))
+    )
     per_rep = {m: [out[m] for out in outs] for m in METHODS}
 
     summary = {}

@@ -547,6 +547,10 @@ def test_non_finite_flag_is_usage_error(argv, flag, direct_csv, tmp_path, capsys
         (["rvalue", "--definition", "mu0", "--alpha", "0"], "--alpha must lie in (0, 1), got 0.0"),
         (["simulate", "--design", "uniform", "--sigma-max", "3", "--alpha", "1"],
          "--alpha must lie in (0, 1), got 1.0"),
+        (["rvalue", "--definition", "mu0", "--alpha", "0.1", "--grid-points", "1"],
+         "--grid-points must be at least 2, got 1"),
+        (["simulate", "--design", "uniform", "--sigma-max", "3", "--reps", "0"],
+         "--reps must be at least 1, got 0"),
     ],
 )
 def test_out_of_range_flag_is_usage_error(argv, message, tmp_path, capsys):
@@ -733,23 +737,20 @@ class TestOtherCommands:
                                                capsys):
         out = tmp_path / "rv"
         fixed = ["--alpha", "0.1"] if definition == "mu0" else ["--mu0", "0"]
-        code = main(
-            [
-                "rvalue",
-                "--input", str(direct_csv),
-                "--output", str(out),
-                "--definition", definition,
-                *fixed,
-                "--grid-points", points,
-            ]
-        )
-        assert code == 1
-        err = json.loads(capsys.readouterr().err)["error"]
-        assert err["type"] == "ValueError"
-        assert err["message"] == (
-            f"{definition} grid needs at least 2 points to have a resolution, got {points}"
-        )
-        assert not (out / "rvalues.json").exists() and not (out / "rvalues.csv").exists()
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "rvalue",
+                    "--input", str(direct_csv),
+                    "--output", str(out),
+                    "--definition", definition,
+                    *fixed,
+                    "--grid-points", points,
+                ]
+            )
+        assert exc.value.code == 2
+        assert f"error: --grid-points must be at least 2, got {points}\n" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_simulate_rejects_a_negative_seed(self, tmp_path, capsys):
         out = tmp_path / "s"
@@ -862,8 +863,9 @@ runs = [
 codes = [main(argv) for argv in runs]
 before = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 codes.append(main(["simulate", "--design", "uniform", "--sigma-max", "3", "--m", "200",
-                   "--reps", "1", "--seed", "3", "--output", out + "/sim"]))
-print(json.dumps({"codes": codes, "scipy": before, "scipy_after": "scipy" in sys.modules}))
+                   "--reps", "2", "--seed", "3", "--output", out + "/sim"]))
+print(json.dumps({"codes": codes, "scipy": before, "scipy_after": "scipy" in sys.modules,
+                  "multiprocessing": "multiprocessing" in sys.modules}))
 """
 
 
@@ -1013,6 +1015,8 @@ def test_commands_do_not_load_scipy(direct_csv, tmp_path):
     assert report["scipy"] == []
     # simulate's known-prior oracle uses numpy's erfc kernel, not scipy.
     assert not report["scipy_after"]
+    # simulate runs its replicates in this process.
+    assert not report["multiprocessing"]
 
 
 _BLAS_SCRIPT = """
@@ -1092,7 +1096,8 @@ def _artifacts(directory):
 
 
 def test_artifacts_do_not_depend_on_blas_threads(direct_csv, tmp_path):
-    # With two BLAS threads simulate also runs its replicates serially.
+    # The BLAS thread count may change how fast select and simulate run,
+    # never what they write.
     runs = [
         ["select", "--input", str(direct_csv), "--mu0", "0"],
         ["simulate", "--design", "correlated", "--sigma", "1", "--m", "400", "--reps", "3",

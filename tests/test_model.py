@@ -48,6 +48,16 @@ class TestEtpStar:
     def test_below_reference_penalizes(self):
         assert etp_star([1], [0], 1.0) == -1.0
 
+    def test_unselected_overflow_is_ignored(self):
+        # x - mu0 overflows only for the unselected unit.
+        assert etp_star([1, 0], [1.0, 1e308], -1e308) == 1e308
+
+    def test_overflow_both_ways_is_rejected(self):
+        x = np.repeat([1e308, -1e308], 128)
+        assert etp_star(np.ones(128, dtype=int), x[:128], 0.0) == math.inf
+        with pytest.raises(ValueError, match="gains sum to \\+inf and its losses to -inf"):
+            etp_star(np.ones(256, dtype=int), x, 0.0)
+
     def test_additive_over_disjoint_selections(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
